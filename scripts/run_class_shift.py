@@ -12,7 +12,7 @@ from evifuse.cli import _parse_proportions
 from evifuse.data import SyntheticSpec, gen_synthetic, resample_class_ratio
 from evifuse.dirichlet import BaseRate
 from evifuse.metrics import EvalRecord, metrics_report
-from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, fit, predict
+from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, evaluate, fit
 
 
 def parse_args(argv=None):
@@ -40,11 +40,11 @@ def blob_spec(args, n_per_class, seed):
 
 
 def records(model, ds, override=None):
-    out = []
-    for s in ds:
-        pred, u, probs = predict(model, s, override)
-        out.append(EvalRecord(pred, float(probs[pred]), u, s.label, s.id))
-    return out
+    pred, u, probs = evaluate(model, ds, override)
+    return [
+        EvalRecord(p, probs[i, p], u[i], s.label, s.id)
+        for i, (s, p) in enumerate(zip(ds, pred))
+    ]
 
 
 def main(argv=None):

@@ -5,6 +5,7 @@ from .dirichlet import (
     BaseRate,
     DirichletParams,
     EvidenceVector,
+    combined_evidence,
     expected_probabilities,
     kl_dirichlet,
     predict_class,
@@ -67,6 +68,7 @@ from .model import (
     TrainingDiverged,
     TrainingReport,
     compute_base_rate,
+    evaluate,
     fit,
     forward,
     load_checkpoint,
@@ -78,7 +80,8 @@ from .specfun import digamma, ln_gamma, trigamma
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseRate", "DirichletParams", "EvidenceVector", "expected_probabilities",
+    "BaseRate", "DirichletParams", "EvidenceVector", "combined_evidence",
+    "expected_probabilities",
     "kl_dirichlet", "predict_class", "rebase", "strength",
     "FusionConflictError", "Opinion", "bcf_fuse", "cbf_fuse", "combine_multiview",
     "dirichlet_from_evidence", "dirichlet_from_opinion", "opinion_from_dirichlet",
@@ -92,7 +95,7 @@ __all__ = [
     "EvalRecord", "OodResult", "accuracy", "auc_binary", "ece",
     "metrics_report", "ood_detect", "predictive_entropy",
     "EvidenceHead", "EvidentialModel", "ModelConfig", "TrainingDiverged",
-    "TrainingReport", "compute_base_rate", "fit", "forward", "load_checkpoint",
+    "TrainingReport", "compute_base_rate", "evaluate", "fit", "forward", "load_checkpoint",
     "predict", "save_checkpoint",
     "digamma", "ln_gamma", "trigamma",
     "__version__",

@@ -29,9 +29,9 @@ from .model import (
     ModelConfig,
     TrainingDiverged,
     compute_base_rate,
+    evaluate,
     fit,
     load_checkpoint,
-    predict,
     save_checkpoint,
 )
 from .opinions import FusionConflictError, Opinion, bcf_fuse, cbf_fuse, combine_multiview, dirichlet_from_opinion
@@ -48,8 +48,17 @@ class CliState:
     quiet: bool = False
 
 
+def _echo(text: str, err: bool = False):
+    # click.echo caches what it resolves a default stream to in a
+    # WeakKeyDictionary keyed by the stream. A StringIO needs no wrapping, so
+    # the cached value is the key itself and the entry never dies: an
+    # in-process caller that swaps one into sys.stdout would keep every
+    # output in memory. Naming the stream skips that cache.
+    click.echo(text, file=sys.stderr if err else sys.stdout)
+
+
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -76,11 +85,11 @@ def guarded(fn):
 
 def _log(state: CliState, message: str):
     if not state.quiet:
-        click.echo(message, err=True)
+        _echo(message, err=True)
 
 
 def _emit(obj):
-    click.echo(json.dumps(obj, sort_keys=True))
+    _echo(json.dumps(obj, sort_keys=True))
 
 
 def _resolve(ctx: click.Context, command: str, values: dict) -> dict:
@@ -402,17 +411,12 @@ def train(ctx, data_path, valid_path, out_path, classes, n_views, dims, hidden,
 
 
 def _eval_records(model: EvidentialModel, ds, override: BaseRate | None):
-    records = []
-    for sample in ds:
-        pred, u, probs = predict(model, sample, override)
-        records.append(metricsmod.EvalRecord(
-            predicted=pred,
-            confidence=float(probs[pred]),
-            uncertainty=u,
-            label=sample.label,
-            id=sample.id,
-        ))
-    return records
+    predicted, uncertainty, probs = evaluate(model, ds, override)
+    confidence = probs[np.arange(len(ds)), predicted]
+    return [
+        metricsmod.EvalRecord(p, c, u, sample.label, sample.id)
+        for sample, p, c, u in zip(ds, predicted, confidence, uncertainty)
+    ]
 
 
 def _load_for_model(model: EvidentialModel, path):
@@ -549,7 +553,7 @@ def adapt_sweep(ctx, model_path, uniform_path, data_path, ratios, bins):
             auc = "" if report["auc"] is None else f"{report['auc']:.6f}"
             lines.append(f"{ratio_text},{name},{auc},{report['ece']:.6f}")
         _log(state, f"ratio {ratio_text}: evaluated {len(sub)} samples x 3 strategies")
-    click.echo("\n".join(lines))
+    _echo("\n".join(lines))
 
 
 if __name__ == "__main__":

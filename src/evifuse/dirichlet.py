@@ -119,16 +119,39 @@ def kl_dirichlet(p: DirichletParams, q: DirichletParams) -> float:
     """
     if p.num_classes != q.num_classes:
         raise ValueError("KL divergence needs equal numbers of classes")
-    a, b = p.alpha, q.alpha
-    sa = a.sum()
+    return float(kl_dirichlet_rows(p.alpha, q.alpha))
+
+
+def kl_dirichlet_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kl_dirichlet over the last axis of (..., K) concentration arrays.
+
+    `a` and `b` broadcast against each other; inputs are not validated, so
+    callers pass strictly positive, finite values.
+    """
+    sa = a.sum(axis=-1)
     value = (
         ln_gamma(sa)
-        - ln_gamma(b.sum())
-        - np.sum(ln_gamma(a))
-        + np.sum(ln_gamma(b))
-        + np.sum((a - b) * (digamma(a) - digamma(sa)))
+        - ln_gamma(b.sum(axis=-1))
+        - ln_gamma(a).sum(axis=-1)
+        + ln_gamma(b).sum(axis=-1)
+        + ((a - b) * (digamma(a) - np.expand_dims(digamma(sa), -1))).sum(axis=-1)
     )
-    return max(0.0, float(value))
+    return np.maximum(value, 0.0)
+
+
+def combined_evidence(view_evidences, weight: float) -> np.ndarray:
+    """Evidence of the multi-view combination rule under a shared base rate.
+
+    Folding cumulative fusion over the local views adds their evidence, L;
+    the constraint step with the global view g then yields L + g + L*g/W,
+    with W the prior weight (derived in `evifuse.losses`). A single view is
+    its own combination. Views are (..., K) arrays; the last one is global.
+    """
+    *local, glob = view_evidences
+    if not local:
+        return np.asarray(glob, dtype=float)
+    total = np.sum(local, axis=0)
+    return total + glob + total * glob / weight
 
 
 def rebase(e: EvidenceVector, new_a: BaseRate) -> DirichletParams:

@@ -1,13 +1,27 @@
-"""Evidential objectives and their exact gradients.
+"""Evidential objectives and their exact gradients, batched over samples.
 
-The loss side is small: an integrated cross-entropy under the predicted
-Dirichlet, a KL regularizer toward the non-evidence prior computed on a
-label-masked copy of alpha, and their per-view / combined sums. The gradient
-side carries the real weight: closed-form Jacobians for both fusion
-operators and the evidence/opinion/Dirichlet mappings, composed by the chain
-rule so the combined-opinion loss differentiates back to every view's
-evidence. No autodiff framework is involved; finite differences are the
-referee in the tests.
+The loss is an integrated cross-entropy under the predicted Dirichlet plus a
+KL regularizer toward the non-evidence prior computed on a label-masked copy
+of alpha, summed over every view's Dirichlet and the combined one. All of it
+runs on (N, K) arrays: one call scores a whole minibatch.
+
+The combined Dirichlet comes from the multi-view rule (cumulative fusion over
+the local views, then one constraint fusion with the global view g), which
+under a shared base rate a of weight W has a closed form in evidence space.
+Write an opinion as b = e/S, u = W/S with S = W + sum(e), so b/u = e/W and
+alpha = (b/u)*W + a*W. Cumulative fusion gives b/u = b^m/u^m + b^n/u^n, so
+the local fold carries the summed evidence L. For the constraint step,
+bcf_fuse gives
+
+    b/u = (b^m b^n + b^m u^n + b^n u^m) / (u^m u^n)
+        = (b^m/u^m)(b^n/u^n) + b^m/u^m + b^n/u^n
+        = (L/W)(g/W) + L/W + g/W,
+
+so the combined evidence is e = L + g + L*g/W and alpha = e + a*W; the
+normalizer C cancels. Its Jacobians are diagonal: d e / d e^v = 1 + g/W for
+every local view and 1 + L/W for the global one. Finite evidence therefore
+never meets total conflict. No autodiff framework is involved; finite
+differences, and the opinion-space chain kept in the tests, are the referees.
 """
 
 from __future__ import annotations
@@ -20,9 +34,9 @@ from .dirichlet import (
     BaseRate,
     DirichletParams,
     EvidenceVector,
-    kl_dirichlet,
+    combined_evidence,
+    kl_dirichlet_rows,
 )
-from .opinions import FusionConflictError
 from .specfun import digamma, trigamma
 
 # Alphas are floored before any psi/psi' call. Evidence is nonnegative by
@@ -53,15 +67,54 @@ def annealed_lambda(epoch: int, annealing_epochs: int) -> float:
     return min(1.0, epoch / annealing_epochs)
 
 
-def _checked_label(label: int, num_classes: int) -> int:
-    label = int(label)
-    if not 0 <= label < num_classes:
-        raise ValueError(f"label {label} outside [0, {num_classes})")
-    return label
+def _checked_labels(labels, num_rows: int, num_classes: int) -> np.ndarray:
+    arr = np.asarray(labels)
+    if arr.shape != (num_rows,) or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"need {num_rows} integer labels")
+    bad = (arr < 0) | (arr >= num_classes)
+    if bad.any():
+        raise ValueError(f"label {int(arr[bad][0])} outside [0, {num_classes})")
+    return arr
 
 
 def _floored(alpha: np.ndarray) -> np.ndarray:
     return np.maximum(alpha, _ALPHA_FLOOR)
+
+
+def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    return labels[..., None] == np.arange(num_classes)
+
+
+def _ice_terms(alpha: np.ndarray, hot: np.ndarray):
+    """ICE loss (...,) and its gradient (..., K) for (..., K) alphas."""
+    a = _floored(alpha)
+    s = a.sum(axis=-1)
+    a_label = np.where(hot, a, 0.0).sum(axis=-1)
+    loss = digamma(s) - digamma(a_label)
+    grad = np.expand_dims(trigamma(s), -1) - hot * np.expand_dims(trigamma(a_label), -1)
+    return loss, grad
+
+
+def _kl_terms(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
+    """Masked-KL loss (...,) and its gradient (..., K), zero at the label."""
+    masked = np.where(hot, beta, alpha)
+    loss = kl_dirichlet_rows(masked, beta)
+    at = _floored(masked)
+    sa = at.sum(axis=-1)
+    grad = (at - beta) * trigamma(at) - np.expand_dims((sa - beta.sum()) * trigamma(sa), -1)
+    return loss, np.where(hot, 0.0, grad)
+
+
+def _per_view_terms(alpha: np.ndarray, hot: np.ndarray, cfg: LossConfig):
+    ice, ice_g = _ice_terms(alpha, hot)
+    kl, kl_g = _kl_terms(alpha, hot, cfg.beta.alpha)
+    return ice + cfg.lam * kl, ice_g + cfg.lam * kl_g
+
+
+def _one(alpha: DirichletParams, label: int):
+    """A single Dirichlet and label as a batch of one, with its label mask."""
+    labels = _checked_labels([int(label)], 1, alpha.num_classes)
+    return alpha.alpha[None, :], _one_hot(labels, alpha.num_classes)
 
 
 def ice_loss(alpha: DirichletParams, label: int) -> float:
@@ -69,18 +122,12 @@ def ice_loss(alpha: DirichletParams, label: int) -> float:
 
     Nonnegative, since the label component never exceeds the total strength.
     """
-    a = _floored(alpha.alpha)
-    label = _checked_label(label, a.size)
-    return float(digamma(a.sum()) - digamma(a[label]))
+    return float(_ice_terms(*_one(alpha, label))[0][0])
 
 
 def ice_grad(alpha: DirichletParams, label: int) -> np.ndarray:
     """d ice_loss / d alpha_j = psi'(S) - [j == label] psi'(alpha_label)."""
-    a = _floored(alpha.alpha)
-    label = _checked_label(label, a.size)
-    grad = np.full(a.size, trigamma(a.sum()))
-    grad[label] -= trigamma(a[label])
-    return grad
+    return _ice_terms(*_one(alpha, label))[1][0]
 
 
 def masked_alpha(alpha: DirichletParams, label: int, beta: DirichletParams) -> DirichletParams:
@@ -91,25 +138,24 @@ def masked_alpha(alpha: DirichletParams, label: int, beta: DirichletParams) -> D
     """
     if alpha.num_classes != beta.num_classes:
         raise ValueError("alpha and beta disagree on the number of classes")
-    label = _checked_label(label, alpha.num_classes)
-    masked = alpha.alpha.copy()
-    masked[label] = beta.alpha[label]
-    return DirichletParams(masked)
+    a, hot = _one(alpha, label)
+    return DirichletParams(np.where(hot, beta.alpha, a)[0])
+
+
+def _checked_kl_terms(alpha: DirichletParams, label: int, beta: DirichletParams):
+    if alpha.num_classes != beta.num_classes:
+        raise ValueError("alpha and beta disagree on the number of classes")
+    return _kl_terms(*_one(alpha, label), beta.alpha)
 
 
 def kl_reg_loss(alpha: DirichletParams, label: int, beta: DirichletParams) -> float:
     """KL[Dir(masked alpha) || Dir(beta)]: pulls off-label evidence to zero."""
-    return kl_dirichlet(masked_alpha(alpha, label, beta), beta)
+    return float(_checked_kl_terms(alpha, label, beta)[0][0])
 
 
 def kl_reg_grad(alpha: DirichletParams, label: int, beta: DirichletParams) -> np.ndarray:
     """Gradient of kl_reg_loss w.r.t. alpha; zero at the masked label entry."""
-    label = _checked_label(label, alpha.num_classes)
-    at = _floored(masked_alpha(alpha, label, beta).alpha)
-    b = beta.alpha
-    grad = (at - b) * trigamma(at) - (at.sum() - b.sum()) * trigamma(at.sum())
-    grad[label] = 0.0
-    return grad
+    return _checked_kl_terms(alpha, label, beta)[1][0]
 
 
 def per_view_loss(alpha: DirichletParams, label: int, cfg: LossConfig) -> float:
@@ -129,185 +175,59 @@ def overall_loss(view_alphas, combined_alpha: DirichletParams, label: int, cfg: 
     return total
 
 
-# ---------------------------------------------------------------------------
-# Chain-rule machinery. Opinions travel as stacked nodes z = (b_1..b_K, u);
-# every stage exposes a (K+1)x(K+1) (or rectangular) Jacobian and the
-# backward pass is plain transposed-matrix composition. K stays small, so
-# explicit Jacobians beat a vjp formulation on clarity at no real cost.
+def _evidence_array(e) -> np.ndarray:
+    return e.evidence if isinstance(e, EvidenceVector) else np.asarray(e, dtype=float)
 
 
-def _opinion_node(e: np.ndarray, w: float):
-    s = w + e.sum()
-    z = np.empty(e.size + 1)
-    z[:-1] = e / s
-    z[-1] = w / s
-    return z, s
+def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: LossConfig):
+    """Overall loss per sample and its exact gradient w.r.t. every view's evidence.
 
+    Takes V evidence arrays of shape (N, K), the last one the global view,
+    and N labels. Returns (losses of shape (N,), [gradient of shape (N, K)
+    per view]). Each view's gradient has two routes: the direct per-view
+    loss, where d alpha^v / d e^v is the identity, and the combined loss
+    through the diagonal Jacobian of the closed-form combination. With one
+    view the combined Dirichlet is the view's own.
 
-def _evidence_jacobian(e: np.ndarray, s: float, w: float) -> np.ndarray:
-    """d(b, u)/d e for b = e/S, u = W/S, S = W + sum(e)."""
-    k = e.size
-    jac = np.empty((k + 1, k))
-    jac[:k] = (np.eye(k) * s - e[:, None]) / (s * s)
-    jac[k] = -w / (s * s)
-    return jac
-
-
-def _cbf_node(zm: np.ndarray, zn: np.ndarray):
-    k = zm.size - 1
-    um, un = zm[k], zn[k]
-    denom = um + un - um * un
-    if denom == 0.0:
-        raise FusionConflictError("cumulative fusion of two dogmatic opinions is undefined")
-    z = np.empty(k + 1)
-    z[:k] = (zm[:k] * un + zn[:k] * um) / denom
-    z[k] = um * un / denom
-    return z, denom
-
-
-def _cbf_jacobians(zm: np.ndarray, zn: np.ndarray, z: np.ndarray, denom: float):
-    k = zm.size - 1
-    um, un = zm[k], zn[k]
-    jm = np.zeros((k + 1, k + 1))
-    jn = np.zeros((k + 1, k + 1))
-    jm[:k, :k] = np.eye(k) * (un / denom)
-    jm[:k, k] = (zn[:k] - z[:k] * (1.0 - un)) / denom
-    jm[k, k] = (un - z[k] * (1.0 - un)) / denom
-    jn[:k, :k] = np.eye(k) * (um / denom)
-    jn[:k, k] = (zm[:k] - z[:k] * (1.0 - um)) / denom
-    jn[k, k] = (um - z[k] * (1.0 - um)) / denom
-    return jm, jn
-
-
-def _bcf_node(zm: np.ndarray, zn: np.ndarray, conflict_floor: float):
-    k = zm.size - 1
-    um, un = zm[k], zn[k]
-    agreement = float(zm[:k] @ zn[:k])
-    c = agreement + um + un - um * un
-    if c <= max(conflict_floor, 1e-12):
-        raise FusionConflictError(f"total belief conflict, normalization constant {c:.3e}")
-    z = np.empty(k + 1)
-    z[:k] = (zm[:k] * zn[:k] + zm[:k] * un + zn[:k] * um) / c
-    z[k] = um * un / c
-    return z, c
-
-
-def _bcf_jacobians(zm: np.ndarray, zn: np.ndarray, z: np.ndarray, c: float):
-    k = zm.size - 1
-    um, un = zm[k], zn[k]
-    jm = np.empty((k + 1, k + 1))
-    jn = np.empty((k + 1, k + 1))
-    jm[:k, :k] = (np.diag(zn[:k] + un) - np.outer(z[:k], zn[:k])) / c
-    jm[:k, k] = (zn[:k] - z[:k] * (1.0 - un)) / c
-    jm[k, :k] = -z[k] * zn[:k] / c
-    jm[k, k] = (un - z[k] * (1.0 - un)) / c
-    jn[:k, :k] = (np.diag(zm[:k] + um) - np.outer(z[:k], zm[:k])) / c
-    jn[:k, k] = (zm[:k] - z[:k] * (1.0 - um)) / c
-    jn[k, :k] = -z[k] * zm[:k] / c
-    jn[k, k] = (um - z[k] * (1.0 - um)) / c
-    return jm, jn
-
-
-def _alpha_jacobian(z: np.ndarray, w: float) -> np.ndarray:
-    """d alpha / d (b, u) for alpha = b*W/u + a*W."""
-    k = z.size - 1
-    u = z[k]
-    jac = np.empty((k, k + 1))
-    jac[:, :k] = np.eye(k) * (w / u)
-    jac[:, k] = -z[:k] * w / (u * u)
-    return jac
-
-
-def _as_evidence_array(e) -> np.ndarray:
-    if isinstance(e, EvidenceVector):
-        return e.evidence
-    arr = np.asarray(e, dtype=float)
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("evidence must be a finite nonnegative vector")
-    return arr
-
-
-def overall_loss_and_grad(
-    view_evidences,
-    base_rate: BaseRate,
-    label: int,
-    cfg: LossConfig,
-    conflict_floor: float = 0.0,
-):
-    """Overall loss and its exact gradient w.r.t. every view's evidence.
-
-    Each view's gradient has two routes: the direct per-view loss (where
-    d alpha^v / d e^v is the identity) and the combined loss through the
-    fusion chain. Returns (loss, [gradient per view]).
-
-    A conflict_floor above the operator's own epsilon lets training reject
-    near-conflict samples before their gradients blow up.
+    One sample may be passed as 1-d evidence vectors and a scalar label; the
+    result is then a float loss and 1-d gradients.
     """
-    evidences = [_as_evidence_array(e) for e in view_evidences]
+    evidences = [_evidence_array(e) for e in view_evidences]
     if not evidences:
         raise ValueError("need at least one view")
-    w = base_rate.weight
-    prior = base_rate.rates * w
-    if evidences[0].size != base_rate.num_classes:
+    single = evidences[0].ndim == 1
+    if single:
+        evidences = [e[None, :] for e in evidences]
+        labels = [labels]
+    if any(e.ndim != 2 or e.shape != evidences[0].shape for e in evidences):
+        raise ValueError("every view's evidence must be an (N, K) array of one shape")
+    stacked = np.stack(evidences)
+    if not np.all(np.isfinite(stacked)) or np.any(stacked < 0.0):
+        raise ValueError("evidence must be finite and nonnegative")
+    num_views, num_rows, num_classes = stacked.shape
+    if num_classes != base_rate.num_classes:
         raise ValueError("evidence and base rate disagree on the number of classes")
-    num_views = len(evidences)
+    hot = _one_hot(_checked_labels(labels, num_rows, num_classes), num_classes)
+    w = base_rate.weight
 
-    nodes = []
-    ev_jacobians = []
-    for e in evidences:
-        z, s = _opinion_node(e, w)
-        nodes.append(z)
-        ev_jacobians.append(_evidence_jacobian(e, s, w))
+    fused = combined_evidence(stacked, w)
+    alphas = np.concatenate([stacked, fused[None]]) + base_rate.rates * w
+    terms, term_grads = _per_view_terms(alphas, hot, cfg)
+    loss = terms.sum(axis=0)
 
-    # Fold cumulative fusion over the local views, keeping each stage's
-    # Jacobians for the backward pass.
-    fold = nodes[0]
-    fold_jacobians = []
-    if num_views >= 2:
-        for z in nodes[1:-1]:
-            fused, denom = _cbf_node(fold, z)
-            fold_jacobians.append(_cbf_jacobians(fold, z, fused, denom))
-            fold = fused
-        combined, c = _bcf_node(fold, nodes[-1], conflict_floor)
-        bcf_jm, bcf_jn = _bcf_jacobians(fold, nodes[-1], combined, c)
+    g_combined = term_grads[-1]
+    if num_views == 1:
+        grads = [term_grads[0] + g_combined]
     else:
-        combined = fold  # single view: the combined opinion is the view itself
-
-    alpha_views = [DirichletParams(e + prior) for e in evidences]
-    combined_alpha = DirichletParams(combined[:-1] * (w / combined[-1]) + prior)
-
-    loss = per_view_loss(combined_alpha, label, cfg)
-    for alpha in alpha_views:
-        loss += per_view_loss(alpha, label, cfg)
-
-    # Backward: combined-loss gradient down the chain, then add each view's
-    # direct term.
-    g_combined = _alpha_jacobian(combined, w).T @ per_view_grad(combined_alpha, label, cfg)
-    node_grads = [None] * num_views
-    if num_views >= 2:
-        node_grads[-1] = bcf_jn.T @ g_combined
-        g_fold = bcf_jm.T @ g_combined
-        for i in range(num_views - 2, 0, -1):
-            jm, jn = fold_jacobians[i - 1]
-            node_grads[i] = jn.T @ g_fold
-            g_fold = jm.T @ g_fold
-        node_grads[0] = g_fold
-    else:
-        node_grads[0] = g_combined
-
-    grads = []
-    for v in range(num_views):
-        direct = per_view_grad(alpha_views[v], label, cfg)
-        grads.append(ev_jacobians[v].T @ node_grads[v] + direct)
+        local, glob = np.sum(stacked[:-1], axis=0), stacked[-1]
+        g_local = g_combined * (1.0 + glob / w)
+        grads = [term_grads[v] + g_local for v in range(num_views - 1)]
+        grads.append(term_grads[-2] + g_combined * (1.0 + local / w))
+    if single:
+        return float(loss[0]), [g[0] for g in grads]
     return loss, grads
 
 
-def overall_grad(
-    view_evidences,
-    base_rate: BaseRate,
-    label: int,
-    cfg: LossConfig,
-    conflict_floor: float = 0.0,
-):
-    """Gradient of overall_loss w.r.t. each view's evidence vector."""
-    return overall_loss_and_grad(view_evidences, base_rate, label, cfg, conflict_floor)[1]
+def overall_grad(view_evidences, base_rate: BaseRate, labels, cfg: LossConfig):
+    """Gradient of overall_loss w.r.t. each view's evidence."""
+    return overall_loss_and_grad(view_evidences, base_rate, labels, cfg)[1]

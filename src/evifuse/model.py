@@ -3,35 +3,32 @@
 One head per view maps that view's features through tanh hidden layers to a
 softplus output, so evidence is nonnegative for every input. Heads are
 trained jointly by Adam on the overall evidential objective; gradients flow
-through both fusion operators back into every head. Everything is seeded and
-reductions are ordered, so a config plus data determines the trained model
-bit for bit.
+through the closed-form evidence fusion back into every head. Training and
+evaluation run on whole (N, d) feature matrices, one matmul per layer.
+Everything is seeded and reductions are ordered, so a config plus data
+determines the trained model bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MultiViewDataset, MultiViewSample
-from .dirichlet import BaseRate, DirichletParams, EvidenceVector, expected_probabilities, predict_class
-from .losses import LossConfig, annealed_lambda, overall_loss, overall_loss_and_grad
-from .opinions import (
-    FusionConflictError,
-    combine_multiview,
-    dirichlet_from_evidence,
-    dirichlet_from_opinion,
-    opinion_from_dirichlet,
-)
+from .dirichlet import BaseRate, DirichletParams, EvidenceVector, combined_evidence
+from .losses import LossConfig, annealed_lambda, overall_loss_and_grad
+from .opinions import dirichlet_from_evidence, opinion_from_dirichlet
 
 CHECKPOINT_FORMAT = "evifuse-model"
 CHECKPOINT_VERSION = 1
 
-# Training skips a sample when the constraint-fusion normalizer falls below
-# this; gradients near total conflict are unbounded.
-_TRAIN_CONFLICT_FLOOR = 1e-6
+# Row-block size of the per-epoch evaluation, in alpha values. The loss
+# kernels hold about a dozen temporaries of a block's size, so a block
+# needs about 400 KB whatever the dataset size.
+_EVAL_BLOCK = 4096
 
 
 class TrainingDiverged(RuntimeError):
@@ -149,10 +146,11 @@ class EvidenceHead:
         return cls(weights, biases)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Evidence for (N, d) features as (N, K); a 1-d input gives (K,)."""
         h = np.asarray(x, dtype=float)
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(w @ h + b)
-        return _softplus(self.weights[-1] @ h + self.biases[-1])
+            h = np.tanh(h @ w.T + b)
+        return _softplus(h @ self.weights[-1].T + self.biases[-1])
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping activations for backward()."""
@@ -160,23 +158,27 @@ class EvidenceHead:
         acts = [x]
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(w @ h + b)
+            h = np.tanh(h @ w.T + b)
             acts.append(h)
-        z_out = self.weights[-1] @ h + self.biases[-1]
+        z_out = h @ self.weights[-1].T + self.biases[-1]
         return _softplus(z_out), (acts, z_out)
 
     def backward(self, cache, grad_evidence: np.ndarray):
-        """Parameter gradients for an upstream d loss / d evidence."""
+        """Parameter gradients for an upstream d loss / d evidence.
+
+        With (N, K) upstream gradients the parameter gradients are summed
+        over the N samples.
+        """
         acts, z_out = cache
-        delta = grad_evidence * _sigmoid(z_out)
+        acts = [np.atleast_2d(a) for a in acts]
+        delta = np.atleast_2d(grad_evidence * _sigmoid(z_out))
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
-        grads_w[-1] = np.outer(delta, acts[-1])
-        grads_b[-1] = delta
-        for layer in range(len(self.weights) - 2, -1, -1):
-            delta = (self.weights[layer + 1].T @ delta) * (1.0 - acts[layer + 1] ** 2)
-            grads_w[layer] = np.outer(delta, acts[layer])
-            grads_b[layer] = delta
+        for layer in range(len(self.weights) - 1, -1, -1):
+            grads_w[layer] = delta.T @ acts[layer]
+            grads_b[layer] = delta.sum(axis=0)
+            if layer:
+                delta = (delta @ self.weights[layer]) * (1.0 - acts[layer] ** 2)
         return grads_w, grads_b
 
     def parameters(self):
@@ -233,44 +235,72 @@ def _check_sample(model: EvidentialModel, sample: MultiViewSample):
         raise ValueError(f"sample {sample.id}: view shapes do not match the model")
 
 
+def _stacked_views(model: EvidentialModel, samples) -> list:
+    """One (N, d) feature matrix per view, after checking every sample's shapes."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("no samples to evaluate")
+    for sample in samples:
+        _check_sample(model, sample)
+    return [np.stack([s.views[v] for s in samples]) for v in range(model.config.num_views)]
+
+
+def _view_evidences(model: EvidentialModel, views) -> list:
+    return [head.forward(x) for head, x in zip(model.heads, views)]
+
+
 def forward(model: EvidentialModel, sample: MultiViewSample):
     """Evidence, per-view opinions, combined opinion, combined Dirichlet."""
     _check_sample(model, sample)
     base = model.base_rate
-    evidences = [EvidenceVector(h.forward(x)) for h, x in zip(model.heads, sample.views)]
+    evidences = [EvidenceVector(e) for e in _view_evidences(model, sample.views)]
     view_opinions = [
         opinion_from_dirichlet(dirichlet_from_evidence(e, base), base) for e in evidences
     ]
-    try:
-        combined = combine_multiview(view_opinions[:-1], view_opinions[-1])
-    except FusionConflictError as exc:
-        raise FusionConflictError(f"sample {sample.id}: {exc}") from exc
-    return evidences, view_opinions, combined, dirichlet_from_opinion(combined, base)
+    fused = EvidenceVector(combined_evidence([e.evidence for e in evidences], base.weight))
+    alpha = dirichlet_from_evidence(fused, base)
+    return evidences, view_opinions, opinion_from_dirichlet(alpha, base), alpha
+
+
+def evaluate(model: EvidentialModel, samples, override: BaseRate | None = None):
+    """(predicted classes, combined uncertainties, expected probabilities).
+
+    Scores any sequence of samples, a dataset included, in one batched pass
+    and returns arrays of shapes (N,), (N,) and (N, K). With an override the
+    combined evidence is re-anchored to the new base rate before reading off
+    probabilities; uncertainty is an evidence-only quantity and keeps the
+    training base rate's weight.
+    """
+    base = model.base_rate
+    anchor = base if override is None else override
+    if anchor.num_classes != base.num_classes:
+        raise ValueError("base rate override and model disagree on the number of classes")
+    fused = combined_evidence(_view_evidences(model, _stacked_views(model, samples)), base.weight)
+    uncertainty = base.weight / (base.weight + fused.sum(axis=1))
+    alpha = fused * (anchor.weight / base.weight) + anchor.rates * anchor.weight
+    probs = alpha / alpha.sum(axis=1, keepdims=True)
+    return np.argmax(alpha, axis=1), uncertainty, probs
 
 
 def predict(model: EvidentialModel, sample: MultiViewSample, base_rate_override: BaseRate | None = None):
-    """(predicted class, combined uncertainty, expected probabilities).
-
-    With an override, the combined opinion is re-anchored to the new base
-    rate before reading off probabilities; beliefs and uncertainty are
-    untouched, since they are evidence-only quantities.
-    """
-    _, _, combined, alpha = forward(model, sample)
-    if base_rate_override is not None:
-        alpha = dirichlet_from_opinion(combined, base_rate_override)
-    probs = expected_probabilities(alpha)
-    return predict_class(alpha), combined.uncertainty, probs
+    """(predicted class, combined uncertainty, expected probabilities) of one sample."""
+    classes, uncertainty, probs = evaluate(model, [sample], base_rate_override)
+    return int(classes[0]), float(uncertainty[0]), probs[0]
 
 
 @dataclass(frozen=True)
 class TrainingReport:
-    """Per-epoch curves; epoch i is measured after update i+1 completes."""
+    """Per-epoch curves; epoch i is measured after update i+1 completes.
+
+    `skipped` is kept for the shape of the `train` output: evidence-space
+    fusion never meets total conflict, so every entry is 0.
+    """
 
     train_loss: tuple
     train_acc: tuple
     valid_loss: tuple
     valid_acc: tuple
-    skipped: tuple  # conflict-skipped sample counts per epoch
+    skipped: tuple
 
     def to_dict(self) -> dict:
         return {
@@ -286,37 +316,32 @@ class TrainingReport:
         return self.valid_acc[-1] if self.valid_acc else float("nan")
 
 
-def _combined_alpha(evidences, base: BaseRate) -> DirichletParams:
-    ops = [
-        opinion_from_dirichlet(dirichlet_from_evidence(EvidenceVector(e), base), base)
-        for e in evidences
-    ]
-    combined = combine_multiview(ops[:-1], ops[-1])
-    return dirichlet_from_opinion(combined, base)
+def _dataset_eval(model: EvidentialModel, views, labels, loss_cfg: LossConfig):
+    """Mean overall loss and accuracy on stacked per-view features.
 
-
-def _dataset_eval(model: EvidentialModel, ds: MultiViewDataset, loss_cfg: LossConfig):
-    """Mean overall loss and accuracy of the model on a dataset."""
+    Scores row blocks whose stacked (V+1, rows, K) alphas hold at most
+    _EVAL_BLOCK values, so peak memory does not grow with the dataset.
+    """
     base = model.base_rate
-    prior = base.rates * base.weight
-    total = 0.0
-    correct = 0
-    for sample in ds:
-        evidences = [h.forward(x) for h, x in zip(model.heads, sample.views)]
-        alpha = _combined_alpha(evidences, base)
-        view_alphas = [DirichletParams(e + prior) for e in evidences]
-        total += overall_loss(view_alphas, alpha, sample.label, loss_cfg)
-        correct += int(predict_class(alpha) == sample.label)
-    return total / len(ds), correct / len(ds)
+    rows = max(1, _EVAL_BLOCK // ((model.config.num_views + 1) * model.config.num_classes))
+    total, correct = 0.0, 0
+    for start in range(0, labels.size, rows):
+        block = slice(start, start + rows)
+        evidences = _view_evidences(model, [x[block] for x in views])
+        losses, _ = overall_loss_and_grad(evidences, base, labels[block], loss_cfg)
+        alpha = combined_evidence(evidences, base.weight) + base.rates * base.weight
+        total += losses.sum()
+        correct += int(np.count_nonzero(np.argmax(alpha, axis=1) == labels[block]))
+    return float(total / labels.size), correct / labels.size
 
 
 def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset) -> TrainingReport:
     """Adam on the overall objective with a linearly annealed balance factor.
 
-    Batches are drawn by a seeded permutation each epoch; per-batch gradients
-    are ordered means over the batch. Samples whose fusion is near total
-    conflict are skipped and counted. Raises TrainingDiverged if the
-    objective stops being finite.
+    Batches are drawn by a seeded permutation each epoch; each batch runs as
+    one forward, loss+gradient and backward pass, and the parameter gradient
+    is the batch mean. Raises TrainingDiverged if the objective stops being
+    finite.
     """
     cfg = model.config
     for ds in (train, valid):
@@ -324,6 +349,8 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
             raise ValueError("dataset shape does not match the model config")
     base = model.base_rate
     beta = DirichletParams(base.rates * base.weight)
+    train_views, train_labels = _stacked_views(model, train), train.labels()
+    valid_views, valid_labels = _stacked_views(model, valid), valid.labels()
     rng = np.random.default_rng(cfg.seed + 1)  # decouple batch order from init
     params = list(model.parameters())
     adam_m = [np.zeros_like(p) for p in params]
@@ -331,75 +358,61 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    curves = {"train_loss": [], "train_acc": [], "valid_loss": [], "valid_acc": [], "skipped": []}
+    curves = {"train_loss": [], "train_acc": [], "valid_loss": [], "valid_acc": []}
     for epoch in range(cfg.epochs):
         lam = annealed_lambda(epoch, cfg.anneal_epochs)
         loss_cfg = LossConfig(lam, beta)
         order = rng.permutation(len(train))
-        skipped = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            grad_acc = [np.zeros_like(p) for p in params]
-            used = 0
-            for idx in batch:
-                sample = train.samples[idx]
-                results = [
-                    h.forward_cached(x) for h, x in zip(model.heads, sample.views)
-                ]
-                evidences = [e for e, _ in results]
-                try:
-                    loss, ev_grads = overall_loss_and_grad(
-                        evidences, base, sample.label, loss_cfg,
-                        conflict_floor=_TRAIN_CONFLICT_FLOOR,
-                    )
-                except FusionConflictError:
-                    skipped += 1
-                    continue
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, sample {sample.id}"
-                    )
-                used += 1
-                slot = 0
-                for head, (_, cache), g_e in zip(model.heads, results, ev_grads):
-                    grads_w, grads_b = head.backward(cache, g_e)
-                    for gw, gb in zip(grads_w, grads_b):
-                        grad_acc[slot] += gw
-                        grad_acc[slot + 1] += gb
-                        slot += 2
-            if used == 0:
-                continue
+            results = [h.forward_cached(x[batch]) for h, x in zip(model.heads, train_views)]
+            losses, ev_grads = overall_loss_and_grad(
+                [e for e, _ in results], base, train_labels[batch], loss_cfg
+            )
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}, sample {train.samples[batch[bad[0]]].id}"
+                )
+            grads = []
+            for head, (_, cache), g_e in zip(model.heads, results, ev_grads):
+                grads_w, grads_b = head.backward(cache, g_e)
+                for gw, gb in zip(grads_w, grads_b):
+                    grads += [gw, gb]
             step += 1
             lr_t = cfg.learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
-            for p, g, m, v in zip(params, grad_acc, adam_m, adam_v):
-                g /= used
+            for p, g, m, v in zip(params, grads, adam_m, adam_v):
+                g /= batch.size
                 m *= beta1
                 m += (1.0 - beta1) * g
                 v *= beta2
                 v += (1.0 - beta2) * g * g
                 p -= lr_t * m / (np.sqrt(v) + eps)
 
-        tr_loss, tr_acc = _dataset_eval(model, train, loss_cfg)
-        va_loss, va_acc = _dataset_eval(model, valid, loss_cfg)
+        tr_loss, tr_acc = _dataset_eval(model, train_views, train_labels, loss_cfg)
+        va_loss, va_acc = _dataset_eval(model, valid_views, valid_labels, loss_cfg)
         if not (np.isfinite(tr_loss) and np.isfinite(va_loss)):
             raise TrainingDiverged(f"non-finite epoch loss at epoch {epoch}")
         curves["train_loss"].append(tr_loss)
         curves["train_acc"].append(tr_acc)
         curves["valid_loss"].append(va_loss)
         curves["valid_acc"].append(va_acc)
-        curves["skipped"].append(skipped)
 
     return TrainingReport(
         tuple(curves["train_loss"]),
         tuple(curves["train_acc"]),
         tuple(curves["valid_loss"]),
         tuple(curves["valid_acc"]),
-        tuple(curves["skipped"]),
+        (0,) * cfg.epochs,
     )
 
 
 def save_checkpoint(model: EvidentialModel, path) -> None:
-    """Versioned JSON checkpoint; floats keep full round-trip precision."""
+    """Versioned JSON checkpoint; floats keep full round-trip precision.
+
+    The document is written to a temporary file next to `path` and moved
+    into place, so `path` holds either the old checkpoint or the new one.
+    """
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -415,12 +428,69 @@ def save_checkpoint(model: EvidentialModel, path) -> None:
             for head in model.heads
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _head_from_doc(head_doc, sizes) -> EvidenceHead:
+    layers = head_doc.get("layers") if isinstance(head_doc, dict) else None
+    if not isinstance(layers, list) or len(layers) != len(sizes) - 1:
+        raise ValueError(f"a head needs {len(sizes) - 1} layers")
+    weights, biases = [], []
+    for i, (layer, fan_in, fan_out) in enumerate(zip(layers, sizes[:-1], sizes[1:])):
+        if not isinstance(layer, dict):
+            raise ValueError(f"layer {i} is not an object")
+        w = np.array(layer.get("weights"), dtype=float)
+        b = np.array(layer.get("bias"), dtype=float)
+        if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
+            raise ValueError(
+                f"layer {i} has weights {w.shape} and bias {b.shape},"
+                f" the config needs {(fan_out, fan_in)} and {(fan_out,)}"
+            )
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ValueError(f"layer {i} holds non-finite values")
+        weights.append(w)
+        biases.append(b)
+    return EvidenceHead(weights, biases)
+
+
+def _model_from_doc(doc: dict) -> EvidentialModel:
+    for key in ("config", "base_rate", "heads"):
+        if key not in doc:
+            raise ValueError(f"missing {key!r}")
+    if not isinstance(doc["config"], dict):
+        raise ValueError("'config' is not an object")
+    config = ModelConfig.from_dict(doc["config"])
+    base = BaseRate.from_dict(doc["base_rate"])
+    heads_doc = doc["heads"]
+    if not isinstance(heads_doc, list) or len(heads_doc) != config.num_views:
+        raise ValueError(f"need one head per view ({config.num_views})")
+    heads = []
+    for v, (head_doc, dim) in enumerate(zip(heads_doc, config.view_dims)):
+        try:
+            heads.append(_head_from_doc(head_doc, [dim, *config.hidden, config.num_classes]))
+        except ValueError as exc:
+            raise ValueError(f"head {v}: {exc}") from exc
+    return EvidentialModel(heads, base, config)
 
 
 def load_checkpoint(path) -> EvidentialModel:
+    """Read a checkpoint, checking its schema and every layer's shape.
+
+    Raises ValueError, naming the path, for anything that is not a
+    well-formed checkpoint of this format and version.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -430,11 +500,9 @@ def load_checkpoint(path) -> EvidentialModel:
         raise ValueError(f"{path}: not an evidential model checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    config = ModelConfig.from_dict(doc["config"])
-    base = BaseRate.from_dict(doc["base_rate"])
-    heads = []
-    for head_doc in doc["heads"]:
-        weights = [np.array(layer["weights"], dtype=float) for layer in head_doc["layers"]]
-        biases = [np.array(layer["bias"], dtype=float) for layer in head_doc["layers"]]
-        heads.append(EvidenceHead(weights, biases))
-    return EvidentialModel(heads, base, config)
+    try:
+        return _model_from_doc(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed checkpoint: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 
 def fd_grad(f, x, h=1e-5):
@@ -78,6 +78,157 @@ def bcf_reference(bm, um, bn, un):
     c = 1.0 - conflict
     b = [(bmk * bnk + bmk * un + bnk * um) / c for bmk, bnk in zip(bm, bn)]
     return b, um * un / c
+
+
+# ---------------------------------------------------------------------------
+# The multi-view objective differentiated in opinion space, one sample at a
+# time. Opinions travel as stacked nodes z = (b_1..b_K, u); every fusion stage
+# exposes explicit Jacobians and the backward pass composes them transposed.
+# This is the chain the batched evidence-space routine replaced, kept as its
+# reference.
+
+
+def _opinion_node(e, w):
+    s = w + e.sum()
+    z = np.append(e / s, w / s)
+    return z, s
+
+
+def _evidence_jacobian(e, s, w):
+    """d(b, u)/d e for b = e/S, u = W/S, S = W + sum(e)."""
+    k = e.size
+    jac = np.empty((k + 1, k))
+    jac[:k] = (np.eye(k) * s - e[:, None]) / (s * s)
+    jac[k] = -w / (s * s)
+    return jac
+
+
+def _cbf_node(zm, zn):
+    k = zm.size - 1
+    um, un = zm[k], zn[k]
+    denom = um + un - um * un
+    z = np.append((zm[:k] * un + zn[:k] * um) / denom, um * un / denom)
+    return z, denom
+
+
+def _cbf_jacobians(zm, zn, z, denom):
+    k = zm.size - 1
+    um, un = zm[k], zn[k]
+    jm = np.zeros((k + 1, k + 1))
+    jn = np.zeros((k + 1, k + 1))
+    jm[:k, :k] = np.eye(k) * (un / denom)
+    jm[:k, k] = (zn[:k] - z[:k] * (1.0 - un)) / denom
+    jm[k, k] = (un - z[k] * (1.0 - un)) / denom
+    jn[:k, :k] = np.eye(k) * (um / denom)
+    jn[:k, k] = (zm[:k] - z[:k] * (1.0 - um)) / denom
+    jn[k, k] = (um - z[k] * (1.0 - um)) / denom
+    return jm, jn
+
+
+def _bcf_node(zm, zn):
+    k = zm.size - 1
+    um, un = zm[k], zn[k]
+    c = float(zm[:k] @ zn[:k]) + um + un - um * un
+    z = np.append((zm[:k] * zn[:k] + zm[:k] * un + zn[:k] * um) / c, um * un / c)
+    return z, c
+
+
+def _bcf_jacobians(zm, zn, z, c):
+    k = zm.size - 1
+    um, un = zm[k], zn[k]
+    jm = np.empty((k + 1, k + 1))
+    jn = np.empty((k + 1, k + 1))
+    jm[:k, :k] = (np.diag(zn[:k] + un) - np.outer(z[:k], zn[:k])) / c
+    jm[:k, k] = (zn[:k] - z[:k] * (1.0 - un)) / c
+    jm[k, :k] = -z[k] * zn[:k] / c
+    jm[k, k] = (un - z[k] * (1.0 - un)) / c
+    jn[:k, :k] = (np.diag(zm[:k] + um) - np.outer(z[:k], zm[:k])) / c
+    jn[:k, k] = (zm[:k] - z[:k] * (1.0 - um)) / c
+    jn[k, :k] = -z[k] * zm[:k] / c
+    jn[k, k] = (um - z[k] * (1.0 - um)) / c
+    return jm, jn
+
+
+def _alpha_jacobian(z, w):
+    """d alpha / d (b, u) for alpha = b*W/u + a*W."""
+    k = z.size - 1
+    u = z[k]
+    jac = np.empty((k, k + 1))
+    jac[:, :k] = np.eye(k) * (w / u)
+    jac[:, k] = -z[:k] * w / (u * u)
+    return jac
+
+
+def per_view_loss_and_grad_reference(alpha, label, lam, beta):
+    """ICE plus lam times the label-masked KL, from scipy's special functions."""
+    alpha = np.maximum(np.asarray(alpha, dtype=float), 1e-8)
+    beta = np.asarray(beta, dtype=float)
+    s = alpha.sum()
+    ice = special.digamma(s) - special.digamma(alpha[label])
+    ice_g = np.full(alpha.size, special.polygamma(1, s))
+    ice_g[label] -= special.polygamma(1, alpha[label])
+
+    at = alpha.copy()
+    at[label] = beta[label]
+    sa, sb = at.sum(), beta.sum()
+    kl = max(0.0, float(
+        special.gammaln(sa) - special.gammaln(sb)
+        - special.gammaln(at).sum() + special.gammaln(beta).sum()
+        + ((at - beta) * (special.digamma(at) - special.digamma(sa))).sum()
+    ))
+    kl_g = (at - beta) * special.polygamma(1, at) - (sa - sb) * special.polygamma(1, sa)
+    kl_g[label] = 0.0
+    return ice + lam * kl, ice_g + lam * kl_g
+
+
+def overall_loss_and_grad_chain(evidences, rates, weight, label, lam):
+    """Overall loss of one sample and its gradient per view, in opinion space.
+
+    Folds cumulative fusion over the local views and applies one constraint
+    fusion with the last (global) view, keeping every stage's Jacobians, then
+    pushes the combined loss's gradient back down the chain.
+    """
+    evidences = [np.asarray(e, dtype=float) for e in evidences]
+    w = float(weight)
+    prior = np.asarray(rates, dtype=float) * w
+    nodes, ev_jacobians = [], []
+    for e in evidences:
+        z, s = _opinion_node(e, w)
+        nodes.append(z)
+        ev_jacobians.append(_evidence_jacobian(e, s, w))
+
+    fold = nodes[0]
+    fold_jacobians = []
+    combined = fold
+    if len(nodes) >= 2:
+        for z in nodes[1:-1]:
+            fused, denom = _cbf_node(fold, z)
+            fold_jacobians.append(_cbf_jacobians(fold, z, fused, denom))
+            fold = fused
+        combined, c = _bcf_node(fold, nodes[-1])
+        bcf_jm, bcf_jn = _bcf_jacobians(fold, nodes[-1], combined, c)
+
+    combined_alpha = combined[:-1] * (w / combined[-1]) + prior
+    loss, g_alpha = per_view_loss_and_grad_reference(combined_alpha, label, lam, prior)
+    g_combined = _alpha_jacobian(combined, w).T @ g_alpha
+    node_grads = [None] * len(nodes)
+    if len(nodes) >= 2:
+        node_grads[-1] = bcf_jn.T @ g_combined
+        g_fold = bcf_jm.T @ g_combined
+        for i in range(len(nodes) - 2, 0, -1):
+            jm, jn = fold_jacobians[i - 1]
+            node_grads[i] = jn.T @ g_fold
+            g_fold = jm.T @ g_fold
+        node_grads[0] = g_fold
+    else:
+        node_grads[0] = g_combined
+
+    grads = []
+    for e, jac, g_node in zip(evidences, ev_jacobians, node_grads):
+        view_loss, direct = per_view_loss_and_grad_reference(e + prior, label, lam, prior)
+        loss += view_loss
+        grads.append(jac.T @ g_node + direct)
+    return loss, grads
 
 
 def ece_reference(confidences, correct, num_bins):

@@ -31,8 +31,8 @@ from evifuse.model import (
     EvidentialModel,
     ModelConfig,
     compute_base_rate,
+    evaluate,
     fit,
-    predict,
 )
 from evifuse.opinions import (
     Opinion,
@@ -64,11 +64,11 @@ def grad_err(got, want):
 
 
 def eval_records(model, ds, override=None):
-    out = []
-    for s in ds:
-        pred, u, probs = predict(model, s, override)
-        out.append(EvalRecord(pred, float(probs[pred]), u, s.label, s.id))
-    return out
+    pred, u, probs = evaluate(model, ds, override)
+    return [
+        EvalRecord(p, probs[i, p], u[i], s.label, s.id)
+        for i, (s, p) in enumerate(zip(ds, pred))
+    ]
 
 
 # --- 1. combination-operator reference table ------------------------------
@@ -305,8 +305,8 @@ def test_criterion_07_feature_shift():
         model = EvidentialModel.initialize(cfg, compute_base_rate(train.labels(), 2))
         fit(model, train, valid)
 
-        id_u = np.array([predict(model, s)[1] for s in valid])
-        ood_u = np.array([predict(model, s)[1] for s in shifted])
+        id_u = evaluate(model, valid)[1]
+        ood_u = evaluate(model, shifted)[1]
         res = ood_detect(id_u, ood_u, percentile=50.0)
         gap = float(res.scaled_test.mean() - res.scaled_val.mean())
         id_flags = res.scaled_val > res.threshold

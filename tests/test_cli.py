@@ -1,4 +1,8 @@
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -271,6 +275,48 @@ class TestEval:
     def test_byte_determinism(self, trained):
         args = ["eval", "--model", str(trained["model"]), "--data", str(trained["valid"])]
         assert run(args).stdout == run(args).stdout
+
+
+class TestInProcess:
+    def test_captured_streams_are_released(self, trained):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            main.main(
+                args=["eval", "--model", str(trained["model"]), "--data", str(trained["valid"])],
+                prog_name="evifuse", standalone_mode=False,
+            )
+        assert json.loads(out.getvalue())["n"] == 30
+        assert "eval config" in err.getvalue()
+        refs = [weakref.ref(out), weakref.ref(err)]
+        del out, err
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("edit,match", [
+        (lambda doc: doc.pop("config"), "missing 'config'"),
+        (lambda doc: doc.pop("base_rate"), "missing 'base_rate'"),
+        (lambda doc: doc["heads"].pop(), "one head per view"),
+        (lambda doc: doc["heads"][0]["layers"][0].update(weights=[[1.0, 2.0]]), "head 0: layer 0"),
+    ])
+    def test_eval_exits_2_with_message(self, trained, tmp_path, edit, match):
+        doc = json.loads(trained["model"].read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = run(["eval", "--model", str(bad), "--data", str(trained["valid"])], expect=2)
+        assert match in result.stderr and str(bad) in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_train_to_missing_directory_exits_4(self, trained, tmp_path):
+        out = tmp_path / "missing" / "m.json"
+        run([
+            "--seed", "0", "train", "--data", str(trained["train"]),
+            "--valid", str(trained["valid"]), "--classes", "2", "--views", "2",
+            "--dims", "2,2", "--hidden", "4", "--epochs", "1", "--out", str(out),
+        ], expect=4)
+        assert not out.parent.exists()
 
 
 class TestOod:

@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 
 from evifuse.data import MultiViewSample, SyntheticSpec, gen_synthetic
-from evifuse.dirichlet import BaseRate
+from evifuse.dirichlet import BaseRate, DirichletParams, predict_class
+from evifuse.losses import LossConfig, overall_loss_and_grad
 from evifuse.model import (
     EvidenceHead,
     EvidentialModel,
     ModelConfig,
     TrainingDiverged,
     compute_base_rate,
+    evaluate,
     fit,
     forward,
     load_checkpoint,
     predict,
     save_checkpoint,
 )
+from evifuse.opinions import dirichlet_from_opinion
 
 from oracles import bcf_reference, cbf_reference, fd_grad, logistic_accuracy
 
@@ -102,6 +105,30 @@ class TestEvidenceHead:
                 )
                 err = np.max(np.abs(got[layer].ravel() - want) / np.maximum(1.0, np.abs(want)))
                 assert err < 1e-6
+
+
+    def test_batched_pass_equals_stacked_rows(self):
+        head = EvidenceHead.initialize(3, (5, 4), 3, np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(7, 3))
+        upstream = rng.normal(size=(7, 3))
+
+        evidence, cache = head.forward_cached(x)
+        assert evidence.shape == (7, 3)
+        assert np.allclose(head.forward(x), evidence, rtol=1e-14, atol=0.0)
+        grads_w, grads_b = head.backward(cache, upstream)
+
+        sum_w = [np.zeros_like(w) for w in head.weights]
+        sum_b = [np.zeros_like(b) for b in head.biases]
+        for i, (row, c) in enumerate(zip(x, upstream)):
+            e_row, cache_row = head.forward_cached(row)
+            assert np.allclose(e_row, evidence[i], rtol=1e-14, atol=0.0)
+            gw, gb = head.backward(cache_row, c)
+            for acc, g in zip(sum_w + sum_b, gw + gb):
+                acc += g
+        for got, want in zip(grads_w + grads_b, sum_w + sum_b):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def _forward_with(head, layer, arr_list, flat_vals, x):
@@ -233,6 +260,41 @@ class TestPredict:
         assert cls == 0
 
 
+class TestEvaluate:
+    def test_matches_forward_per_sample(self):
+        cfg = ModelConfig(
+            num_classes=3, num_views=4, view_dims=(2, 3, 2, 4), hidden=(5,), epochs=1, seed=9
+        )
+        model = EvidentialModel.initialize(cfg, BaseRate([0.2, 0.5, 0.3], weight=3.0))
+        rng = np.random.default_rng(13)
+        samples = [
+            MultiViewSample(tuple(rng.normal(size=d) for d in cfg.view_dims), 0, f"s{i}")
+            for i in range(25)
+        ]
+        override = BaseRate([0.6, 0.3, 0.1], weight=3.0)
+        for rate in (None, override):
+            classes, u, probs = evaluate(model, samples, rate)
+            assert classes.shape == (25,) and u.shape == (25,) and probs.shape == (25, 3)
+            for i, sample in enumerate(samples):
+                _, _, combined, alpha = forward(model, sample)
+                if rate is not None:
+                    alpha = dirichlet_from_opinion(combined, rate)
+                want = alpha.alpha / alpha.alpha.sum()
+                assert classes[i] == int(np.argmax(alpha.alpha))
+                assert u[i] == pytest.approx(combined.uncertainty, abs=1e-12)
+                assert np.allclose(probs[i], want, atol=1e-12)
+
+    def test_rejects_mismatched_inputs(self):
+        model = golden_model()
+        bad = MultiViewSample((np.array([1.0]), np.array([1.0, 2.0])), 0, "bad")
+        with pytest.raises(ValueError, match="view shapes"):
+            evaluate(model, [GOLDEN_SAMPLE, bad])
+        with pytest.raises(ValueError, match="no samples"):
+            evaluate(model, [])
+        with pytest.raises(ValueError, match="number of classes"):
+            evaluate(model, [GOLDEN_SAMPLE], BaseRate([0.2, 0.3, 0.5]))
+
+
 def blob_data(seed, n, separation=4.0):
     return gen_synthetic(
         SyntheticSpec.blobs(2, 2, 2, separation=separation, n_per_class=n, seed=seed)
@@ -281,6 +343,25 @@ class TestFit:
         assert r1.train_loss == r2.train_loss
         assert r1.valid_acc == r2.valid_acc
 
+    def test_epoch_eval_in_blocks_matches_per_sample_scores(self, monkeypatch):
+        monkeypatch.setattr("evifuse.model._EVAL_BLOCK", 7 * 3 * 2)  # 7 rows a block
+        train, valid = blob_data(10, 20), blob_data(11, 9)
+        cfg = ModelConfig(
+            num_classes=2, num_views=2, view_dims=(2, 2), hidden=(4,),
+            learning_rate=1e-2, epochs=1, batch_size=8, seed=4,
+        )
+        base = compute_base_rate(train.labels(), 2)
+        model = EvidentialModel.initialize(cfg, base)
+        report = fit(model, train, valid)
+        loss_cfg = LossConfig(0.0, DirichletParams(base.rates * base.weight))  # lambda at epoch 0
+        losses, correct = [], 0
+        for sample in valid:
+            evidences, _, _, alpha = forward(model, sample)
+            losses.append(overall_loss_and_grad(evidences, base, sample.label, loss_cfg)[0])
+            correct += predict_class(alpha) == sample.label
+        assert report.valid_loss[0] == pytest.approx(np.mean(losses), rel=1e-12)
+        assert report.valid_acc[0] == correct / len(valid)
+
     def test_dataset_shape_must_match(self):
         train, valid = blob_data(6, 10), blob_data(7, 5)
         cfg = ModelConfig(
@@ -326,6 +407,41 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not an evidential model"):
             load_checkpoint(path)
+
+    def test_write_replaces_atomically(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_checkpoint(golden_model(), path)
+        before = path.read_bytes()
+
+        def broken_dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("evifuse.model.json.dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(golden_model(), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda doc: doc.pop("config"), "missing 'config'"),
+        (lambda doc: doc.pop("heads"), "missing 'heads'"),
+        (lambda doc: doc["config"].pop("num_classes"), "missing key 'num_classes'"),
+        (lambda doc: doc["heads"].pop(), "one head per view"),
+        (lambda doc: doc["heads"][1]["layers"].pop(), "head 1: a head needs 2 layers"),
+        (lambda doc: doc["heads"][0]["layers"][0].update(weights=[[0.0] * 3] * 5), r"head 0: layer 0"),
+        (lambda doc: doc["heads"][1]["layers"][1].update(bias=[0.0]), r"head 1: layer 1"),
+    ])
+    def test_rejects_malformed_documents(self, tmp_path, edit, match):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(golden_model(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_rejects_unknown_version(self, tmp_path):
         model = golden_model()
