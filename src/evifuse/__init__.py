@@ -75,7 +75,7 @@ from .model import (
     predict,
     save_checkpoint,
 )
-from .specfun import digamma, ln_gamma, trigamma
+from .specfun import digamma, gammas, ln_gamma, trigamma
 
 __version__ = "0.1.0"
 
@@ -97,6 +97,6 @@ __all__ = [
     "EvidenceHead", "EvidentialModel", "ModelConfig", "TrainingDiverged",
     "TrainingReport", "compute_base_rate", "evaluate", "fit", "forward", "load_checkpoint",
     "predict", "save_checkpoint",
-    "digamma", "ln_gamma", "trigamma",
+    "digamma", "gammas", "ln_gamma", "trigamma",
     "__version__",
 ]

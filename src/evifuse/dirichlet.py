@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import digamma, ln_gamma
+from .specfun import gammas
 
 
 def _read_only(values, name, min_size=2):
@@ -128,13 +128,21 @@ def kl_dirichlet_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     `a` and `b` broadcast against each other; inputs are not validated, so
     callers pass strictly positive, finite values.
     """
-    sa = a.sum(axis=-1)
+    return kl_from_gammas(a, b, *gammas(a, a.sum(axis=-1), b, b.sum(axis=-1)))
+
+
+def kl_from_gammas(a, b, g_a, g_sa, g_b, g_sb) -> np.ndarray:
+    """kl_dirichlet_rows from `gammas` triples of a, sum(a), b and sum(b).
+
+    Lets a caller that needs more special-function values than the KL fetch
+    all of them in one `gammas` call.
+    """
     value = (
-        ln_gamma(sa)
-        - ln_gamma(b.sum(axis=-1))
-        - ln_gamma(a).sum(axis=-1)
-        + ln_gamma(b).sum(axis=-1)
-        + ((a - b) * (digamma(a) - np.expand_dims(digamma(sa), -1))).sum(axis=-1)
+        g_sa[0]
+        - g_sb[0]
+        - g_a[0].sum(axis=-1)
+        + g_b[0].sum(axis=-1)
+        + ((a - b) * (g_a[1] - np.expand_dims(g_sa[1], -1))).sum(axis=-1)
     )
     return np.maximum(value, 0.0)
 

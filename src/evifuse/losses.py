@@ -35,9 +35,9 @@ from .dirichlet import (
     DirichletParams,
     EvidenceVector,
     combined_evidence,
-    kl_dirichlet_rows,
+    kl_from_gammas,
 )
-from .specfun import digamma, trigamma
+from .specfun import gammas
 
 # Alphas are floored before any psi/psi' call. Evidence is nonnegative by
 # construction upstream, so this only guards degenerate configurations.
@@ -85,29 +85,50 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels[..., None] == np.arange(num_classes)
 
 
-def _ice_terms(alpha: np.ndarray, hot: np.ndarray):
-    """ICE loss (...,) and its gradient (..., K) for (..., K) alphas."""
+def _ice_args(alpha: np.ndarray, hot: np.ndarray):
+    """The arguments whose special functions the ICE term needs: S, alpha_label."""
     a = _floored(alpha)
-    s = a.sum(axis=-1)
-    a_label = np.where(hot, a, 0.0).sum(axis=-1)
-    loss = digamma(s) - digamma(a_label)
-    grad = np.expand_dims(trigamma(s), -1) - hot * np.expand_dims(trigamma(a_label), -1)
+    return a.sum(axis=-1), np.where(hot, a, 0.0).sum(axis=-1)
+
+
+def _ice_from(hot: np.ndarray, g_s, g_label):
+    """ICE loss (...,) and its gradient (..., K) from the `gammas` of _ice_args."""
+    loss = g_s[1] - g_label[1]
+    grad = np.expand_dims(g_s[2], -1) - hot * np.expand_dims(g_label[2], -1)
     return loss, grad
 
 
-def _kl_terms(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
-    """Masked-KL loss (...,) and its gradient (..., K), zero at the label."""
+def _kl_args(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
+    """Masked alpha, its floored copy and beta, each followed by its sum."""
     masked = np.where(hot, beta, alpha)
-    loss = kl_dirichlet_rows(masked, beta)
-    at = _floored(masked)
-    sa = at.sum(axis=-1)
-    grad = (at - beta) * trigamma(at) - np.expand_dims((sa - beta.sum()) * trigamma(sa), -1)
+    floored = _floored(masked)
+    return masked, masked.sum(axis=-1), floored, floored.sum(axis=-1), beta, beta.sum()
+
+
+def _kl_from(hot: np.ndarray, args, g_m, g_sm, g_f, g_sf, g_b, g_sb):
+    """Masked-KL loss (...,) and its gradient (..., K), zero at the label."""
+    masked, _, floored, s_floored, beta, s_beta = args
+    loss = kl_from_gammas(masked, beta, g_m, g_sm, g_b, g_sb)
+    grad = (floored - beta) * g_f[2] - np.expand_dims((s_floored - s_beta) * g_sf[2], -1)
     return loss, np.where(hot, 0.0, grad)
 
 
+def _ice_terms(alpha: np.ndarray, hot: np.ndarray):
+    return _ice_from(hot, *gammas(*_ice_args(alpha, hot)))
+
+
+def _kl_terms(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
+    args = _kl_args(alpha, hot, beta)
+    return _kl_from(hot, args, *gammas(*args))
+
+
 def _per_view_terms(alpha: np.ndarray, hot: np.ndarray, cfg: LossConfig):
-    ice, ice_g = _ice_terms(alpha, hot)
-    kl, kl_g = _kl_terms(alpha, hot, cfg.beta.alpha)
+    """ICE + lam * masked KL, and its gradient, from one `gammas` call."""
+    ice_args = _ice_args(alpha, hot)
+    kl_args = _kl_args(alpha, hot, cfg.beta.alpha)
+    g = gammas(*ice_args, *kl_args)
+    ice, ice_g = _ice_from(hot, *g[:2])
+    kl, kl_g = _kl_from(hot, kl_args, *g[2:])
     return ice + cfg.lam * kl, ice_g + cfg.lam * kl_g
 
 
@@ -191,6 +212,11 @@ def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: Loss
 
     One sample may be passed as 1-d evidence vectors and a scalar label; the
     result is then a float loss and 1-d gradients.
+
+    Negative evidence is a ValueError. A row whose concentrations do not sum
+    to a finite value, because its evidence is inf or NaN or its combined
+    evidence overflowed, gets a NaN loss and NaN gradients; the other rows
+    are scored as usual, and the caller decides what divergence means.
     """
     evidences = [_evidence_array(e) for e in view_evidences]
     if not evidences:
@@ -202,8 +228,8 @@ def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: Loss
     if any(e.ndim != 2 or e.shape != evidences[0].shape for e in evidences):
         raise ValueError("every view's evidence must be an (N, K) array of one shape")
     stacked = np.stack(evidences)
-    if not np.all(np.isfinite(stacked)) or np.any(stacked < 0.0):
-        raise ValueError("evidence must be finite and nonnegative")
+    if np.any(stacked < 0.0):
+        raise ValueError("evidence must be nonnegative")
     num_views, num_rows, num_classes = stacked.shape
     if num_classes != base_rate.num_classes:
         raise ValueError("evidence and base rate disagree on the number of classes")
@@ -212,6 +238,10 @@ def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: Loss
 
     fused = combined_evidence(stacked, w)
     alphas = np.concatenate([stacked, fused[None]]) + base_rate.rates * w
+    diverged = np.flatnonzero(~np.isfinite(alphas.sum(axis=(0, 2))))
+    if diverged.size:
+        alphas[:, diverged] = 1.0  # placeholders; these rows score NaN below
+        stacked[:, diverged] = 0.0
     terms, term_grads = _per_view_terms(alphas, hot, cfg)
     loss = terms.sum(axis=0)
 
@@ -223,6 +253,10 @@ def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: Loss
         g_local = g_combined * (1.0 + glob / w)
         grads = [term_grads[v] + g_local for v in range(num_views - 1)]
         grads.append(term_grads[-2] + g_combined * (1.0 + local / w))
+    if diverged.size:
+        loss[diverged] = np.nan
+        for g in grads:
+            g[diverged] = np.nan
     if single:
         return float(loss[0]), [g[0] for g in grads]
     return loss, grads

@@ -25,8 +25,10 @@ from .opinions import dirichlet_from_evidence, opinion_from_dirichlet
 CHECKPOINT_FORMAT = "evifuse-model"
 CHECKPOINT_VERSION = 1
 
-# Row-block size of the per-epoch evaluation, in alpha values. The loss
-# kernels hold about a dozen temporaries of a block's size, so a block
+# Row-block size of the per-epoch evaluation, in special-function arguments.
+# A loss call over r rows hands specfun's kernel (V+1) * r * (2K + 4) values
+# (S, alpha_label, the masked alphas, their floored copies and both sums),
+# and the kernel holds about a dozen temporaries of that length, so a block
 # needs about 400 KB whatever the dataset size.
 _EVAL_BLOCK = 4096
 
@@ -319,11 +321,12 @@ class TrainingReport:
 def _dataset_eval(model: EvidentialModel, views, labels, loss_cfg: LossConfig):
     """Mean overall loss and accuracy on stacked per-view features.
 
-    Scores row blocks whose stacked (V+1, rows, K) alphas hold at most
-    _EVAL_BLOCK values, so peak memory does not grow with the dataset.
+    Scores row blocks whose loss call passes at most _EVAL_BLOCK values to
+    specfun, so peak memory does not grow with the dataset.
     """
     base = model.base_rate
-    rows = max(1, _EVAL_BLOCK // ((model.config.num_views + 1) * model.config.num_classes))
+    cfg = model.config
+    rows = max(1, _EVAL_BLOCK // ((cfg.num_views + 1) * (2 * cfg.num_classes + 4)))
     total, correct = 0.0, 0
     for start in range(0, labels.size, rows):
         block = slice(start, start + rows)
@@ -335,13 +338,16 @@ def _dataset_eval(model: EvidentialModel, views, labels, loss_cfg: LossConfig):
     return float(total / labels.size), correct / labels.size
 
 
+# Divergence is found from the losses and raised as TrainingDiverged, so the
+# overflow and inf-arithmetic warnings on the way there would only be noise.
+@np.errstate(over="ignore", invalid="ignore")
 def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset) -> TrainingReport:
     """Adam on the overall objective with a linearly annealed balance factor.
 
     Batches are drawn by a seeded permutation each epoch; each batch runs as
     one forward, loss+gradient and backward pass, and the parameter gradient
-    is the batch mean. Raises TrainingDiverged if the objective stops being
-    finite.
+    is the batch mean. Raises TrainingDiverged, naming the epoch and the
+    first sample, if the objective stops being finite.
     """
     cfg = model.config
     for ds in (train, valid):

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -233,6 +234,21 @@ class TestTrain:
             "train", "--data", str(tmp_path / "nope.csv"), "--valid", str(tmp_path / "nope2.csv"),
             "--classes", "2", "--views", "2", "--dims", "2,2", "--out", str(tmp_path / "m.json"),
         ], expect=4)
+
+    def test_diverged_run_exits_3_without_numpy_warnings(self, trained, tmp_path):
+        # a huge step overflows the combined evidence after the first update
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run([
+                "--seed", "0", "train", "--data", str(trained["train"]),
+                "--valid", str(trained["valid"]), "--classes", "2", "--views", "2",
+                "--dims", "2,2", "--hidden", "4", "--lr", "1e300", "--epochs", "3",
+                "--out", str(tmp_path / "m.json"),
+            ], expect=3)
+        assert "non-finite loss at epoch 0, sample " in result.stderr
+        assert "Warning" not in result.stderr
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "m.json").exists()
 
     def test_emits_curves(self, trained, tmp_path):
         out = tmp_path / "m.json"

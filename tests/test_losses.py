@@ -244,6 +244,33 @@ class TestOverall:
         assert np.isfinite(loss)
         assert all(np.all(np.isfinite(g)) for g in grads)
 
+    def test_diverged_rows_score_nan_and_leave_the_rest(self):
+        # row 1 has infinite evidence, row 2 finite evidence whose combination
+        # overflows (1e200 * 1e200 / W), row 3 NaN evidence
+        base = BaseRate([0.4, 0.6], weight=2.0)
+        cfg = uniform_cfg(2, 0.7)
+        local = np.array([[1.0, 2.0], [np.inf, 1.0], [1e200, 0.0], [np.nan, 1.0], [0.5, 3.0]])
+        glob = np.array([[2.0, 0.5], [1.0, 1.0], [1e200, 1.0], [1.0, 1.0], [4.0, 0.0]])
+        labels = np.array([0, 1, 0, 1, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses, grads = overall_loss_and_grad([local, glob], base, labels, cfg)
+        good, bad = [0, 4], [1, 2, 3]
+        assert np.all(np.isnan(losses[bad]))
+        assert all(np.all(np.isnan(g[bad])) for g in grads)
+        want, want_grads = overall_loss_and_grad([local[good], glob[good]], base, labels[good], cfg)
+        assert np.array_equal(losses[good], want)
+        assert all(np.array_equal(g[good], w) for g, w in zip(grads, want_grads))
+
+    def test_one_special_function_call_per_batch(self, monkeypatch):
+        import evifuse.losses as losses_module
+
+        calls = []
+        real = losses_module.gammas
+        monkeypatch.setattr(losses_module, "gammas", lambda *a: calls.append(a) or real(*a))
+        base, cfg, evidences, labels = _random_batch(np.random.default_rng(3), "dense")
+        overall_loss_and_grad(evidences, base, labels, cfg)
+        assert len(calls) == 1
+
     def test_rejects_bad_batches(self):
         base = BaseRate([0.5, 0.5], weight=2.0)
         cfg = uniform_cfg(2, 0.0)

@@ -344,7 +344,7 @@ class TestFit:
         assert r1.valid_acc == r2.valid_acc
 
     def test_epoch_eval_in_blocks_matches_per_sample_scores(self, monkeypatch):
-        monkeypatch.setattr("evifuse.model._EVAL_BLOCK", 7 * 3 * 2)  # 7 rows a block
+        monkeypatch.setattr("evifuse.model._EVAL_BLOCK", 7 * 3 * 8)  # 7 rows a block
         train, valid = blob_data(10, 20), blob_data(11, 9)
         cfg = ModelConfig(
             num_classes=2, num_views=2, view_dims=(2, 2), hidden=(4,),

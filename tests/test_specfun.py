@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from evifuse.specfun import digamma, ln_gamma, trigamma
+from evifuse.specfun import digamma, gammas, ln_gamma, trigamma
 
 mpmath.mp.dps = 40
 
@@ -70,6 +70,14 @@ class TestReferenceAgreement:
             want = float(mpmath.polygamma(1, mpmath.mpf(float(x))))
             assert hybrid_err(trigamma(float(x)), want) < 1e-12
 
+    # 1e-8 is the loss floor; above 1e6 is where large combined evidence goes
+    @pytest.mark.parametrize("x", [1e-8, 3e6, 1e8, 1e12, 1e15, 1e100])
+    def test_extremes_vs_mpmath(self, x):
+        m = mpmath.mpf(x)
+        assert hybrid_err(ln_gamma(x), float(mpmath.loggamma(m))) < 1e-12
+        assert hybrid_err(digamma(x), float(mpmath.digamma(m))) < 1e-12
+        assert hybrid_err(trigamma(x), float(mpmath.polygamma(1, m))) < 1e-12
+
 
 class TestRecurrences:
     def test_digamma_recurrence_bulk(self):
@@ -114,7 +122,7 @@ class TestShapeAndDomain:
         assert digamma(x).shape == (2, 2)
 
     def test_small_and_large_array_paths_agree(self):
-        # identical values whichever dispatch path computes them
+        # the same values whether computed in a large array or alone
         rng = np.random.default_rng(7)
         big = rng.uniform(0.02, 2e3, 500)
         for fn in (ln_gamma, digamma, trigamma):
@@ -134,3 +142,29 @@ class TestShapeAndDomain:
             fn(np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
             fn(np.linspace(-1.0, 40.0, 100))
+
+
+class TestGammas:
+    def test_mixed_call_equals_single_calls_bit_for_bit(self):
+        # both sides of the lift point, tiny and huge values: each element's
+        # bits must not depend on what else is in the call
+        x = np.array([1e-150, 1e-8, 0.5, 3.0, 9.99, 10.0, 1e12, 1e300])
+        ((lg, dg, tg),) = gammas(x)
+        for i, v in enumerate(x.tolist()):
+            ((lg1, dg1, tg1),) = gammas(v)
+            assert (lg[i], dg[i], tg[i]) == (lg1, dg1, tg1)
+            assert (ln_gamma(v), digamma(v), trigamma(v)) == (lg1, dg1, tg1)
+
+    def test_one_triple_per_argument_shaped_like_it(self):
+        grid = np.array([[0.5, 1.5, 2.5], [20.0, 30.0, 40.0]])
+        (g_grid, g_scalar, g_zero_d) = gammas(grid, 2.5, np.float64(4.0))
+        for got, fn in zip(g_grid, (ln_gamma, digamma, trigamma)):
+            assert got.shape == (2, 3)
+            assert np.array_equal(got, fn(grid))
+        assert all(isinstance(v, float) for v in (*g_scalar, *g_zero_d))
+        assert g_scalar == (ln_gamma(2.5), digamma(2.5), trigamma(2.5))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_bad_element_in_any_argument(self, bad):
+        with pytest.raises(ValueError, match="finite x > 0"):
+            gammas(np.ones(3), np.array([2.0, bad]))
