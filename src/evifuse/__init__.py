@@ -34,6 +34,7 @@ from .losses import (
     overall_grad,
     overall_loss,
     overall_loss_and_grad,
+    overall_loss_rows,
     per_view_grad,
     per_view_loss,
 )
@@ -88,7 +89,7 @@ __all__ = [
     "projected_probability",
     "LossConfig", "annealed_lambda", "ice_grad", "ice_loss", "kl_reg_grad",
     "kl_reg_loss", "masked_alpha", "overall_grad", "overall_loss",
-    "overall_loss_and_grad", "per_view_grad", "per_view_loss",
+    "overall_loss_and_grad", "overall_loss_rows", "per_view_grad", "per_view_loss",
     "MultiViewDataset", "MultiViewSample", "SyntheticSpec", "ViewGeometry",
     "extract_views", "gen_ood", "gen_synthetic", "load_csv", "load_grid",
     "resample_class_ratio", "save_csv", "save_grid",

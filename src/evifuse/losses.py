@@ -39,8 +39,10 @@ from .dirichlet import (
 )
 from .specfun import gammas
 
-# Alphas are floored before any psi/psi' call. Evidence is nonnegative by
-# construction upstream, so this only guards degenerate configurations.
+# Floor for the alphas behind the ICE arguments (S, alpha_label) and behind
+# the psi' arguments of the KL gradient. The KL value itself is taken on the
+# unfloored masked alpha. Evidence is nonnegative by construction upstream,
+# so this only guards degenerate configurations.
 _ALPHA_FLOOR = 1e-8
 
 
@@ -91,23 +93,33 @@ def _ice_args(alpha: np.ndarray, hot: np.ndarray):
     return a.sum(axis=-1), np.where(hot, a, 0.0).sum(axis=-1)
 
 
+def _ice_loss_from(g_s, g_label):
+    """ICE loss (...,) from the `gammas` of _ice_args: psi(S) - psi(alpha_label)."""
+    return g_s[1] - g_label[1]
+
+
 def _ice_from(hot: np.ndarray, g_s, g_label):
     """ICE loss (...,) and its gradient (..., K) from the `gammas` of _ice_args."""
-    loss = g_s[1] - g_label[1]
     grad = np.expand_dims(g_s[2], -1) - hot * np.expand_dims(g_label[2], -1)
-    return loss, grad
+    return _ice_loss_from(g_s, g_label), grad
+
+
+def _kl_loss_args(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
+    """Masked alpha and beta, each followed by its sum: the KL value's arguments."""
+    masked = np.where(hot, beta, alpha)
+    return masked, masked.sum(axis=-1), beta, beta.sum()
 
 
 def _kl_args(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
-    """Masked alpha, its floored copy and beta, each followed by its sum."""
-    masked = np.where(hot, beta, alpha)
-    floored = _floored(masked)
-    return masked, masked.sum(axis=-1), floored, floored.sum(axis=-1), beta, beta.sum()
+    """_kl_loss_args plus the floored masked alpha and its sum, for the gradient."""
+    args = _kl_loss_args(alpha, hot, beta)
+    floored = _floored(args[0])
+    return (*args, floored, floored.sum(axis=-1))
 
 
-def _kl_from(hot: np.ndarray, args, g_m, g_sm, g_f, g_sf, g_b, g_sb):
+def _kl_from(hot: np.ndarray, args, g_m, g_sm, g_b, g_sb, g_f, g_sf):
     """Masked-KL loss (...,) and its gradient (..., K), zero at the label."""
-    masked, _, floored, s_floored, beta, s_beta = args
+    masked, _, beta, s_beta, floored, s_floored = args
     loss = kl_from_gammas(masked, beta, g_m, g_sm, g_b, g_sb)
     grad = (floored - beta) * g_f[2] - np.expand_dims((s_floored - s_beta) * g_sf[2], -1)
     return loss, np.where(hot, 0.0, grad)
@@ -130,6 +142,13 @@ def _per_view_terms(alpha: np.ndarray, hot: np.ndarray, cfg: LossConfig):
     ice, ice_g = _ice_from(hot, *g[:2])
     kl, kl_g = _kl_from(hot, kl_args, *g[2:])
     return ice + cfg.lam * kl, ice_g + cfg.lam * kl_g
+
+
+def _per_view_losses(alpha: np.ndarray, hot: np.ndarray, cfg: LossConfig):
+    """The losses of _per_view_terms without gradients, from one `gammas` call."""
+    masked, s_masked, beta, s_beta = _kl_loss_args(alpha, hot, cfg.beta.alpha)
+    g_s, g_label, *g_kl = gammas(*_ice_args(alpha, hot), masked, s_masked, beta, s_beta)
+    return _ice_loss_from(g_s, g_label) + cfg.lam * kl_from_gammas(masked, beta, *g_kl)
 
 
 def _one(alpha: DirichletParams, label: int):
@@ -200,6 +219,41 @@ def _evidence_array(e) -> np.ndarray:
     return e.evidence if isinstance(e, EvidenceVector) else np.asarray(e, dtype=float)
 
 
+def _checked_alphas(view_evidences, base_rate: BaseRate, labels):
+    """Checked, stacked inputs of a batched loss call and the V+1 Dirichlets.
+
+    Returns (single, stacked evidence (V, N, K), alphas (V+1, N, K) with the
+    combined one last, label mask (N, K), diverged row indices). A diverged
+    row's alphas are set to 1 and its evidence to 0, placeholders that keep
+    the special functions finite; the callers score those rows NaN.
+    """
+    evidences = [_evidence_array(e) for e in view_evidences]
+    if not evidences:
+        raise ValueError("need at least one view")
+    single = evidences[0].ndim == 1
+    if single:
+        evidences = [e[None, :] for e in evidences]
+        labels = [labels]
+    if any(e.ndim != 2 or e.shape != evidences[0].shape for e in evidences):
+        raise ValueError("every view's evidence must be an (N, K) array of one shape")
+    stacked = np.stack(evidences)
+    if np.any(stacked < 0.0):
+        raise ValueError("evidence must be nonnegative")
+    _, num_rows, num_classes = stacked.shape
+    if num_classes != base_rate.num_classes:
+        raise ValueError("evidence and base rate disagree on the number of classes")
+    hot = _one_hot(_checked_labels(labels, num_rows, num_classes), num_classes)
+    w = base_rate.weight
+
+    fused = combined_evidence(stacked, w)
+    alphas = np.concatenate([stacked, fused[None]]) + base_rate.rates * w
+    diverged = np.flatnonzero(~np.isfinite(alphas.sum(axis=(0, 2))))
+    if diverged.size:
+        alphas[:, diverged] = 1.0
+        stacked[:, diverged] = 0.0
+    return single, stacked, alphas, hot, diverged
+
+
 def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: LossConfig):
     """Overall loss per sample and its exact gradient w.r.t. every view's evidence.
 
@@ -218,34 +272,12 @@ def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: Loss
     evidence overflowed, gets a NaN loss and NaN gradients; the other rows
     are scored as usual, and the caller decides what divergence means.
     """
-    evidences = [_evidence_array(e) for e in view_evidences]
-    if not evidences:
-        raise ValueError("need at least one view")
-    single = evidences[0].ndim == 1
-    if single:
-        evidences = [e[None, :] for e in evidences]
-        labels = [labels]
-    if any(e.ndim != 2 or e.shape != evidences[0].shape for e in evidences):
-        raise ValueError("every view's evidence must be an (N, K) array of one shape")
-    stacked = np.stack(evidences)
-    if np.any(stacked < 0.0):
-        raise ValueError("evidence must be nonnegative")
-    num_views, num_rows, num_classes = stacked.shape
-    if num_classes != base_rate.num_classes:
-        raise ValueError("evidence and base rate disagree on the number of classes")
-    hot = _one_hot(_checked_labels(labels, num_rows, num_classes), num_classes)
-    w = base_rate.weight
-
-    fused = combined_evidence(stacked, w)
-    alphas = np.concatenate([stacked, fused[None]]) + base_rate.rates * w
-    diverged = np.flatnonzero(~np.isfinite(alphas.sum(axis=(0, 2))))
-    if diverged.size:
-        alphas[:, diverged] = 1.0  # placeholders; these rows score NaN below
-        stacked[:, diverged] = 0.0
+    single, stacked, alphas, hot, diverged = _checked_alphas(view_evidences, base_rate, labels)
     terms, term_grads = _per_view_terms(alphas, hot, cfg)
     loss = terms.sum(axis=0)
 
     g_combined = term_grads[-1]
+    num_views, w = stacked.shape[0], base_rate.weight
     if num_views == 1:
         grads = [term_grads[0] + g_combined]
     else:
@@ -260,6 +292,25 @@ def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: Loss
     if single:
         return float(loss[0]), [g[0] for g in grads]
     return loss, grads
+
+
+def overall_loss_rows(view_evidences, base_rate: BaseRate, labels, cfg: LossConfig):
+    """Overall loss per sample and the combined alpha, without gradients.
+
+    Takes the inputs of overall_loss_and_grad and returns (losses of shape
+    (N,), combined alpha of shape (N, K)); each loss is bit for bit the one
+    overall_loss_and_grad gives. It hands the special functions only the
+    loss's arguments and builds no gradient. A diverged row gets a NaN loss
+    and a NaN alpha. One sample as 1-d vectors gives a float and a (K,) alpha.
+    """
+    single, _, alphas, hot, diverged = _checked_alphas(view_evidences, base_rate, labels)
+    loss = _per_view_losses(alphas, hot, cfg).sum(axis=0)
+    combined = alphas[-1]
+    loss[diverged] = np.nan
+    combined[diverged] = np.nan
+    if single:
+        return float(loss[0]), combined[0]
+    return loss, combined
 
 
 def overall_grad(view_evidences, base_rate: BaseRate, labels, cfg: LossConfig):

@@ -19,17 +19,17 @@ import numpy as np
 
 from .data import MultiViewDataset, MultiViewSample
 from .dirichlet import BaseRate, DirichletParams, EvidenceVector, combined_evidence
-from .losses import LossConfig, annealed_lambda, overall_loss_and_grad
+from .losses import LossConfig, annealed_lambda, overall_loss_and_grad, overall_loss_rows
 from .opinions import dirichlet_from_evidence, opinion_from_dirichlet
 
 CHECKPOINT_FORMAT = "evifuse-model"
 CHECKPOINT_VERSION = 1
 
 # Row-block size of the per-epoch evaluation, in special-function arguments.
-# A loss call over r rows hands specfun's kernel (V+1) * r * (2K + 4) values
-# (S, alpha_label, the masked alphas, their floored copies and both sums),
-# and the kernel holds about a dozen temporaries of that length, so a block
-# needs about 400 KB whatever the dataset size.
+# A loss-only call over r rows hands specfun's kernel (V+1) * r * (K + 3)
+# values (S, alpha_label, the masked alphas and their sum), and the kernel
+# holds about a dozen temporaries of that length, so a block needs about
+# 400 KB whatever the dataset size.
 _EVAL_BLOCK = 4096
 
 
@@ -67,8 +67,9 @@ class ModelConfig:
         w = float(self.prior_weight) if self.prior_weight is not None else float(k)
         if not np.isfinite(w) or w <= 0.0:
             raise ValueError("prior weight must be positive")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning rate must be nonnegative")
+        lr = float(self.learning_rate)
+        if not np.isfinite(lr) or lr < 0.0:
+            raise ValueError(f"learning rate must be finite and nonnegative, not {lr}")
         if int(self.epochs) < 0 or int(self.batch_size) < 1:
             raise ValueError("bad epochs/batch_size")
         anneal = int(self.anneal_epochs) if self.anneal_epochs is not None else max(1, int(self.epochs))
@@ -79,7 +80,7 @@ class ModelConfig:
         object.__setattr__(self, "view_dims", dims)
         object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "prior_weight", w)
-        object.__setattr__(self, "learning_rate", float(self.learning_rate))
+        object.__setattr__(self, "learning_rate", lr)
         object.__setattr__(self, "epochs", int(self.epochs))
         object.__setattr__(self, "batch_size", int(self.batch_size))
         object.__setattr__(self, "anneal_epochs", anneal)
@@ -321,18 +322,16 @@ class TrainingReport:
 def _dataset_eval(model: EvidentialModel, views, labels, loss_cfg: LossConfig):
     """Mean overall loss and accuracy on stacked per-view features.
 
-    Scores row blocks whose loss call passes at most _EVAL_BLOCK values to
-    specfun, so peak memory does not grow with the dataset.
+    Scores row blocks whose loss-only call passes at most _EVAL_BLOCK values
+    to specfun, so peak memory does not grow with the dataset.
     """
-    base = model.base_rate
     cfg = model.config
-    rows = max(1, _EVAL_BLOCK // ((cfg.num_views + 1) * (2 * cfg.num_classes + 4)))
+    rows = max(1, _EVAL_BLOCK // ((cfg.num_views + 1) * (cfg.num_classes + 3)))
     total, correct = 0.0, 0
     for start in range(0, labels.size, rows):
         block = slice(start, start + rows)
         evidences = _view_evidences(model, [x[block] for x in views])
-        losses, _ = overall_loss_and_grad(evidences, base, labels[block], loss_cfg)
-        alpha = combined_evidence(evidences, base.weight) + base.rates * base.weight
+        losses, alpha = overall_loss_rows(evidences, model.base_rate, labels[block], loss_cfg)
         total += losses.sum()
         correct += int(np.count_nonzero(np.argmax(alpha, axis=1) == labels[block]))
     return float(total / labels.size), correct / labels.size

@@ -250,6 +250,17 @@ class TestTrain:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, trained, tmp_path, lr):
+        result = run([
+            "--seed", "0", "train", "--data", str(trained["train"]),
+            "--valid", str(trained["valid"]), "--classes", "2", "--views", "2",
+            "--dims", "2,2", "--hidden", "4", "--lr", lr, "--epochs", "1",
+            "--out", str(tmp_path / "m.json"),
+        ], expect=2)
+        assert "learning rate" in result.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_emits_curves(self, trained, tmp_path):
         out = tmp_path / "m.json"
         result = run([

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from evifuse.dirichlet import BaseRate, DirichletParams
+from evifuse.dirichlet import BaseRate, DirichletParams, combined_evidence
 from evifuse.losses import (
     LossConfig,
     annealed_lambda,
@@ -15,6 +18,7 @@ from evifuse.losses import (
     overall_grad,
     overall_loss,
     overall_loss_and_grad,
+    overall_loss_rows,
     per_view_grad,
     per_view_loss,
 )
@@ -254,9 +258,12 @@ class TestOverall:
         labels = np.array([0, 1, 0, 1, 1])
         with np.errstate(over="ignore", invalid="ignore"):
             losses, grads = overall_loss_and_grad([local, glob], base, labels, cfg)
+            rows, alpha = overall_loss_rows([local, glob], base, labels, cfg)
         good, bad = [0, 4], [1, 2, 3]
         assert np.all(np.isnan(losses[bad]))
         assert all(np.all(np.isnan(g[bad])) for g in grads)
+        assert np.array_equal(rows, losses, equal_nan=True)
+        assert np.all(np.isnan(alpha[bad])) and np.all(np.isfinite(alpha[good]))
         want, want_grads = overall_loss_and_grad([local[good], glob[good]], base, labels[good], cfg)
         assert np.array_equal(losses[good], want)
         assert all(np.array_equal(g[good], w) for g, w in zip(grads, want_grads))
@@ -270,19 +277,22 @@ class TestOverall:
         base, cfg, evidences, labels = _random_batch(np.random.default_rng(3), "dense")
         overall_loss_and_grad(evidences, base, labels, cfg)
         assert len(calls) == 1
+        overall_loss_rows(evidences, base, labels, cfg)
+        assert len(calls) == 2
 
     def test_rejects_bad_batches(self):
         base = BaseRate([0.5, 0.5], weight=2.0)
         cfg = uniform_cfg(2, 0.0)
         ok = np.ones((3, 2))
-        with pytest.raises(ValueError, match="label"):
-            overall_loss_and_grad([ok, ok], base, np.array([0, 2, 1]), cfg)
-        with pytest.raises(ValueError, match="labels"):
-            overall_loss_and_grad([ok, ok], base, np.array([0, 1]), cfg)
-        with pytest.raises(ValueError, match="one shape"):
-            overall_loss_and_grad([ok, np.ones((2, 2))], base, np.array([0, 1, 1]), cfg)
-        with pytest.raises(ValueError, match="nonnegative"):
-            overall_loss_and_grad([ok, -ok], base, np.array([0, 1, 1]), cfg)
+        for routine in (overall_loss_and_grad, overall_loss_rows):
+            with pytest.raises(ValueError, match="label"):
+                routine([ok, ok], base, np.array([0, 2, 1]), cfg)
+            with pytest.raises(ValueError, match="labels"):
+                routine([ok, ok], base, np.array([0, 1]), cfg)
+            with pytest.raises(ValueError, match="one shape"):
+                routine([ok, np.ones((2, 2))], base, np.array([0, 1, 1]), cfg)
+            with pytest.raises(ValueError, match="nonnegative"):
+                routine([ok, -ok], base, np.array([0, 1, 1]), cfg)
 
 
 def _random_batch(rng, kind):
@@ -340,3 +350,63 @@ class TestBatchedAgainstOpinionChain:
             assert loss == pytest.approx(losses[i], rel=1e-14)
             for got, want in zip(row_grads, grads):
                 assert np.allclose(got, want[i], rtol=1e-14, atol=0.0)
+
+
+class TestLossRows:
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "huge", "huge_on_label"])
+    def test_losses_equal_loss_and_grad_bit_for_bit(self, kind):
+        rng = np.random.default_rng(10 + ["dense", "sparse", "zero", "huge", "huge_on_label"].index(kind))
+        for _ in range(40):
+            base, cfg, evidences, labels = _random_batch(rng, kind)
+            # any lambda: equal bits do not depend on the KL's precision
+            cfg = LossConfig(float(rng.uniform(0.0, 1.0)), cfg.beta)
+            losses, alpha = overall_loss_rows(evidences, base, labels, cfg)
+            want, _ = overall_loss_and_grad(evidences, base, labels, cfg)
+            assert np.array_equal(losses, want)
+            fused = combined_evidence(evidences, base.weight) + base.rates * base.weight
+            assert np.array_equal(alpha, fused)
+
+    def test_single_sample(self):
+        base = BaseRate([0.3, 0.7], weight=2.0)
+        cfg = uniform_cfg(2, 0.4)
+        evidences = [np.array([3.0, 1.0]), np.array([0.5, 2.0])]
+        loss, alpha = overall_loss_rows(evidences, base, 1, cfg)
+        assert loss == overall_loss_and_grad(evidences, base, 1, cfg)[0]
+        assert alpha.shape == (2,)
+
+
+
+def _softplus(z):
+    # the evidence heads' output nonlinearity
+    return float(np.logaddexp(0.0, z))
+
+
+_EXTREME_EVIDENCE = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2e-308),  # subnormals
+    st.floats(0.0, 1e12),
+    st.floats(30.0, 700.0).map(_softplus),  # saturated high: softplus(z) == z
+    st.floats(-745.0, -30.0).map(_softplus),  # saturated low: exp(z), down to 0
+)
+
+
+@st.composite
+def extreme_batches(draw):
+    v, n, k = draw(st.integers(2, 4)), draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    evidence = draw(hnp.arrays(np.float64, (v, n, k), elements=_EXTREME_EVIDENCE))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    rates = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    base = BaseRate(rates / rates.sum(), weight=draw(st.floats(0.5, 8.0)))
+    cfg = LossConfig(draw(st.floats(0.0, 1.0)), DirichletParams(base.rates * base.weight))
+    return list(evidence), labels, base, cfg
+
+
+class TestExtremeEvidence:
+    @given(extreme_batches())
+    def test_loss_routines_agree_and_stay_finite(self, batch):
+        evidences, labels, base, cfg = batch
+        losses, grads = overall_loss_and_grad(evidences, base, labels, cfg)
+        rows, _ = overall_loss_rows(evidences, base, labels, cfg)
+        assert np.array_equal(rows, losses)
+        assert np.all(np.isfinite(losses)) and np.all(losses >= 0.0)
+        assert all(np.all(np.isfinite(g)) for g in grads)

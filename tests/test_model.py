@@ -57,6 +57,9 @@ class TestModelConfig:
             ModelConfig(num_classes=2, num_views=2, view_dims=(1, 1), hidden=(0,))
         with pytest.raises(ValueError):
             ModelConfig(num_classes=2, num_views=2, view_dims=(1, 1), learning_rate=-1.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning rate"):
+                ModelConfig(num_classes=2, num_views=2, view_dims=(1, 1), learning_rate=lr)
         with pytest.raises(ValueError):
             ModelConfig(num_classes=2, num_views=2, view_dims=(1, 1), prior_weight=0.0)
 
@@ -344,7 +347,7 @@ class TestFit:
         assert r1.valid_acc == r2.valid_acc
 
     def test_epoch_eval_in_blocks_matches_per_sample_scores(self, monkeypatch):
-        monkeypatch.setattr("evifuse.model._EVAL_BLOCK", 7 * 3 * 8)  # 7 rows a block
+        monkeypatch.setattr("evifuse.model._EVAL_BLOCK", 7 * 3 * 5)  # 7 rows a block
         train, valid = blob_data(10, 20), blob_data(11, 9)
         cfg = ModelConfig(
             num_classes=2, num_views=2, view_dims=(2, 2), hidden=(4,),
@@ -361,6 +364,23 @@ class TestFit:
             correct += predict_class(alpha) == sample.label
         assert report.valid_loss[0] == pytest.approx(np.mean(losses), rel=1e-12)
         assert report.valid_acc[0] == correct / len(valid)
+
+    def test_gradients_only_for_minibatches(self, monkeypatch):
+        import evifuse.model as model_module
+
+        calls = []
+        real = model_module.overall_loss_and_grad
+        monkeypatch.setattr(
+            model_module, "overall_loss_and_grad", lambda *a: calls.append(1) or real(*a)
+        )
+        train, valid = blob_data(12, 20), blob_data(13, 9)
+        cfg = ModelConfig(
+            num_classes=2, num_views=2, view_dims=(2, 2), hidden=(4,),
+            learning_rate=1e-2, epochs=3, batch_size=16, seed=5,
+        )
+        model = EvidentialModel.initialize(cfg, compute_base_rate(train.labels(), 2))
+        fit(model, train, valid)
+        assert len(calls) == 3 * -(-len(train) // 16)  # epochs * ceil(N / batch_size)
 
     def test_dataset_shape_must_match(self):
         train, valid = blob_data(6, 10), blob_data(7, 5)
