@@ -8,10 +8,12 @@ the numbers asserted by the acceptance suite.
 
 import argparse
 
+import numpy as np
+
 from evifuse.cli import _parse_proportions
 from evifuse.data import SyntheticSpec, gen_synthetic, resample_class_ratio
 from evifuse.dirichlet import BaseRate
-from evifuse.metrics import EvalRecord, metrics_report
+from evifuse.metrics import report_from_arrays
 from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, evaluate, fit
 
 
@@ -39,12 +41,9 @@ def blob_spec(args, n_per_class, seed):
     )
 
 
-def records(model, ds, override=None):
-    pred, u, probs = evaluate(model, ds, override)
-    return [
-        EvalRecord(p, probs[i, p], u[i], s.label, s.id)
-        for i, (s, p) in enumerate(zip(ds, pred))
-    ]
+def report(model, ds, bins, override=None):
+    pred, _, probs = evaluate(model, ds, override)
+    return report_from_arrays(pred, probs[np.arange(len(ds)), pred], ds.labels(), bins)
 
 
 def main(argv=None):
@@ -73,9 +72,9 @@ def main(argv=None):
     for text in ratio_texts:
         mix = _parse_proportions(text, "ratio")
         sub = resample_class_ratio(test_pool, mix, seed=200)
-        tp = metrics_report(records(model, sub), args.bins)
+        tp = report(model, sub, args.bins)
         override = BaseRate(mix, model.base_rate.weight)
-        tt = metrics_report(records(model, sub, override), args.bins)
+        tt = report(model, sub, args.bins, override)
         for name, rep in (("train-prior", tp), ("test-prior", tt)):
             auc = "n/a" if rep["auc"] is None else f"{rep['auc']:.3f}"
             print(f"{text:<8}{name:<14}{rep['acc']:>8.3f}{auc:>8}{rep['ece']:>10.4f}")

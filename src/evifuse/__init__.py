@@ -61,11 +61,13 @@ from .metrics import (
     metrics_report,
     ood_detect,
     predictive_entropy,
+    report_from_arrays,
 )
 from .model import (
     EvidenceHead,
     EvidentialModel,
     ModelConfig,
+    NonFiniteEvidence,
     TrainingDiverged,
     TrainingReport,
     compute_base_rate,
@@ -94,8 +96,8 @@ __all__ = [
     "extract_views", "gen_ood", "gen_synthetic", "load_csv", "load_grid",
     "resample_class_ratio", "save_csv", "save_grid",
     "EvalRecord", "OodResult", "accuracy", "auc_binary", "ece",
-    "metrics_report", "ood_detect", "predictive_entropy",
-    "EvidenceHead", "EvidentialModel", "ModelConfig", "TrainingDiverged",
+    "metrics_report", "ood_detect", "predictive_entropy", "report_from_arrays",
+    "EvidenceHead", "EvidentialModel", "ModelConfig", "NonFiniteEvidence", "TrainingDiverged",
     "TrainingReport", "compute_base_rate", "evaluate", "fit", "forward", "load_checkpoint",
     "predict", "save_checkpoint",
     "digamma", "gammas", "ln_gamma", "trigamma",

@@ -6,8 +6,9 @@ so runs can be piped and diffed. Every subcommand resolves its parameters as
 command line over config file over defaults, logs the resolved values, and
 is byte-reproducible given the same inputs and seed.
 
-Exit codes: 0 success, 2 usage or validation, 3 numeric or fusion failure,
-4 file IO.
+Exit codes: 0 success, 2 usage or validation, 3 numeric failure (total
+fusion conflict, a diverged training run, overflowing evidence at
+evaluation), 4 file IO.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .dirichlet import BaseRate, expected_probabilities, predict_class
 from .model import (
     EvidentialModel,
     ModelConfig,
+    NonFiniteEvidence,
     TrainingDiverged,
     compute_base_rate,
     evaluate,
@@ -71,9 +73,7 @@ def guarded(fn):
             return fn(*args, **kwargs)
         except (click.ClickException, click.exceptions.Exit, SystemExit):
             raise
-        except FusionConflictError as exc:
-            _fail(EXIT_NUMERIC, str(exc))
-        except TrainingDiverged as exc:
+        except (FusionConflictError, TrainingDiverged, NonFiniteEvidence) as exc:
             _fail(EXIT_NUMERIC, str(exc))
         except OSError as exc:
             _fail(EXIT_IO, str(exc))
@@ -410,13 +410,14 @@ def train(ctx, data_path, valid_path, out_path, classes, n_views, dims, hidden,
     })
 
 
-def _eval_records(model: EvidentialModel, ds, override: BaseRate | None):
+def _scores(model: EvidentialModel, ds, override: BaseRate | None):
+    """(predicted classes, their confidences, combined uncertainties) of ds.
+
+    Confidences are checked to lie in [0, 1] by `report_from_arrays`.
+    """
     predicted, uncertainty, probs = evaluate(model, ds, override)
-    confidence = probs[np.arange(len(ds)), predicted]
-    return [
-        metricsmod.EvalRecord(p, c, u, sample.label, sample.id)
-        for sample, p, c, u in zip(ds, predicted, confidence, uncertainty)
-    ]
+    metricsmod.check_unit_interval("uncertainty", uncertainty)
+    return predicted, probs[np.arange(len(ds)), predicted], uncertainty
 
 
 def _load_for_model(model: EvidentialModel, path):
@@ -446,18 +447,15 @@ def eval_cmd(ctx, model_path, data_path, base_rate_override, bins):
     if resolved["base_rate_override"] is not None:
         rates = _parse_proportions(str(resolved["base_rate_override"]), "base rate override")
         override = BaseRate(rates, model.base_rate.weight)
-    records = _eval_records(model, ds, override)
-    report = metricsmod.metrics_report(records, int(resolved["bins"]))
+    predicted, confidence, uncertainty = _scores(model, ds, override)
+    labels = ds.labels()
+    report = metricsmod.report_from_arrays(predicted, confidence, labels, int(resolved["bins"]))
     report["base_rate_override"] = None if override is None else override.rates.tolist()
     report["records"] = [
-        {
-            "id": r.id,
-            "predicted": r.predicted,
-            "confidence": r.confidence,
-            "uncertainty": r.uncertainty,
-            "label": r.label,
-        }
-        for r in records
+        {"id": i, "predicted": p, "confidence": c, "uncertainty": u, "label": y}
+        for i, p, c, u, y in zip(
+            ds.ids, predicted.tolist(), confidence.tolist(), uncertainty.tolist(), labels.tolist()
+        )
     ]
     _emit(report)
 
@@ -480,14 +478,12 @@ def ood(ctx, model_path, id_path, ood_path, percentile):
     model = load_checkpoint(resolved["model_path"])
     id_ds = _load_for_model(model, resolved["id_path"])
     ood_ds = _load_for_model(model, resolved["ood_path"])
-    id_records = _eval_records(model, id_ds, None)
-    ood_records = _eval_records(model, ood_ds, None)
-    id_u = np.array([r.uncertainty for r in id_records])
-    ood_u = np.array([r.uncertainty for r in ood_records])
+    id_u = _scores(model, id_ds, None)[2]
+    ood_u = _scores(model, ood_ds, None)[2]
     result = metricsmod.ood_detect(id_u, ood_u, float(resolved["percentile"]))
     id_flags = result.scaled_val > result.threshold
     correct = int((~id_flags).sum()) + int(result.flags.sum())
-    detection_acc = correct / (len(id_records) + len(ood_records))
+    detection_acc = correct / (len(id_ds) + len(ood_ds))
     _emit({
         "threshold": result.threshold,
         "percentile": float(resolved["percentile"]),
@@ -496,15 +492,16 @@ def ood(ctx, model_path, id_path, ood_path, percentile):
         "mean_uncertainty_ood": float(ood_u.mean()),
         "mean_scaled_id": float(result.scaled_val.mean()),
         "mean_scaled_ood": float(result.scaled_test.mean()),
-        "id": [
-            {"id": r.id, "uncertainty": r.uncertainty, "scaled": float(s), "flag": bool(f)}
-            for r, s, f in zip(id_records, result.scaled_val, id_flags)
-        ],
-        "ood": [
-            {"id": r.id, "uncertainty": r.uncertainty, "scaled": float(s), "flag": bool(f)}
-            for r, s, f in zip(ood_records, result.scaled_test, result.flags)
-        ],
+        "id": _ood_rows(id_ds.ids, id_u, result.scaled_val, id_flags),
+        "ood": _ood_rows(ood_ds.ids, ood_u, result.scaled_test, result.flags),
     })
+
+
+def _ood_rows(ids, uncertainty, scaled, flags) -> list:
+    return [
+        {"id": i, "uncertainty": u, "scaled": s, "flag": f}
+        for i, u, s, f in zip(ids, uncertainty.tolist(), scaled.tolist(), flags.tolist())
+    ]
 
 
 @main.command("adapt-sweep")
@@ -548,8 +545,8 @@ def adapt_sweep(ctx, model_path, uniform_path, data_path, ratios, bins):
             ("train_test_prior", model, test_rate),
         )
         for name, m, override in runs:
-            records = _eval_records(m, sub, override)
-            report = metricsmod.metrics_report(records, num_bins)
+            predicted, confidence, _ = _scores(m, sub, override)
+            report = metricsmod.report_from_arrays(predicted, confidence, sub.labels(), num_bins)
             auc = "" if report["auc"] is None else f"{report['auc']:.6f}"
             lines.append(f"{ratio_text},{name},{auc},{report['ece']:.6f}")
         _log(state, f"ratio {ratio_text}: evaluated {len(sub)} samples x 3 strategies")

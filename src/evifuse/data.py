@@ -1,16 +1,18 @@
 """Datasets, synthetic generators, grid view extraction, and file formats.
 
-A sample is a tuple of per-view feature vectors with one label. Synthetic
-data comes from Gaussian clusters whose class separation lives along the
-first feature coordinate; the out-of-distribution generator displaces every
-cluster along the second coordinate, so the shift is orthogonal to anything
-the classifier can use. CSV is the interchange format for datasets,
+A sample is a tuple of per-view feature vectors with one label; a dataset
+stores its samples as columns, one (N, d) feature matrix per view plus a
+label vector and an id tuple. Synthetic data comes from Gaussian clusters
+whose class separation lives along the first feature coordinate; the
+out-of-distribution generator displaces every cluster along the second
+coordinate, so the shift is orthogonal to anything the classifier can use. CSV is the interchange format for datasets,
 whitespace text for 2-d grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,46 +43,98 @@ class MultiViewSample:
         object.__setattr__(self, "id", str(self.id))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MultiViewDataset:
-    """Homogeneous collection of multi-view samples."""
+    """Columnar multi-view dataset, validated once when it is built.
 
-    samples: tuple
+    `views` holds one read-only (N, d_v) float64 array per view, row i of
+    every view belonging to sample `ids[i]`; `labels()` is the read-only (N,)
+    label vector. `MultiViewDataset(samples, num_classes, view_dims)` stacks
+    per-sample objects; `from_arrays` takes the columns directly. Iterating,
+    or reading `samples`, builds MultiViewSample rows on demand.
+    """
+
+    views: tuple
+    ids: tuple
     num_classes: int
     view_dims: tuple
-    provenance: str = ""
+    provenance: str
+    _labels: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        samples = tuple(self.samples)
+    def __init__(self, samples, num_classes: int, view_dims, provenance: str = ""):
+        samples = tuple(samples)
         if not samples:
             raise ValueError("dataset must not be empty")
-        dims = tuple(int(d) for d in self.view_dims)
+        dims = tuple(int(d) for d in view_dims)
         if len(dims) == 0 or any(d < 1 for d in dims):
             raise ValueError("view_dims must be positive")
-        k = int(self.num_classes)
+        for s in samples:
+            if tuple(v.size for v in s.views) != dims:
+                raise ValueError(f"sample {s.id}: view shapes do not match {dims}")
+        views = [np.stack([s.views[v] for s in samples]) for v in range(len(dims))]
+        self._assign(views, [s.label for s in samples], [s.id for s in samples], num_classes, provenance)
+
+    @classmethod
+    def from_arrays(cls, views, labels, ids, num_classes: int, provenance: str = "") -> "MultiViewDataset":
+        """Dataset from per-view (N, d_v) feature arrays, N integer labels and N ids.
+
+        The arrays are copied, so the dataset owns what it marks read-only.
+        """
+        ds = cls.__new__(cls)
+        ds._assign(views, labels, ids, num_classes, provenance)
+        return ds
+
+    def _assign(self, views, labels, ids, num_classes, provenance):
+        k = int(num_classes)
         if k < 2:
             raise ValueError("need at least two classes")
-        for s in samples:
-            if len(s.views) != len(dims) or tuple(v.size for v in s.views) != dims:
-                raise ValueError(f"sample {s.id}: view shapes do not match {dims}")
-            if s.label >= k:
-                raise ValueError(f"sample {s.id}: label {s.label} outside [0, {k})")
-        object.__setattr__(self, "samples", samples)
+        views = [np.array(v, dtype=np.float64, order="C") for v in views]
+        if not views or any(v.ndim != 2 or v.shape[1] < 1 for v in views):
+            raise ValueError("views must be one or more (N, d) arrays with d >= 1")
+        n = views[0].shape[0]
+        if n == 0:
+            raise ValueError("dataset must not be empty")
+        if any(v.shape[0] != n for v in views):
+            raise ValueError("views disagree on the number of samples")
+        ids = tuple(map(str, ids))
+        labels = np.array(labels)
+        if labels.shape != (n,) or len(ids) != n:
+            raise ValueError(f"need {n} labels and {n} ids, one per row of the views")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError("labels must be integers")
+        labels = labels.astype(int)
+        bad = np.flatnonzero((labels < 0) | (labels >= k))
+        if bad.size:
+            raise ValueError(f"sample {ids[bad[0]]}: label {labels[bad[0]]} outside [0, {k})")
+        finite = np.logical_and.reduce([np.isfinite(v).all(axis=1) for v in views])
+        if not finite.all():
+            raise ValueError(f"sample {ids[np.argmin(finite)]}: features must be finite")
+        for arr in (*views, labels):
+            arr.flags.writeable = False
+        object.__setattr__(self, "views", tuple(views))
+        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "num_classes", k)
-        object.__setattr__(self, "view_dims", dims)
+        object.__setattr__(self, "view_dims", tuple(v.shape[1] for v in views))
+        object.__setattr__(self, "provenance", str(provenance))
+        object.__setattr__(self, "_labels", labels)
 
     @property
     def num_views(self) -> int:
         return len(self.view_dims)
 
+    @property
+    def samples(self) -> tuple:
+        return tuple(self)
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.samples)
+        for i, (label, sample_id) in enumerate(zip(self._labels.tolist(), self.ids)):
+            yield MultiViewSample(tuple(v[i] for v in self.views), label, sample_id)
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=int)
+        return self._labels
 
 
 @dataclass(frozen=True)
@@ -206,21 +260,19 @@ def gen_synthetic(spec: SyntheticSpec) -> MultiViewDataset:
     """Draw the spec's clusters; a pure function of the spec (seed included)."""
     rng = np.random.default_rng(spec.seed)
     k, v, d = spec.means.shape
-    samples = []
-    for c in range(k):
-        noise = rng.normal(0.0, spec.scale, size=(spec.n_per_class, v, d))
-        feats = spec.means[c][None, :, :] + noise
-        for i in range(spec.n_per_class):
-            samples.append(
-                MultiViewSample(tuple(feats[i]), c, f"c{c}n{i:04d}")
-            )
-    order = rng.permutation(len(samples))
-    samples = [samples[i] for i in order]
-    return MultiViewDataset(
-        tuple(samples),
+    n = spec.n_per_class
+    # One draw per class, then one permutation: the order the ids encode.
+    feats = np.concatenate(
+        [spec.means[c] + rng.normal(0.0, spec.scale, size=(n, v, d)) for c in range(k)]
+    )
+    order = rng.permutation(k * n)
+    ids = [f"c{c}n{i:04d}" for c in range(k) for i in range(n)]
+    return MultiViewDataset.from_arrays(
+        [feats[order, j] for j in range(v)],
+        np.repeat(np.arange(k), n)[order],
+        [ids[i] for i in order.tolist()],
         num_classes=k,
-        view_dims=(d,) * v,
-        provenance=f"blobs(seed={spec.seed}, n_per_class={spec.n_per_class}, scale={spec.scale})",
+        provenance=f"blobs(seed={spec.seed}, n_per_class={n}, scale={spec.scale})",
     )
 
 
@@ -237,13 +289,9 @@ def gen_ood(spec: SyntheticSpec, shift: float) -> MultiViewDataset:
         raise ValueError("need view_dim >= 2 for an orthogonal shift direction")
     means = spec.means.copy()
     means[:, :, 1] += shift
-    shifted = SyntheticSpec(means, spec.scale, spec.n_per_class, spec.seed)
-    ds = gen_synthetic(shifted)
-    return MultiViewDataset(
-        ds.samples,
-        num_classes=ds.num_classes,
-        view_dims=ds.view_dims,
-        provenance=f"{ds.provenance} | shift({shift})",
+    ds = gen_synthetic(SyntheticSpec(means, spec.scale, spec.n_per_class, spec.seed))
+    return MultiViewDataset.from_arrays(
+        ds.views, ds.labels(), ds.ids, ds.num_classes, provenance=f"{ds.provenance} | shift({shift})"
     )
 
 
@@ -271,15 +319,15 @@ def resample_class_ratio(ds: MultiViewDataset, ratio, seed: int) -> MultiViewDat
         total -= 1
         want = np.round(ratio * total).astype(int)
     rng = np.random.default_rng(seed)
-    keep = []
-    for c in range(ds.num_classes):
-        idx = np.flatnonzero(labels == c)
-        keep.extend(rng.choice(idx, size=want[c], replace=False))
-    keep = sorted(int(i) for i in keep)
-    return MultiViewDataset(
-        tuple(ds.samples[i] for i in keep),
-        num_classes=ds.num_classes,
-        view_dims=ds.view_dims,
+    keep = np.sort(np.concatenate([
+        rng.choice(np.flatnonzero(labels == c), size=want[c], replace=False)
+        for c in range(ds.num_classes)
+    ]))
+    return MultiViewDataset.from_arrays(
+        [x[keep] for x in ds.views],
+        labels[keep],
+        [ds.ids[i] for i in keep.tolist()],
+        ds.num_classes,
         provenance=f"{ds.provenance} | resampled(ratio={ratio.round(6).tolist()}, seed={seed})",
     )
 
@@ -292,54 +340,77 @@ def _csv_header(view_dims) -> str:
 
 
 def save_csv(ds: MultiViewDataset, path) -> None:
-    """One row per sample: id, label, then view features in view order."""
+    """One row per sample: id, label, then view features in view order.
+
+    Features are written as repr of the float, which reads back exactly.
+    """
+    rows = np.concatenate(ds.views, axis=1).tolist()
+    lines = [_csv_header(ds.view_dims)]
+    lines.extend(
+        f"{sample_id},{label}," + ",".join(map(repr, row))
+        for sample_id, label, row in zip(ds.ids, ds.labels().tolist(), rows)
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_header(ds.view_dims) + "\n")
-        for s in ds.samples:
-            fields = [s.id, str(s.label)]
-            for view in s.views:
-                fields.extend(repr(float(x)) for x in view)
-            fh.write(",".join(fields) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_csv(path, num_classes: int, num_views: int, view_dims) -> MultiViewDataset:
-    """Parse a dataset saved by save_csv; errors name the offending line."""
+    """Parse a dataset saved by save_csv; errors name the offending line.
+
+    Blank lines are skipped. The whole file is parsed into one (N, sum d)
+    array and split per view; only a file that fails a check is scanned
+    line by line, to name the first bad line.
+    """
     dims = tuple(int(d) for d in view_dims)
     if len(dims) != num_views:
         raise ValueError("view_dims length must equal num_views")
-    expected_header = _csv_header(dims)
     n_fields = 2 + sum(dims)
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
-    if lines[0] != expected_header:
+    if lines[0] != _csv_header(dims):
         raise ValueError(f"{path}: line 1: header does not match the declared shape")
-    samples = []
+    rows = [line.split(",") for line in lines[1:] if line]
+    if not rows:
+        raise ValueError(f"{path}: no sample rows")
+    try:
+        if set(map(len, rows)) != {n_fields}:
+            raise ValueError("wrong field count")
+        labels = np.array([int(fields[1]) for fields in rows])
+        table = np.array([float(x) for fields in rows for x in fields[2:]]).reshape(len(rows), -1)
+        valid = bool(np.all((labels >= 0) & (labels < num_classes)) and np.all(np.isfinite(table)))
+    except (ValueError, OverflowError):
+        valid = False
+    if not valid:
+        _raise_first_bad_line(path, lines, n_fields, num_classes)
+    return MultiViewDataset.from_arrays(
+        np.split(table, np.cumsum(dims)[:-1], axis=1),
+        labels,
+        [fields[0] for fields in rows],
+        num_classes,
+        provenance=str(path),
+    )
+
+
+def _raise_first_bad_line(path, lines, n_fields: int, num_classes: int):
+    """Raise the error of the first malformed sample row of a CSV file."""
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         fields = line.split(",")
         if len(fields) != n_fields:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {n_fields} fields, got {len(fields)}"
-            )
+            raise ValueError(f"{path}: line {lineno}: expected {n_fields} fields, got {len(fields)}")
         try:
             label = int(fields[1])
             values = [float(x) for x in fields[2:]]
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        views = []
-        pos = 0
-        for dim in dims:
-            views.append(np.array(values[pos : pos + dim]))
-            pos += dim
         if not 0 <= label < num_classes:
             raise ValueError(f"{path}: line {lineno}: label {label} outside [0, {num_classes})")
-        samples.append(MultiViewSample(tuple(views), label, fields[0]))
-    if not samples:
-        raise ValueError(f"{path}: no sample rows")
-    return MultiViewDataset(tuple(samples), num_classes, dims, provenance=str(path))
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: line {lineno}: features must be finite")
+    raise ValueError(f"{path}: malformed sample rows")
 
 
 def save_grid(grid, path) -> None:

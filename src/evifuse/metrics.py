@@ -1,5 +1,9 @@
 """Evaluation: accuracy, binary AUC, calibration error, entropy, OOD protocol.
 
+Reports are computed on (N,) columns of predictions, confidences and labels
+(`report_from_arrays`); `metrics_report`, `ece` and `accuracy` take
+EvalRecords and read the same columns out of them.
+
 The calibration binning is upper-closed, ((m-1)/M, m/M], with confidence 0
 assigned to the first bin. The OOD protocol pools validation and test
 uncertainties, min-max scales the pool to [0, 1], and thresholds at a
@@ -14,6 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+_UNIT_TOL = 1e-9
+
+
+def check_unit_interval(name: str, values) -> None:
+    """Raise ValueError unless every value lies in [0, 1], up to 1e-9."""
+    values = np.asarray(values, dtype=float)
+    if not np.all((values >= -_UNIT_TOL) & (values <= 1.0 + _UNIT_TOL)):
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class EvalRecord:
     """One evaluated sample: prediction, its confidence, uncertainty, truth."""
@@ -26,11 +40,8 @@ class EvalRecord:
 
     def __post_init__(self):
         conf, u = float(self.confidence), float(self.uncertainty)
-        tol = 1e-9
-        if not (-tol <= conf <= 1.0 + tol):
-            raise ValueError("confidence must lie in [0, 1]")
-        if not (-tol <= u <= 1.0 + tol):
-            raise ValueError("uncertainty must lie in [0, 1]")
+        check_unit_interval("confidence", conf)
+        check_unit_interval("uncertainty", u)
         object.__setattr__(self, "predicted", int(self.predicted))
         object.__setattr__(self, "confidence", conf)
         object.__setattr__(self, "uncertainty", u)
@@ -49,29 +60,63 @@ def _bin_index(confidences: np.ndarray, num_bins: int) -> np.ndarray:
     return np.clip(idx, 0, num_bins - 1)
 
 
-def ece(records, num_bins: int) -> float:
-    """Expected calibration error over upper-closed confidence bins."""
-    records = list(records)
-    if not records:
+def _columns(predicted, confidence, labels):
+    """Checked (N,) columns: integer predictions, confidences in [0, 1], labels."""
+    predicted = np.asarray(predicted, dtype=int)
+    confidence = np.asarray(confidence, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    if predicted.size == 0:
         raise ValueError("no records")
+    if predicted.ndim != 1 or confidence.shape != predicted.shape or labels.shape != predicted.shape:
+        raise ValueError("predicted, confidence and labels must be matching vectors")
+    check_unit_interval("confidence", confidence)
+    return predicted, confidence, labels
+
+
+def _record_columns(records):
+    records = list(records)
+    return (
+        [r.predicted for r in records],
+        [r.confidence for r in records],
+        [r.label for r in records],
+    )
+
+
+def _calibration(confidence: np.ndarray, correct: np.ndarray, num_bins: int):
+    """(expected calibration error, per-bin stats) over upper-closed bins.
+
+    A bin's accuracy and mean confidence are means over its members in
+    sample order; the ECE weighs each nonempty bin's gap by its share.
+    """
     if num_bins < 1:
         raise ValueError("need at least one bin")
-    conf = np.array([r.confidence for r in records])
-    correct = np.array([r.correct for r in records], dtype=float)
-    idx = _bin_index(conf, num_bins)
-    total = 0.0
+    idx = _bin_index(confidence, num_bins)
+    total, bins = 0.0, []
     for m in range(num_bins):
         mask = idx == m
-        if mask.any():
-            total += mask.mean() * abs(correct[mask].mean() - conf[mask].mean())
-    return float(total)
+        count = int(np.count_nonzero(mask))
+        acc = conf = None
+        if count:
+            acc = float(correct[mask].mean())
+            conf = float(confidence[mask].mean())
+            total += count / confidence.size * abs(acc - conf)
+        bins.append({"lo": m / num_bins, "hi": (m + 1) / num_bins, "count": count, "acc": acc, "conf": conf})
+    return total, bins
+
+
+def ece(records, num_bins: int) -> float:
+    """Expected calibration error over upper-closed confidence bins."""
+    predicted, confidence, labels = _columns(*_record_columns(records))
+    return _calibration(confidence, predicted == labels, num_bins)[0]
+
+
+def _accuracy(correct: np.ndarray) -> float:
+    return np.count_nonzero(correct) / correct.size
 
 
 def accuracy(records) -> float:
-    records = list(records)
-    if not records:
-        raise ValueError("no records")
-    return float(np.mean([r.correct for r in records]))
+    predicted, _, labels = _columns(*_record_columns(records))
+    return _accuracy(predicted == labels)
 
 
 def auc_binary(scores, labels) -> float:
@@ -142,43 +187,29 @@ def ood_detect(val_uncertainties, test_uncertainties, percentile: float = 50.0) 
     return OodResult(scaled_test > threshold, threshold, scaled_val, scaled_test)
 
 
-def metrics_report(records, num_bins: int = 10) -> dict:
-    """The standard JSON-shaped report: acc, auc, ece, n, per-bin stats.
+def report_from_arrays(predicted, confidence, labels, num_bins: int = 10) -> dict:
+    """The standard JSON-shaped report from (N,) columns: acc, auc, ece, n, bins.
 
-    AUC is binary-only; for more classes it is reported as None. The score
-    for AUC is the record's confidence when class 1 is predicted, else its
-    complement, which equals the class-1 expected probability for K = 2.
+    AUC is binary-only; when more than two classes are seen it is reported
+    as None, and so it is when only one label value occurs. The score for
+    AUC is the confidence when class 1 is predicted, else its complement,
+    which equals the class-1 expected probability for K = 2.
     """
-    records = list(records)
-    acc = accuracy(records)
-    num_classes = max(max(r.label for r in records), max(r.predicted for r in records)) + 1
+    predicted, confidence, labels = _columns(predicted, confidence, labels)
+    correct = predicted == labels
+    ece_value, bins = _calibration(confidence, correct, num_bins)
     auc = None
-    if num_classes == 2:
-        labels = np.array([r.label for r in records])
-        scores = np.array(
-            [r.confidence if r.predicted == 1 else 1.0 - r.confidence for r in records]
-        )
-        if len(set(labels.tolist())) == 2:
-            auc = auc_binary(scores, labels)
-    conf = np.array([r.confidence for r in records])
-    correct = np.array([r.correct for r in records], dtype=float)
-    idx = _bin_index(conf, num_bins)
-    bins = []
-    for m in range(num_bins):
-        mask = idx == m
-        bins.append(
-            {
-                "lo": m / num_bins,
-                "hi": (m + 1) / num_bins,
-                "count": int(mask.sum()),
-                "acc": float(correct[mask].mean()) if mask.any() else None,
-                "conf": float(conf[mask].mean()) if mask.any() else None,
-            }
-        )
+    if max(labels.max(), predicted.max()) == 1 and np.unique(labels).size == 2:
+        auc = auc_binary(np.where(predicted == 1, confidence, 1.0 - confidence), labels)
     return {
-        "acc": acc,
+        "acc": _accuracy(correct),
         "auc": auc,
-        "ece": ece(records, num_bins),
-        "n": len(records),
+        "ece": ece_value,
+        "n": correct.size,
         "bins": bins,
     }
+
+
+def metrics_report(records, num_bins: int = 10) -> dict:
+    """`report_from_arrays` of a sequence of EvalRecords."""
+    return report_from_arrays(*_record_columns(records), num_bins)

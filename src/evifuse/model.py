@@ -37,6 +37,10 @@ class TrainingDiverged(RuntimeError):
     """Raised when the objective stops being finite."""
 
 
+class NonFiniteEvidence(RuntimeError):
+    """Raised when a sample's combined evidence overflows at evaluation."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Shape and optimization settings for an evidential model."""
@@ -232,20 +236,21 @@ def compute_base_rate(labels, num_classes: int, weight: float | None = None) -> 
     return BaseRate(counts / counts.sum(), weight)
 
 
-def _check_sample(model: EvidentialModel, sample: MultiViewSample):
+def _dataset(model: EvidentialModel, data) -> MultiViewDataset:
+    """`data` as a dataset of the model's view shapes.
+
+    A plain sequence of samples is stacked into a dataset once, so every
+    scoring path reads the same (N, d) arrays.
+    """
     cfg = model.config
-    if len(sample.views) != cfg.num_views or tuple(v.size for v in sample.views) != cfg.view_dims:
-        raise ValueError(f"sample {sample.id}: view shapes do not match the model")
-
-
-def _stacked_views(model: EvidentialModel, samples) -> list:
-    """One (N, d) feature matrix per view, after checking every sample's shapes."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("no samples to evaluate")
-    for sample in samples:
-        _check_sample(model, sample)
-    return [np.stack([s.views[v] for s in samples]) for v in range(model.config.num_views)]
+    if not isinstance(data, MultiViewDataset):
+        samples = tuple(data)
+        if not samples:
+            raise ValueError("no samples to evaluate")
+        data = MultiViewDataset(samples, cfg.num_classes, cfg.view_dims)
+    if data.view_dims != cfg.view_dims:
+        raise ValueError(f"dataset view shapes {data.view_dims} do not match the model's {cfg.view_dims}")
+    return data
 
 
 def _view_evidences(model: EvidentialModel, views) -> list:
@@ -254,9 +259,9 @@ def _view_evidences(model: EvidentialModel, views) -> list:
 
 def forward(model: EvidentialModel, sample: MultiViewSample):
     """Evidence, per-view opinions, combined opinion, combined Dirichlet."""
-    _check_sample(model, sample)
+    views = _dataset(model, [sample]).views
     base = model.base_rate
-    evidences = [EvidenceVector(e) for e in _view_evidences(model, sample.views)]
+    evidences = [EvidenceVector(e[0]) for e in _view_evidences(model, views)]
     view_opinions = [
         opinion_from_dirichlet(dirichlet_from_evidence(e, base), base) for e in evidences
     ]
@@ -265,24 +270,32 @@ def forward(model: EvidentialModel, sample: MultiViewSample):
     return evidences, view_opinions, opinion_from_dirichlet(alpha, base), alpha
 
 
-def evaluate(model: EvidentialModel, samples, override: BaseRate | None = None):
+# Overflowing evidence is found from the row sums and raised as
+# NonFiniteEvidence, so numpy's warnings on the way there would only be noise.
+@np.errstate(over="ignore", invalid="ignore")
+def evaluate(model: EvidentialModel, data, override: BaseRate | None = None):
     """(predicted classes, combined uncertainties, expected probabilities).
 
-    Scores any sequence of samples, a dataset included, in one batched pass
-    and returns arrays of shapes (N,), (N,) and (N, K). With an override the
+    Scores a dataset, or any sequence of samples, in one batched pass and
+    returns arrays of shapes (N,), (N,) and (N, K). With an override the
     combined evidence is re-anchored to the new base rate before reading off
     probabilities; uncertainty is an evidence-only quantity and keeps the
-    training base rate's weight.
+    training base rate's weight. Raises NonFiniteEvidence, naming the first
+    such sample, if a sample's combined evidence is not finite.
     """
     base = model.base_rate
     anchor = base if override is None else override
     if anchor.num_classes != base.num_classes:
         raise ValueError("base rate override and model disagree on the number of classes")
-    fused = combined_evidence(_view_evidences(model, _stacked_views(model, samples)), base.weight)
-    uncertainty = base.weight / (base.weight + fused.sum(axis=1))
+    ds = _dataset(model, data)
+    fused = combined_evidence(_view_evidences(model, ds.views), base.weight)
+    strength = fused.sum(axis=1)
     alpha = fused * (anchor.weight / base.weight) + anchor.rates * anchor.weight
-    probs = alpha / alpha.sum(axis=1, keepdims=True)
-    return np.argmax(alpha, axis=1), uncertainty, probs
+    total = alpha.sum(axis=1, keepdims=True)
+    bad = np.flatnonzero(~(np.isfinite(strength) & np.isfinite(total[:, 0])))
+    if bad.size:
+        raise NonFiniteEvidence(f"non-finite combined evidence for sample {ds.ids[bad[0]]}")
+    return np.argmax(alpha, axis=1), base.weight / (base.weight + strength), alpha / total
 
 
 def predict(model: EvidentialModel, sample: MultiViewSample, base_rate_override: BaseRate | None = None):
@@ -354,8 +367,8 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
             raise ValueError("dataset shape does not match the model config")
     base = model.base_rate
     beta = DirichletParams(base.rates * base.weight)
-    train_views, train_labels = _stacked_views(model, train), train.labels()
-    valid_views, valid_labels = _stacked_views(model, valid), valid.labels()
+    train_views, train_labels = train.views, train.labels()
+    valid_views, valid_labels = valid.views, valid.labels()
     rng = np.random.default_rng(cfg.seed + 1)  # decouple batch order from init
     params = list(model.parameters())
     adam_m = [np.zeros_like(p) for p in params]
@@ -377,7 +390,7 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
             bad = np.flatnonzero(~np.isfinite(losses))
             if bad.size:
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, sample {train.samples[batch[bad[0]]].id}"
+                    f"non-finite loss at epoch {epoch}, sample {train.ids[batch[bad[0]]]}"
                 )
             grads = []
             for head, (_, cache), g_e in zip(model.heads, results, ev_grads):

@@ -281,3 +281,116 @@ def logistic_accuracy(train_x, train_y, test_x, test_y,
                     np.ones((len(test_x), 1))])
     pred = (tx @ w) > 0.0
     return float(np.mean(pred == np.asarray(test_y, dtype=bool)))
+
+
+# ---------------------------------------------------------------------------
+# The per-sample dataset IO and the record-based report that the columnar
+# dataset and the array-valued metrics replaced, kept as their references.
+
+
+def load_csv_reference(path, num_classes, view_dims):
+    """Parse a dataset CSV one line at a time: (ids, labels, per-view arrays).
+
+    Blank lines are skipped; every error names the file and the line.
+    """
+    dims = [int(d) for d in view_dims]
+    n_fields = 2 + sum(dims)
+    header = ["id", "label"]
+    for v, dim in enumerate(dims):
+        header.extend(f"v{v}_{j}" for j in range(dim))
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    if lines[0] != ",".join(header):
+        raise ValueError(f"{path}: line 1: header does not match the declared shape")
+    ids, labels, rows = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != n_fields:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {n_fields} fields, got {len(fields)}"
+            )
+        try:
+            label = int(fields[1])
+            values = [float(x) for x in fields[2:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        if not 0 <= label < num_classes:
+            raise ValueError(f"{path}: line {lineno}: label {label} outside [0, {num_classes})")
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError(f"{path}: line {lineno}: features must be finite")
+        ids.append(fields[0])
+        labels.append(label)
+        rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no sample rows")
+    views, pos = [], 0
+    for dim in dims:
+        views.append(np.array([row[pos : pos + dim] for row in rows], dtype=float))
+        pos += dim
+    return ids, labels, views
+
+
+def save_csv_reference(ids, labels, views, path):
+    """Write a dataset CSV one sample at a time, features as repr(float)."""
+    dims = [v.shape[1] for v in views]
+    header = ["id", "label"]
+    for v, dim in enumerate(dims):
+        header.extend(f"v{v}_{j}" for j in range(dim))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, (sample_id, label) in enumerate(zip(ids, labels)):
+            fields = [str(sample_id), str(int(label))]
+            for view in views:
+                fields.extend(repr(float(x)) for x in view[i])
+            fh.write(",".join(fields) + "\n")
+
+
+def _rank_auc(scores, labels):
+    """Mann-Whitney AUC from tie-averaged ranks, half credit for ties."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size)
+    ranks[order] = np.arange(1, scores.size + 1)
+    _, inverse = np.unique(scores, return_inverse=True)
+    ranks = (np.bincount(inverse, weights=ranks) / np.bincount(inverse))[inverse]
+    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def metrics_report_reference(records, num_bins):
+    """The report dict built record by record: acc, auc, ece, n, per-bin stats.
+
+    Bins are ((m-1)/M, m/M] with confidence 0 in the first bin; each bin's
+    means run over its members in record order.
+    """
+    records = list(records)
+    conf = np.array([r.confidence for r in records])
+    correct = np.array([r.predicted == r.label for r in records], dtype=float)
+    acc = float(np.mean([r.predicted == r.label for r in records]))
+    labels = [r.label for r in records]
+    auc = None
+    if max(max(labels), max(r.predicted for r in records)) + 1 == 2 and len(set(labels)) == 2:
+        scores = [r.confidence if r.predicted == 1 else 1.0 - r.confidence for r in records]
+        auc = _rank_auc(scores, labels)
+    idx = np.ceil(conf * num_bins).astype(int) - 1
+    idx[conf <= 0.0] = 0
+    idx = np.clip(idx, 0, num_bins - 1)
+    bins, ece = [], 0.0
+    for m in range(num_bins):
+        mask = idx == m
+        bins.append({
+            "lo": m / num_bins,
+            "hi": (m + 1) / num_bins,
+            "count": int(mask.sum()),
+            "acc": float(correct[mask].mean()) if mask.any() else None,
+            "conf": float(conf[mask].mean()) if mask.any() else None,
+        })
+        if mask.any():
+            ece += mask.mean() * abs(correct[mask].mean() - conf[mask].mean())
+    return {"acc": acc, "auc": auc, "ece": float(ece), "n": len(records), "bins": bins}

@@ -346,6 +346,38 @@ class TestBadCheckpoint:
         assert not out.parent.exists()
 
 
+@pytest.fixture
+def overflowing_model(trained, tmp_path):
+    """The trained checkpoint with last-layer biases of 1e200: finite, so it loads."""
+    doc = json.loads(trained["model"].read_text())
+    for head in doc["heads"]:
+        head["layers"][-1]["bias"] = [1e200] * len(head["layers"][-1]["bias"])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestOverflowingEvidence:
+    @pytest.mark.parametrize("command", ["eval", "eval-override", "ood", "adapt-sweep"])
+    def test_exits_3_naming_a_sample(self, trained, overflowing_model, command):
+        model, data = str(overflowing_model), str(trained["valid"])
+        args = {
+            "eval": ["eval", "--model", model, "--data", data],
+            "eval-override": ["eval", "--model", model, "--data", data, "--base-rate-override", "7:3"],
+            "ood": ["ood", "--model", model, "--id-data", data, "--ood-data", str(trained["ood"])],
+            "adapt-sweep": ["adapt-sweep", "--model", model, "--uniform-model", str(trained["uniform"]),
+                            "--data", data, "--ratios", "1:1"],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(args, expect=3)
+        first = load_csv(trained["valid"], 2, 2, (2, 2)).ids[0]
+        assert f"error: non-finite combined evidence for sample {first}" in result.stderr
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert result.stdout == ""
+
+
 class TestOod:
     def test_report(self, trained):
         result = run([

@@ -18,7 +18,7 @@ from evifuse.data import (
     save_grid,
 )
 
-from oracles import logistic_accuracy
+from oracles import load_csv_reference, logistic_accuracy, save_csv_reference
 
 
 def flat_features(ds):
@@ -61,6 +61,80 @@ class TestContainers:
         )
         assert np.array_equal(ds.labels(), [0, 1, 0, 1])
         assert len(ds) == 4 and ds.num_views == 1
+
+
+def bits(arr):
+    """The float64 bit patterns, so -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+
+
+class TestColumnar:
+    def sample_dataset(self):
+        samples = tuple(
+            MultiViewSample((np.array([i, -i, 0.5 * i]), np.array([float(i * i)])), i % 3, f"s{i}")
+            for i in range(7)
+        )
+        return samples, MultiViewDataset(samples, num_classes=3, view_dims=(3, 1), provenance="p")
+
+    def test_arrays_are_read_only(self):
+        _, ds = self.sample_dataset()
+        for arr in (*ds.views, ds.labels()):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        with pytest.raises(AttributeError):
+            ds.ids = ()
+
+    def test_constructors_agree(self):
+        samples, ds = self.sample_dataset()
+        arrays = MultiViewDataset.from_arrays(
+            [np.stack([s.views[v] for s in samples]) for v in range(2)],
+            [s.label for s in samples], [s.id for s in samples], 3, "p",
+        )
+        for a, b in zip(ds.views, arrays.views):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            assert np.array_equal(bits(a), bits(b))
+        assert np.array_equal(ds.labels(), arrays.labels())
+        assert ds.ids == arrays.ids == tuple(s.id for s in samples)
+        assert ds.view_dims == arrays.view_dims == (3, 1)
+        assert (ds.num_classes, ds.provenance) == (arrays.num_classes, arrays.provenance)
+
+    def test_samples_are_the_rows(self):
+        samples, ds = self.sample_dataset()
+        assert len(ds.samples) == len(ds) == 7
+        for want, got in zip(samples, ds):
+            assert got.id == want.id and got.label == want.label
+            assert all(np.array_equal(a, b) for a, b in zip(got.views, want.views))
+
+    def test_from_arrays_owns_its_arrays(self):
+        x = np.zeros((2, 2))
+        ds = MultiViewDataset.from_arrays([x], [0, 1], ["a", "b"], 2)
+        x[0, 0] = 5.0
+        assert ds.views[0][0, 0] == 0.0 and x.flags.writeable
+
+    def test_from_arrays_checks(self):
+        x = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="number of samples"):
+            MultiViewDataset.from_arrays([x, np.zeros((2, 1))], [0, 1, 0], "abc", 2)
+        with pytest.raises(ValueError, match="3 labels and 3 ids"):
+            MultiViewDataset.from_arrays([x], [0, 1], "abc", 2)
+        with pytest.raises(ValueError, match="3 labels and 3 ids"):
+            MultiViewDataset.from_arrays([x], [0, 1, 0], "ab", 2)
+        with pytest.raises(ValueError, match="integers"):
+            MultiViewDataset.from_arrays([x], [0.0, 1.0, 0.0], "abc", 2)
+        with pytest.raises(ValueError, match="sample b: label 2 outside"):
+            MultiViewDataset.from_arrays([x], [0, 2, 3], "abc", 2)
+        with pytest.raises(ValueError, match="sample a: label -1 outside"):
+            MultiViewDataset.from_arrays([x], [-1, 0, 0], "abc", 2)
+        bad = x.copy()
+        bad[2, 1] = np.inf
+        with pytest.raises(ValueError, match="sample c: features must be finite"):
+            MultiViewDataset.from_arrays([x, bad], [0, 1, 0], "abc", 2)
+        with pytest.raises(ValueError, match="empty"):
+            MultiViewDataset.from_arrays([np.zeros((0, 2))], [], [], 2)
+        with pytest.raises(ValueError, match="d >= 1"):
+            MultiViewDataset.from_arrays([np.zeros((3, 0))], [0, 1, 0], "abc", 2)
+        with pytest.raises(ValueError, match="two classes"):
+            MultiViewDataset.from_arrays([x], [0, 0, 0], "abc", 1)
 
 
 class TestGeometry:
@@ -210,6 +284,15 @@ class TestResample:
         c = resample_class_ratio(ds, (0.75, 0.25), seed=4)
         assert [s.id for s in c] != [s.id for s in a]
 
+    def test_keeps_rows_in_id_order(self):
+        ds = gen_synthetic(SyntheticSpec.blobs(3, 2, 2, n_per_class=30, seed=5))
+        sub = resample_class_ratio(ds, (0.5, 0.3, 0.2), seed=2)
+        rows = [ds.ids.index(i) for i in sub.ids]
+        assert rows == sorted(rows) and len(set(rows)) == len(rows)
+        assert np.array_equal(sub.labels(), ds.labels()[rows])
+        for full, part in zip(ds.views, sub.views):
+            assert np.array_equal(bits(part), bits(full[rows]))
+
     def test_validation(self):
         ds = gen_synthetic(SyntheticSpec.blobs(2, 1, 2, n_per_class=20, seed=9))
         with pytest.raises(ValueError, match="length"):
@@ -221,6 +304,34 @@ class TestResample:
         )
         with pytest.raises(ValueError, match="missing a class"):
             resample_class_ratio(only_zero, (0.5, 0.5), seed=0)
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-310,
+]
+FORMATS = [repr, str, "{:.17g}".format, "{:.16e}".format, "{:.3f}".format]
+ID_CHARS = st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"), blacklist_characters=",")
+
+
+@st.composite
+def csv_files(draw):
+    """(view dims, class count, CSV text) with edge-case floats, formats and blank lines."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    k = draw(st.integers(2, 4))
+    header = ["id", "label"]
+    for v, dim in enumerate(dims):
+        header.extend(f"v{v}_{j}" for j in range(dim))
+    lines = [",".join(header)]
+    values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+        fmt = draw(st.sampled_from(FORMATS))
+        row = draw(st.lists(values, min_size=sum(dims), max_size=sum(dims)))
+        sample_id = draw(st.text(ID_CHARS, max_size=6))
+        lines.append(",".join([sample_id, str(draw(st.integers(0, k - 1))), *map(fmt, row)]))
+    return dims, k, "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
 
 
 class TestCsv:
@@ -268,6 +379,66 @@ class TestCsv:
         path.write_text("id,label,v0_0\na,0,1.0\nb,7,2.0\n")
         with pytest.raises(ValueError, match="line 3"):
             load_csv(path, 2, 1, (1,))
+
+
+    @pytest.mark.parametrize("value", ["nan", "1e999", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "f.csv"
+        path.write_text(f"id,label,v0_0,v0_1\na,0,1.0,2.0\nb,1,{value},3.0\n")
+        with pytest.raises(ValueError, match="line 3: features must be finite") as info:
+            load_csv(path, 2, 1, (2,))
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("body", [
+        "a,0,1.0\nb,1\n",
+        "a,0,1.0\nb,1,2.0,3.0\n",
+        "a,0,1.0\nb,0,1.0,\n",
+        "a,0,1.0\nb,1,oops\n",
+        "a,x,1.0\n",
+        "a,1.5,1.0\n",
+        "a,99999999999999999999999,1.0\n",
+        "a,-1,1.0\n",
+        "a,2,1.0\n",
+        "a,0,nan\n",
+        "a,0,1.0\n\n\nb,7,2.0\nc,0\n",
+        "a,0,1.0\nb,0,1e999\nc,9,1.0\n",
+    ])
+    def test_errors_match_reference(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,label,v0_0\n" + body)
+        with pytest.raises(ValueError) as want:
+            load_csv_reference(path, 2, (1,))
+        with pytest.raises(ValueError) as got:
+            load_csv(path, 2, 1, (1,))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}: line ")
+
+    @given(csv_files())
+    def test_parse_matches_reference(self, tmp_path_factory, case):
+        dims, k, text = case
+        path = tmp_path_factory.mktemp("csv") / "ds.csv"
+        path.write_text(text, encoding="utf-8")
+        ids, labels, views = load_csv_reference(path, k, dims)
+        got = load_csv(path, k, len(dims), dims)
+        assert got.ids == tuple(ids)
+        assert np.array_equal(got.labels(), labels)
+        assert len(got.views) == len(views)
+        for a, b in zip(got.views, views):
+            assert a.shape == b.shape and np.array_equal(bits(a), bits(b))
+
+    @given(csv_files())
+    def test_save_matches_reference(self, tmp_path_factory, case):
+        dims, k, text = case
+        root = tmp_path_factory.mktemp("csv")
+        (root / "in.csv").write_text(text, encoding="utf-8")
+        ids, labels, views = load_csv_reference(root / "in.csv", k, dims)
+        ds = MultiViewDataset.from_arrays(views, labels, ids, k)
+        save_csv(ds, root / "got.csv")
+        save_csv_reference(ids, labels, views, root / "want.csv")
+        assert (root / "got.csv").read_bytes() == (root / "want.csv").read_bytes()
+        back = load_csv(root / "got.csv", k, len(dims), dims)
+        assert back.ids == ds.ids
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(back.views, ds.views))
 
 
 class TestGridIo:

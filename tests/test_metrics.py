@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evifuse.metrics import (
     EvalRecord,
@@ -11,9 +13,10 @@ from evifuse.metrics import (
     metrics_report,
     ood_detect,
     predictive_entropy,
+    report_from_arrays,
 )
 
-from oracles import auc_reference, ece_reference
+from oracles import auc_reference, ece_reference, metrics_report_reference
 
 
 def make_records(confs, corrects):
@@ -230,3 +233,53 @@ class TestReport:
         confs = rng.uniform(size=30)
         records = make_records(confs, rng.uniform(size=30) < 0.5)
         assert metrics_report(records, 7)["ece"] == ece(records, 7)
+
+
+@st.composite
+def record_columns(draw):
+    """(predicted, confidence, labels, bins): ties, K = 2 and K > 2, one-class labels."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(2, 5))
+    label_values = draw(st.sampled_from(["all", "one"]))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    if label_values == "one":
+        labels = [labels[0]] * n
+    predicted = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    grid = st.integers(0, 10).map(lambda i: i / 10.0)  # coarse: ties and bin edges
+    confidence = draw(st.lists(st.one_of(grid, st.floats(0.0, 1.0)), min_size=n, max_size=n))
+    return predicted, confidence, labels, draw(st.integers(1, 20))
+
+
+class TestArrayCore:
+    @given(record_columns())
+    def test_matches_record_oracle(self, case):
+        predicted, confidence, labels, bins = case
+        records = [
+            EvalRecord(p, c, 0.5, y, f"r{i}")
+            for i, (p, c, y) in enumerate(zip(predicted, confidence, labels))
+        ]
+        want = metrics_report_reference(records, bins)
+        assert report_from_arrays(np.array(predicted), np.array(confidence), np.array(labels), bins) == want
+        assert metrics_report(records, bins) == want
+        assert ece(records, bins) == want["ece"]
+        assert accuracy(records) == want["acc"]
+        if want["auc"] is not None:
+            scores = [c if p == 1 else 1.0 - c for p, c in zip(predicted, confidence)]
+            assert want["auc"] == pytest.approx(auc_reference(scores, labels), abs=1e-12)
+
+    def test_auc_none_for_one_class_and_beyond_binary(self):
+        assert report_from_arrays([1, 0], [0.9, 0.6], [1, 1])["auc"] is None
+        assert report_from_arrays([0, 2], [0.9, 0.6], [0, 1])["auc"] is None
+        assert report_from_arrays([1, 0], [0.9, 0.6], [1, 0])["auc"] == 1.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="no records"):
+            report_from_arrays([], [], [])
+        with pytest.raises(ValueError, match="matching"):
+            report_from_arrays([0, 1], [0.5], [0, 1])
+        with pytest.raises(ValueError, match="confidence must lie"):
+            report_from_arrays([0], [1.5], [0])
+        with pytest.raises(ValueError, match="confidence must lie"):
+            report_from_arrays([0], [float("nan")], [0])
+        with pytest.raises(ValueError, match="at least one bin"):
+            report_from_arrays([0], [0.5], [0], num_bins=0)

@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from evifuse.data import MultiViewSample, SyntheticSpec, gen_synthetic
+from evifuse.data import MultiViewDataset, MultiViewSample, SyntheticSpec, gen_synthetic
 from evifuse.dirichlet import BaseRate, DirichletParams, predict_class
 from evifuse.losses import LossConfig, overall_loss_and_grad
 from evifuse.model import (
     EvidenceHead,
     EvidentialModel,
     ModelConfig,
+    NonFiniteEvidence,
     TrainingDiverged,
     compute_base_rate,
     evaluate,
@@ -286,6 +289,47 @@ class TestEvaluate:
                 assert classes[i] == int(np.argmax(alpha.alpha))
                 assert u[i] == pytest.approx(combined.uncertainty, abs=1e-12)
                 assert np.allclose(probs[i], want, atol=1e-12)
+
+    def test_dataset_and_sample_list_agree(self):
+        model = golden_model()
+        rng = np.random.default_rng(14)
+        ds = MultiViewDataset.from_arrays(
+            [rng.normal(size=(30, 3)), rng.normal(size=(30, 2))], np.arange(30) % 2,
+            [f"s{i}" for i in range(30)], 2,
+        )
+        override = BaseRate([0.7, 0.3], weight=2.0)
+        for rate in (None, override):
+            for a, b in zip(evaluate(model, ds, rate), evaluate(model, list(ds), rate)):
+                assert np.array_equal(a, b)
+
+    def test_overflowing_evidence_names_the_first_sample(self):
+        # evidence softplus(1e200 * tanh(x0)) overflows L*g/W only where both
+        # views have x0 > 0, which is sample "c" alone
+        model = golden_model()
+        for head in model.heads:
+            head.weights[0][:] = 0.0
+            head.weights[0][:, 0] = 1.0
+            head.biases[0][:] = 0.0
+            head.weights[-1][:] = 1e200
+            head.biases[-1][:] = 0.0
+        views = ([-1.0, 0.0, 0.0], [-1.0, 0.0]), ([1.0, 0.0, 0.0], [-1.0, 0.0]), ([1.0, 0.0, 0.0], [1.0, 0.0])
+        samples = [MultiViewSample(v, 0, sid) for v, sid in zip(views, "abc")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEvidence, match="non-finite combined evidence for sample c$"):
+                evaluate(model, samples)
+            with pytest.raises(NonFiniteEvidence, match="sample c$"):
+                predict(model, samples[2])
+            assert evaluate(model, samples[:2])[1].shape == (2,)
+
+    def test_overflowing_bias_fails_every_sample(self):
+        model = golden_model()
+        for head in model.heads:
+            head.biases[-1][:] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEvidence, match="sample golden"):
+                evaluate(model, [GOLDEN_SAMPLE], BaseRate([0.5, 0.5], weight=2.0))
 
     def test_rejects_mismatched_inputs(self):
         model = golden_model()
