@@ -30,13 +30,10 @@ from .losses import (
     ice_loss,
     kl_reg_grad,
     kl_reg_loss,
-    masked_alpha,
     overall_grad,
     overall_loss,
     overall_loss_and_grad,
     overall_loss_rows,
-    per_view_grad,
-    per_view_loss,
 )
 from .data import (
     MultiViewDataset,
@@ -90,8 +87,8 @@ __all__ = [
     "dirichlet_from_evidence", "dirichlet_from_opinion", "opinion_from_dirichlet",
     "projected_probability",
     "LossConfig", "annealed_lambda", "ice_grad", "ice_loss", "kl_reg_grad",
-    "kl_reg_loss", "masked_alpha", "overall_grad", "overall_loss",
-    "overall_loss_and_grad", "overall_loss_rows", "per_view_grad", "per_view_loss",
+    "kl_reg_loss", "overall_grad", "overall_loss", "overall_loss_and_grad",
+    "overall_loss_rows",
     "MultiViewDataset", "MultiViewSample", "SyntheticSpec", "ViewGeometry",
     "extract_views", "gen_ood", "gen_synthetic", "load_csv", "load_grid",
     "resample_class_ratio", "save_csv", "save_grid",

@@ -4,7 +4,9 @@ shift experiments.
 Machine-readable JSON/CSV goes to stdout, human-readable progress to stderr,
 so runs can be piped and diffed. Every subcommand resolves its parameters as
 command line over config file over defaults, logs the resolved values, and
-is byte-reproducible given the same inputs and seed.
+is byte-reproducible given the same inputs and seed. A config file holds one
+object per subcommand, keyed by parameter name; click checks its values with
+each option's own type and choices.
 
 Exit codes: 0 success, 2 usage or validation, 3 numeric failure (total
 fusion conflict, a diverged training run, overflowing evidence at
@@ -17,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -45,8 +47,7 @@ EXIT_IO = 4
 
 @dataclass
 class CliState:
-    seed: int | None = None
-    config: dict = field(default_factory=dict)
+    seed: int = 0
     quiet: bool = False
 
 
@@ -64,25 +65,6 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def guarded(fn):
-    """Map library errors onto the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (click.ClickException, click.exceptions.Exit, SystemExit):
-            raise
-        except (FusionConflictError, TrainingDiverged, NonFiniteEvidence) as exc:
-            _fail(EXIT_NUMERIC, str(exc))
-        except OSError as exc:
-            _fail(EXIT_IO, str(exc))
-        except ValueError as exc:
-            _fail(EXIT_VALIDATION, str(exc))
-
-    return wrapper
-
-
 def _log(state: CliState, message: str):
     if not state.quiet:
         _echo(message, err=True)
@@ -90,44 +72,6 @@ def _log(state: CliState, message: str):
 
 def _emit(obj):
     _echo(json.dumps(obj, sort_keys=True))
-
-
-def _resolve(ctx: click.Context, command: str, values: dict) -> dict:
-    """Command line beats config file beats declared defaults."""
-    state: CliState = ctx.obj
-    section = state.config.get(command, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {command!r} must be an object")
-    known = set(values) | {"seed"}
-    for key in section:
-        if key not in known:
-            raise ValueError(f"config section {command!r} has unknown key {key!r}")
-    resolved = {}
-    for name, value in values.items():
-        source = ctx.get_parameter_source(name)
-        if source == click.core.ParameterSource.COMMANDLINE:
-            resolved[name] = value
-        elif name in section:
-            resolved[name] = section[name]
-        else:
-            resolved[name] = value
-    return resolved
-
-
-def _seed(state: CliState, command: str) -> int:
-    if state.seed is not None:
-        return state.seed
-    section = state.config.get(command, {})
-    if isinstance(section, dict) and "seed" in section:
-        return int(section["seed"])
-    return 0
-
-
-def _log_config(state: CliState, command: str, resolved: dict, seed: int | None = None):
-    shown = dict(resolved)
-    if seed is not None:
-        shown["seed"] = seed
-    _log(state, f"{command} config: {json.dumps(shown, sort_keys=True, default=str)}")
 
 
 def _parse_proportions(text: str, what: str) -> np.ndarray:
@@ -143,9 +87,45 @@ def _parse_proportions(text: str, what: str) -> np.ndarray:
 
 def _parse_ints(text: str, what: str) -> tuple:
     try:
-        return tuple(int(p) for p in str(text).split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse {what} {text!r}: {exc}") from exc
+
+
+def _config_section(ctx: click.Context, config_path: str) -> dict:
+    """The invoked subcommand's config section, its values cast by each option's type.
+
+    Null values are dropped, so they mean the declared default. `seed` is
+    allowed in every section and cast by the group's own `--seed`.
+    """
+    try:
+        with open(config_path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        _fail(EXIT_IO, str(exc))
+    except json.JSONDecodeError as exc:
+        _fail(EXIT_VALIDATION, f"{config_path}: {exc}")
+    if not isinstance(config, dict):
+        _fail(EXIT_VALIDATION, f"{config_path}: config root must be an object")
+    name = ctx.invoked_subcommand
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        _fail(EXIT_VALIDATION, f"config section {name!r} must be an object")
+    params = {p.name: p for p in ctx.command.commands[name].params}
+    params["seed"] = next(p for p in ctx.command.params if p.name == "seed")
+    values = {}
+    for key, value in section.items():
+        if key not in params:
+            _fail(EXIT_VALIDATION, f"config section {name!r} has unknown key {key!r}")
+        where = f"config section {name!r} key {key!r}"
+        if isinstance(value, (list, dict)):
+            _fail(EXIT_VALIDATION, f"{where}: expected a single value, got {json.dumps(value)}")
+        if value is not None:
+            try:
+                values[key] = params[key].type_cast_value(ctx, value)
+            except click.BadParameter as exc:
+                _fail(EXIT_VALIDATION, f"{where}: {exc.message}")
+    return values
 
 
 @click.group()
@@ -156,21 +136,42 @@ def _parse_ints(text: str, what: str) -> tuple:
 @click.pass_context
 def main(ctx, seed, config_path, quiet):
     """Evidential multi-view classification toolkit."""
-    config = {}
-    if config_path is not None:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except OSError as exc:
-            _fail(EXIT_IO, str(exc))
-        except json.JSONDecodeError as exc:
-            _fail(EXIT_VALIDATION, f"{config_path}: {exc}")
-        if not isinstance(config, dict):
-            _fail(EXIT_VALIDATION, f"{config_path}: config root must be an object")
-    ctx.obj = CliState(seed=seed, config=config, quiet=quiet)
+    section = {} if config_path is None else _config_section(ctx, config_path)
+    config_seed = section.pop("seed", 0)
+    ctx.default_map = {ctx.invoked_subcommand: section}
+    ctx.obj = CliState(seed=config_seed if seed is None else seed, quiet=quiet)
 
 
-@main.command()
+def subcommand(name: str | None = None, seeded: bool = False):
+    """Register a subcommand of `main`; its body takes the CliState first.
+
+    The body gets each parameter as click resolved it, logged to stderr
+    together with the seed when `seeded`. Library errors become the
+    documented exit codes.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def callback(**params):
+            ctx = click.get_current_context()
+            state: CliState = ctx.obj
+            shown = dict(params, seed=state.seed) if seeded else params
+            _log(state, f"{ctx.info_name} config: {json.dumps(shown, sort_keys=True)}")
+            try:
+                return fn(state, **params)
+            except (FusionConflictError, TrainingDiverged, NonFiniteEvidence) as exc:
+                _fail(EXIT_NUMERIC, str(exc))
+            except OSError as exc:
+                _fail(EXIT_IO, str(exc))
+            except ValueError as exc:
+                _fail(EXIT_VALIDATION, str(exc))
+
+        return main.command(name)(callback)
+
+    return decorate
+
+
+@subcommand()
 @click.option("--opinions", "opinions_path", required=True, type=str,
               help="JSON file holding a list of opinion objects.")
 @click.option("--base-rate", "base_rate_spec", required=True, type=str,
@@ -180,25 +181,18 @@ def main(ctx, seed, config_path, quiet):
               help="cbf/bcf fold one operator over all opinions; paper folds "
                    "cumulative fusion over all but the last, then one "
                    "constraint fusion with the last.")
-@click.pass_context
-@guarded
-def fuse(ctx, opinions_path, base_rate_spec, chain):
+def fuse(state, opinions_path, base_rate_spec, chain):
     """Fuse opinions from a file and print the combined result."""
-    state: CliState = ctx.obj
-    resolved = _resolve(ctx, "fuse", {
-        "opinions_path": opinions_path, "base_rate_spec": base_rate_spec, "chain": chain,
-    })
-    _log_config(state, "fuse", resolved)
-    with open(resolved["opinions_path"], "r", encoding="utf-8") as fh:
+    with open(opinions_path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{resolved['opinions_path']}: {exc}") from exc
+            raise ValueError(f"{opinions_path}: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise ValueError("opinions file must hold a nonempty JSON list")
     opinions = [Opinion.from_dict(o) for o in raw]
 
-    spec = resolved["base_rate_spec"].strip()
+    spec = base_rate_spec.strip()
     if spec.startswith("{"):
         base_doc = json.loads(spec)
     else:
@@ -208,7 +202,6 @@ def fuse(ctx, opinions_path, base_rate_spec, chain):
     if base.num_classes != opinions[0].num_classes:
         raise ValueError("base rate and opinions disagree on the number of classes")
 
-    chain = resolved["chain"]
     if chain == "paper":
         if len(opinions) < 2:
             raise ValueError("chain 'paper' needs at least two opinions")
@@ -230,7 +223,7 @@ def fuse(ctx, opinions_path, base_rate_spec, chain):
     })
 
 
-@main.command()
+@subcommand(seeded=True)
 @click.option("--classes", type=int, default=2, show_default=True)
 @click.option("--views", type=int, default=4, show_default=True)
 @click.option("--dim", type=int, default=4, show_default=True, help="Feature dimension per view.")
@@ -244,58 +237,42 @@ def fuse(ctx, opinions_path, base_rate_spec, chain):
 @click.option("--ratio", type=str, default=None,
               help="Also write a class-imbalanced subsample, e.g. 2:8.")
 @click.option("--imbalanced-out", type=str, default=None)
-@click.pass_context
-@guarded
-def gen(ctx, classes, views, dim, n_per_class, separation, scale, out_path,
+def gen(state, classes, views, dim, n_per_class, separation, scale, out_path,
         ood_shift, ood_out, ratio, imbalanced_out):
     """Generate synthetic multi-view datasets (ID, optional OOD/imbalanced)."""
-    state: CliState = ctx.obj
-    resolved = _resolve(ctx, "gen", {
-        "classes": classes, "views": views, "dim": dim, "n_per_class": n_per_class,
-        "separation": separation, "scale": scale, "out_path": out_path,
-        "ood_shift": ood_shift, "ood_out": ood_out,
-        "ratio": ratio, "imbalanced_out": imbalanced_out,
-    })
-    seed = _seed(state, "gen")
-    _log_config(state, "gen", resolved, seed)
-    if (resolved["ood_shift"] is None) != (resolved["ood_out"] is None):
+    if (ood_shift is None) != (ood_out is None):
         raise ValueError("--ood-shift and --ood-out must be given together")
-    if (resolved["ratio"] is None) != (resolved["imbalanced_out"] is None):
+    if (ratio is None) != (imbalanced_out is None):
         raise ValueError("--ratio and --imbalanced-out must be given together")
 
     spec = datamod.SyntheticSpec.blobs(
-        num_classes=int(resolved["classes"]),
-        num_views=int(resolved["views"]),
-        view_dim=int(resolved["dim"]),
-        separation=float(resolved["separation"]),
-        scale=float(resolved["scale"]),
-        n_per_class=int(resolved["n_per_class"]),
-        seed=seed,
+        num_classes=classes, num_views=views, view_dim=dim, separation=separation,
+        scale=scale, n_per_class=n_per_class, seed=state.seed,
     )
     ds = datamod.gen_synthetic(spec)
-    datamod.save_csv(ds, resolved["out_path"])
-    _log(state, f"wrote {len(ds)} samples to {resolved['out_path']}")
-    summary = {"out": resolved["out_path"], "n": len(ds),
+    datamod.save_csv(ds, out_path)
+    _log(state, f"wrote {len(ds)} samples to {out_path}")
+    summary = {"out": out_path, "n": len(ds),
                "ood_out": None, "ood_n": None,
                "imbalanced_out": None, "imbalanced_n": None}
 
-    if resolved["ood_shift"] is not None:
-        ood = datamod.gen_ood(spec, float(resolved["ood_shift"]))
-        datamod.save_csv(ood, resolved["ood_out"])
-        _log(state, f"wrote {len(ood)} shifted samples to {resolved['ood_out']}")
-        summary["ood_out"] = resolved["ood_out"]
+    if ood_shift is not None:
+        ood = datamod.gen_ood(spec, ood_shift)
+        datamod.save_csv(ood, ood_out)
+        _log(state, f"wrote {len(ood)} shifted samples to {ood_out}")
+        summary["ood_out"] = ood_out
         summary["ood_n"] = len(ood)
-    if resolved["ratio"] is not None:
-        proportions = _parse_proportions(str(resolved["ratio"]), "ratio")
-        sub = datamod.resample_class_ratio(ds, proportions, seed)
-        datamod.save_csv(sub, resolved["imbalanced_out"])
-        _log(state, f"wrote {len(sub)} resampled samples to {resolved['imbalanced_out']}")
-        summary["imbalanced_out"] = resolved["imbalanced_out"]
+    if ratio is not None:
+        proportions = _parse_proportions(ratio, "ratio")
+        sub = datamod.resample_class_ratio(ds, proportions, state.seed)
+        datamod.save_csv(sub, imbalanced_out)
+        _log(state, f"wrote {len(sub)} resampled samples to {imbalanced_out}")
+        summary["imbalanced_out"] = imbalanced_out
         summary["imbalanced_n"] = len(sub)
     _emit(summary)
 
 
-@main.command()
+@subcommand()
 @click.argument("grid_file", type=str)
 @click.option("--roi", type=int, default=160, show_default=True)
 @click.option("--window", type=int, default=96, show_default=True)
@@ -303,42 +280,34 @@ def gen(ctx, classes, views, dim, n_per_class, separation, scale, out_path,
 @click.option("--center", type=str, default=None, help="ROI center as row,col.")
 @click.option("--cutout", type=str, default=None, help="Zeroed square as row,col,size (ROI-local).")
 @click.option("--out-dir", "out_dir", required=True, type=str)
-@click.pass_context
-@guarded
-def views(ctx, grid_file, roi, window, stride, center, cutout, out_dir):
+def views(state, grid_file, roi, window, stride, center, cutout, out_dir):
     """Tile a grid file into overlapping local views plus the global ROI."""
-    state: CliState = ctx.obj
-    resolved = _resolve(ctx, "views", {
-        "grid_file": grid_file, "roi": roi, "window": window, "stride": stride,
-        "center": center, "cutout": cutout, "out_dir": out_dir,
-    })
-    _log_config(state, "views", resolved)
-    geom = datamod.ViewGeometry(int(resolved["roi"]), int(resolved["window"]), int(resolved["stride"]))
-    grid = datamod.load_grid(resolved["grid_file"])
+    geom = datamod.ViewGeometry(roi, window, stride)
+    grid = datamod.load_grid(grid_file)
     center_xy = None
-    if resolved["center"] is not None:
-        center_xy = _parse_ints(resolved["center"], "center")
+    if center is not None:
+        center_xy = _parse_ints(center, "center")
         if len(center_xy) != 2:
             raise ValueError("center must be row,col")
     cut = None
-    if resolved["cutout"] is not None:
-        cut = _parse_ints(resolved["cutout"], "cutout")
+    if cutout is not None:
+        cut = _parse_ints(cutout, "cutout")
         if len(cut) != 3:
             raise ValueError("cutout must be row,col,size")
     patches, roi_patch = datamod.extract_views(grid, geom, center=center_xy, cutout=cut)
-    os.makedirs(resolved["out_dir"], exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     local_paths = []
     for i, patch in enumerate(patches):
-        path = os.path.join(resolved["out_dir"], f"local_{i:02d}.txt")
+        path = os.path.join(out_dir, f"local_{i:02d}.txt")
         datamod.save_grid(patch, path)
         local_paths.append(path)
-    global_path = os.path.join(resolved["out_dir"], "global.txt")
+    global_path = os.path.join(out_dir, "global.txt")
     datamod.save_grid(roi_patch, global_path)
-    _log(state, f"wrote {len(local_paths)} local views and the ROI to {resolved['out_dir']}")
+    _log(state, f"wrote {len(local_paths)} local views and the ROI to {out_dir}")
     _emit({"locals": local_paths, "global": global_path, "patch_count": len(local_paths)})
 
 
-@main.command()
+@subcommand(seeded=True)
 @click.option("--data", "data_path", required=True, type=str)
 @click.option("--valid", "valid_path", required=True, type=str)
 @click.option("--out", "out_path", required=True, type=str, help="Checkpoint destination.")
@@ -354,45 +323,33 @@ def views(ctx, grid_file, roi, window, stride, center, cutout, out_dir):
 @click.option("--base-rate", "base_rate_mode", type=click.Choice(["train", "uniform"]),
               default="train", show_default=True,
               help="Prior from training class frequencies, or uniform.")
-@click.pass_context
-@guarded
-def train(ctx, data_path, valid_path, out_path, classes, n_views, dims, hidden,
+def train(state, data_path, valid_path, out_path, classes, n_views, dims, hidden,
           lr, epochs, batch_size, anneal_epochs, prior_weight, base_rate_mode):
     """Train an evidential model and write its checkpoint."""
-    state: CliState = ctx.obj
-    resolved = _resolve(ctx, "train", {
-        "data_path": data_path, "valid_path": valid_path, "out_path": out_path,
-        "classes": classes, "n_views": n_views, "dims": dims, "hidden": hidden,
-        "lr": lr, "epochs": epochs, "batch_size": batch_size,
-        "anneal_epochs": anneal_epochs, "prior_weight": prior_weight,
-        "base_rate_mode": base_rate_mode,
-    })
-    seed = _seed(state, "train")
-    _log_config(state, "train", resolved, seed)
-    view_dims = _parse_ints(resolved["dims"], "dims")
+    view_dims = _parse_ints(dims, "dims")
     config = ModelConfig(
-        num_classes=int(resolved["classes"]),
-        num_views=int(resolved["n_views"]),
+        num_classes=classes,
+        num_views=n_views,
         view_dims=view_dims,
-        hidden=_parse_ints(resolved["hidden"], "hidden"),
-        prior_weight=resolved["prior_weight"],
-        learning_rate=float(resolved["lr"]),
-        epochs=int(resolved["epochs"]),
-        batch_size=int(resolved["batch_size"]),
-        anneal_epochs=resolved["anneal_epochs"],
-        seed=seed,
+        hidden=_parse_ints(hidden, "hidden"),
+        prior_weight=prior_weight,
+        learning_rate=lr,
+        epochs=epochs,
+        batch_size=batch_size,
+        anneal_epochs=anneal_epochs,
+        seed=state.seed,
     )
-    train_ds = datamod.load_csv(resolved["data_path"], config.num_classes, config.num_views, view_dims)
-    valid_ds = datamod.load_csv(resolved["valid_path"], config.num_classes, config.num_views, view_dims)
-    if resolved["base_rate_mode"] == "uniform":
+    train_ds = datamod.load_csv(data_path, config.num_classes, config.num_views, view_dims)
+    valid_ds = datamod.load_csv(valid_path, config.num_classes, config.num_views, view_dims)
+    if base_rate_mode == "uniform":
         base = BaseRate(np.full(config.num_classes, 1.0 / config.num_classes), config.prior_weight)
     else:
         base = compute_base_rate(train_ds.labels(), config.num_classes, config.prior_weight)
     model = EvidentialModel.initialize(config, base)
     _log(state, f"training on {len(train_ds)} samples, validating on {len(valid_ds)}")
     report = fit(model, train_ds, valid_ds)
-    save_checkpoint(model, resolved["out_path"])
-    _log(state, f"checkpoint written to {resolved['out_path']}")
+    save_checkpoint(model, out_path)
+    _log(state, f"checkpoint written to {out_path}")
     final = {}
     if report.train_loss:
         final = {
@@ -402,7 +359,7 @@ def train(ctx, data_path, valid_path, out_path, classes, n_views, dims, hidden,
             "valid_acc": report.valid_acc[-1],
         }
     _emit({
-        "checkpoint": resolved["out_path"],
+        "checkpoint": out_path,
         "base_rate": model.base_rate.to_dict(),
         "epochs": config.epochs,
         "final": final,
@@ -425,31 +382,23 @@ def _load_for_model(model: EvidentialModel, path):
     return datamod.load_csv(path, cfg.num_classes, cfg.num_views, cfg.view_dims)
 
 
-@main.command("eval")
+@subcommand("eval")
 @click.option("--model", "model_path", required=True, type=str)
 @click.option("--data", "data_path", required=True, type=str)
 @click.option("--base-rate-override", type=str, default=None,
               help="Test-time prior proportions, e.g. 8:2 or 0.8,0.2.")
 @click.option("--bins", type=int, default=10, show_default=True)
-@click.pass_context
-@guarded
-def eval_cmd(ctx, model_path, data_path, base_rate_override, bins):
+def eval_cmd(state, model_path, data_path, base_rate_override, bins):
     """Evaluate a checkpoint: accuracy, AUC, calibration, per-sample records."""
-    state: CliState = ctx.obj
-    resolved = _resolve(ctx, "eval", {
-        "model_path": model_path, "data_path": data_path,
-        "base_rate_override": base_rate_override, "bins": bins,
-    })
-    _log_config(state, "eval", resolved)
-    model = load_checkpoint(resolved["model_path"])
-    ds = _load_for_model(model, resolved["data_path"])
+    model = load_checkpoint(model_path)
+    ds = _load_for_model(model, data_path)
     override = None
-    if resolved["base_rate_override"] is not None:
-        rates = _parse_proportions(str(resolved["base_rate_override"]), "base rate override")
+    if base_rate_override is not None:
+        rates = _parse_proportions(base_rate_override, "base rate override")
         override = BaseRate(rates, model.base_rate.weight)
     predicted, confidence, uncertainty = _scores(model, ds, override)
     labels = ds.labels()
-    report = metricsmod.report_from_arrays(predicted, confidence, labels, int(resolved["bins"]))
+    report = metricsmod.report_from_arrays(predicted, confidence, labels, bins)
     report["base_rate_override"] = None if override is None else override.rates.tolist()
     report["records"] = [
         {"id": i, "predicted": p, "confidence": c, "uncertainty": u, "label": y}
@@ -460,33 +409,25 @@ def eval_cmd(ctx, model_path, data_path, base_rate_override, bins):
     _emit(report)
 
 
-@main.command()
+@subcommand()
 @click.option("--model", "model_path", required=True, type=str)
 @click.option("--id-data", "id_path", required=True, type=str)
 @click.option("--ood-data", "ood_path", required=True, type=str)
 @click.option("--percentile", type=float, default=50.0, show_default=True)
-@click.pass_context
-@guarded
-def ood(ctx, model_path, id_path, ood_path, percentile):
+def ood(state, model_path, id_path, ood_path, percentile):
     """Flag out-of-distribution samples by scaled combined uncertainty."""
-    state: CliState = ctx.obj
-    resolved = _resolve(ctx, "ood", {
-        "model_path": model_path, "id_path": id_path, "ood_path": ood_path,
-        "percentile": percentile,
-    })
-    _log_config(state, "ood", resolved)
-    model = load_checkpoint(resolved["model_path"])
-    id_ds = _load_for_model(model, resolved["id_path"])
-    ood_ds = _load_for_model(model, resolved["ood_path"])
+    model = load_checkpoint(model_path)
+    id_ds = _load_for_model(model, id_path)
+    ood_ds = _load_for_model(model, ood_path)
     id_u = _scores(model, id_ds, None)[2]
     ood_u = _scores(model, ood_ds, None)[2]
-    result = metricsmod.ood_detect(id_u, ood_u, float(resolved["percentile"]))
+    result = metricsmod.ood_detect(id_u, ood_u, percentile)
     id_flags = result.scaled_val > result.threshold
     correct = int((~id_flags).sum()) + int(result.flags.sum())
     detection_acc = correct / (len(id_ds) + len(ood_ds))
     _emit({
         "threshold": result.threshold,
-        "percentile": float(resolved["percentile"]),
+        "percentile": percentile,
         "detection_accuracy": detection_acc,
         "mean_uncertainty_id": float(id_u.mean()),
         "mean_uncertainty_ood": float(ood_u.mean()),
@@ -504,7 +445,7 @@ def _ood_rows(ids, uncertainty, scaled, flags) -> list:
     ]
 
 
-@main.command("adapt-sweep")
+@subcommand("adapt-sweep", seeded=True)
 @click.option("--model", "model_path", required=True, type=str,
               help="Checkpoint trained with the training-frequency prior.")
 @click.option("--uniform-model", "uniform_path", required=True, type=str,
@@ -512,32 +453,22 @@ def _ood_rows(ids, uncertainty, scaled, flags) -> list:
 @click.option("--data", "data_path", required=True, type=str)
 @click.option("--ratios", type=str, default="2:8,3:7,7:3,8:2", show_default=True)
 @click.option("--bins", type=int, default=10, show_default=True)
-@click.pass_context
-@guarded
-def adapt_sweep(ctx, model_path, uniform_path, data_path, ratios, bins):
+def adapt_sweep(state, model_path, uniform_path, data_path, ratios, bins):
     """Class-shift sweep: evaluate prior strategies across test ratios.
 
     Strategies per ratio: no_prior (uniform-prior model), train_prior
     (training-frequency model), train_test_prior (training-frequency model
     re-anchored to the true test ratio).
     """
-    state: CliState = ctx.obj
-    resolved = _resolve(ctx, "adapt-sweep", {
-        "model_path": model_path, "uniform_path": uniform_path,
-        "data_path": data_path, "ratios": ratios, "bins": bins,
-    })
-    seed = _seed(state, "adapt-sweep")
-    _log_config(state, "adapt-sweep", resolved, seed)
-    model = load_checkpoint(resolved["model_path"])
-    uniform_model = load_checkpoint(resolved["uniform_path"])
-    ds = _load_for_model(model, resolved["data_path"])
-    num_bins = int(resolved["bins"])
+    model = load_checkpoint(model_path)
+    uniform_model = load_checkpoint(uniform_path)
+    ds = _load_for_model(model, data_path)
 
     lines = ["ratio,strategy,auc,ece"]
-    for ratio_text in str(resolved["ratios"]).split(","):
+    for ratio_text in ratios.split(","):
         ratio_text = ratio_text.strip()
         proportions = _parse_proportions(ratio_text, "ratio")
-        sub = datamod.resample_class_ratio(ds, proportions, seed)
+        sub = datamod.resample_class_ratio(ds, proportions, state.seed)
         test_rate = BaseRate(proportions, model.base_rate.weight)
         runs = (
             ("no_prior", uniform_model, None),
@@ -546,7 +477,7 @@ def adapt_sweep(ctx, model_path, uniform_path, data_path, ratios, bins):
         )
         for name, m, override in runs:
             predicted, confidence, _ = _scores(m, sub, override)
-            report = metricsmod.report_from_arrays(predicted, confidence, sub.labels(), num_bins)
+            report = metricsmod.report_from_arrays(predicted, confidence, sub.labels(), bins)
             auc = "" if report["auc"] is None else f"{report['auc']:.6f}"
             lines.append(f"{ratio_text},{name},{auc},{report['ece']:.6f}")
         _log(state, f"ratio {ratio_text}: evaluated {len(sub)} samples x 3 strategies")

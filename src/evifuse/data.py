@@ -343,7 +343,13 @@ def save_csv(ds: MultiViewDataset, path) -> None:
     """One row per sample: id, label, then view features in view order.
 
     Features are written as repr of the float, which reads back exactly.
+    An id holding a comma or a line boundary would not read back, so it is
+    a ValueError, raised before the file is opened.
     """
+    for sample_id in ds.ids:
+        # the appended character makes a trailing line boundary split too
+        if "," in sample_id or len((sample_id + ".").splitlines()) > 1:
+            raise ValueError(f"sample id {sample_id!r} holds a comma or a line break")
     rows = np.concatenate(ds.views, axis=1).tolist()
     lines = [_csv_header(ds.view_dims)]
     lines.extend(

@@ -119,20 +119,12 @@ def kl_dirichlet(p: DirichletParams, q: DirichletParams) -> float:
     """
     if p.num_classes != q.num_classes:
         raise ValueError("KL divergence needs equal numbers of classes")
-    return float(kl_dirichlet_rows(p.alpha, q.alpha))
-
-
-def kl_dirichlet_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kl_dirichlet over the last axis of (..., K) concentration arrays.
-
-    `a` and `b` broadcast against each other; inputs are not validated, so
-    callers pass strictly positive, finite values.
-    """
-    return kl_from_gammas(a, b, *gammas(a, a.sum(axis=-1), b, b.sum(axis=-1)))
+    a, b = p.alpha, q.alpha
+    return float(kl_from_gammas(a, b, *gammas(a, a.sum(axis=-1), b, b.sum(axis=-1))))
 
 
 def kl_from_gammas(a, b, g_a, g_sa, g_b, g_sb) -> np.ndarray:
-    """kl_dirichlet_rows from `gammas` triples of a, sum(a), b and sum(b).
+    """KL[Dir(a) || Dir(b)] over the last axis, from `gammas` of a, sum(a), b, sum(b).
 
     Lets a caller that needs more special-function values than the KL fetch
     all of them in one `gammas` call.

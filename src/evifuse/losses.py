@@ -170,18 +170,6 @@ def ice_grad(alpha: DirichletParams, label: int) -> np.ndarray:
     return _ice_terms(*_one(alpha, label))[1][0]
 
 
-def masked_alpha(alpha: DirichletParams, label: int, beta: DirichletParams) -> DirichletParams:
-    """Copy of alpha with the label component replaced by the prior's.
-
-    This removes the true class's evidence from the regularizer, so correct
-    confidence is never penalized.
-    """
-    if alpha.num_classes != beta.num_classes:
-        raise ValueError("alpha and beta disagree on the number of classes")
-    a, hot = _one(alpha, label)
-    return DirichletParams(np.where(hot, beta.alpha, a)[0])
-
-
 def _checked_kl_terms(alpha: DirichletParams, label: int, beta: DirichletParams):
     if alpha.num_classes != beta.num_classes:
         raise ValueError("alpha and beta disagree on the number of classes")
@@ -189,7 +177,11 @@ def _checked_kl_terms(alpha: DirichletParams, label: int, beta: DirichletParams)
 
 
 def kl_reg_loss(alpha: DirichletParams, label: int, beta: DirichletParams) -> float:
-    """KL[Dir(masked alpha) || Dir(beta)]: pulls off-label evidence to zero."""
+    """KL[Dir(masked alpha) || Dir(beta)]: pulls off-label evidence to zero.
+
+    The masked alpha is alpha with its label entry replaced by beta's, so
+    evidence for the true class is never penalized.
+    """
     return float(_checked_kl_terms(alpha, label, beta)[0][0])
 
 
@@ -198,21 +190,15 @@ def kl_reg_grad(alpha: DirichletParams, label: int, beta: DirichletParams) -> np
     return _checked_kl_terms(alpha, label, beta)[1][0]
 
 
-def per_view_loss(alpha: DirichletParams, label: int, cfg: LossConfig) -> float:
-    """ice_loss + lam * kl_reg_loss for one opinion's Dirichlet."""
-    return ice_loss(alpha, label) + cfg.lam * kl_reg_loss(alpha, label, cfg.beta)
-
-
-def per_view_grad(alpha: DirichletParams, label: int, cfg: LossConfig) -> np.ndarray:
-    return ice_grad(alpha, label) + cfg.lam * kl_reg_grad(alpha, label, cfg.beta)
-
-
 def overall_loss(view_alphas, combined_alpha: DirichletParams, label: int, cfg: LossConfig) -> float:
-    """Combined-opinion loss plus the sum of the per-view losses."""
-    total = per_view_loss(combined_alpha, label, cfg)
-    for alpha in view_alphas:
-        total += per_view_loss(alpha, label, cfg)
-    return total
+    """Combined-opinion loss plus the sum of the per-view losses.
+
+    Each Dirichlet's loss is ice_loss + lam * kl_reg_loss.
+    """
+    return sum(
+        ice_loss(alpha, label) + cfg.lam * kl_reg_loss(alpha, label, cfg.beta)
+        for alpha in [combined_alpha, *view_alphas]
+    )
 
 
 def _evidence_array(e) -> np.ndarray:

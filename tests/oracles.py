@@ -159,6 +159,13 @@ def _alpha_jacobian(z, w):
     return jac
 
 
+def masked_alpha_reference(alpha, label, beta):
+    """Copy of alpha with the label entry replaced by the prior's."""
+    masked = np.array(alpha, dtype=float)
+    masked[label] = beta[label]
+    return masked
+
+
 def per_view_loss_and_grad_reference(alpha, label, lam, beta):
     """ICE plus lam times the label-masked KL, from scipy's special functions."""
     alpha = np.maximum(np.asarray(alpha, dtype=float), 1e-8)
@@ -168,8 +175,7 @@ def per_view_loss_and_grad_reference(alpha, label, lam, beta):
     ice_g = np.full(alpha.size, special.polygamma(1, s))
     ice_g[label] -= special.polygamma(1, alpha[label])
 
-    at = alpha.copy()
-    at[label] = beta[label]
+    at = masked_alpha_reference(alpha, label, beta)
     sa, sb = at.sum(), beta.sum()
     kl = max(0.0, float(
         special.gammaln(sa) - special.gammaln(sb)

@@ -5,6 +5,7 @@ import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -464,6 +465,93 @@ class TestConfigPrecedence:
 
     def test_missing_config_exits_4(self, tmp_path):
         run(["--config", str(tmp_path / "nope.json"), "gen", "--out", str(tmp_path / "a.csv")], expect=4)
+
+    @staticmethod
+    def config(tmp_path, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return ["--config", str(path)]
+
+    @staticmethod
+    def assert_one_line_error(result, *parts):
+        assert result.stdout == "" and "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert all(part in result.stderr for part in parts), result.stderr
+
+    @pytest.mark.parametrize("command,key,value,args", [
+        ("fuse", "chain", "bogus", ["--opinions", "o.json", "--base-rate", UNIFORM2]),
+        ("train", "base_rate_mode", "uniformm", []),
+        ("eval", "bins", "ten", []),
+    ])
+    def test_value_outside_the_option_type_exits_2(self, tmp_path, command, key, value, args):
+        cfg = self.config(tmp_path, {command: {key: value}})
+        result = run([*cfg, command, *args], expect=2)
+        self.assert_one_line_error(result, f"config section {command!r} key {key!r}", repr(value))
+
+    @pytest.mark.parametrize("key,value", [
+        ("classes", [1]), ("n_per_class", {"n": 3}), ("seed", [1]), ("out_path", ["a.csv"]),
+    ])
+    def test_list_or_object_value_exits_2(self, tmp_path, key, value):
+        cfg = self.config(tmp_path, {"gen": {key: value}})
+        result = run([*cfg, "gen", "--out", str(tmp_path / "a.csv")], expect=2)
+        self.assert_one_line_error(result, f"config section 'gen' key {key!r}", json.dumps(value))
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_null_means_the_declared_default(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg = self.config(tmp_path, {"gen": {"seed": None, "classes": None, "n_per_class": 4}})
+        with_nulls = run([*cfg, "gen", "--out", str(a)])
+        plain = run(["gen", "--n-per-class", "4", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+        assert with_nulls.stderr.replace(str(a), str(b)) == plain.stderr
+
+    def test_null_bins_uses_ten(self, trained, tmp_path):
+        args = ["eval", "--model", str(trained["model"]), "--data", str(trained["valid"])]
+        doc = out_json(run([*self.config(tmp_path, {"eval": {"bins": None}}), *args]))
+        assert len(doc["bins"]) == 10
+        assert doc == out_json(run(args))
+
+    def test_required_train_options_from_config(self, trained, tmp_path):
+        flags = {
+            "--data": str(trained["train"]), "--valid": str(trained["valid"]), "--classes": 2,
+            "--views": 2, "--dims": "2,2", "--hidden": "4", "--lr": 1e-3, "--epochs": 2,
+        }
+        by_flags, by_config = tmp_path / "flags.json", tmp_path / "config.json"
+        a = run(["--seed", "0", "train", *(str(x) for kv in flags.items() for x in kv),
+                 "--out", str(by_flags)])
+        section = {
+            "data_path": str(trained["train"]), "valid_path": str(trained["valid"]),
+            "out_path": str(by_config), "classes": 2, "n_views": 2, "dims": "2,2",
+            "hidden": "4", "lr": 1e-3, "epochs": 2, "seed": 0,
+        }
+        b = run([*self.config(tmp_path, {"train": section}), "train"])
+        assert by_config.read_bytes() == by_flags.read_bytes()
+        assert out_json(a)["curves"] == out_json(b)["curves"]
+
+    @pytest.mark.parametrize("command,param", [
+        (name, param)
+        for name, command in sorted(main.commands.items())
+        for param in [*command.params, None]
+    ], ids=lambda x: x if isinstance(x, str) else getattr(x, "name", "seed"))
+    def test_every_parameter_is_a_config_key(self, tmp_path, command, param):
+        # Required parameters the config does not give come as flags; every
+        # path is missing, so each command logs its parameters and stops.
+        missing = str(tmp_path / "missing" / "file")
+        args = []
+        for p in main.commands[command].params:
+            if p.required and p is not param:
+                value = "2" if p.type is click.INT else missing
+                args += [value] if isinstance(p, click.Argument) else [p.opts[0], value]
+        if param is None:
+            key, value = "seed", 3
+        elif isinstance(param.type, click.Choice):
+            key, value = param.name, next(c for c in param.type.choices if c != param.default)
+        else:
+            key, value = param.name, {click.INT: 3, click.FLOAT: 0.5}.get(param.type, missing)
+        result = runner.invoke(main, [*self.config(tmp_path, {command: {key: value}}), command, *args])
+        assert result.exit_code in (2, 4) and "Traceback" not in result.stderr
+        logged = json.loads(result.stderr.split(" config: ", 1)[1].splitlines()[0])
+        assert logged.get(key, value) == value and (param is None or key in logged)
 
 
 class TestQuiet:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -343,6 +345,14 @@ class TestCsv:
         assert [s.id for s in back] == [s.id for s in ds]
         assert np.array_equal(back.labels(), ds.labels())
         assert np.array_equal(flat_features(back), flat_features(ds))
+
+    @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\u2028b", "a\r"])
+    def test_id_that_cannot_round_trip_is_rejected(self, tmp_path, bad_id):
+        ds = MultiViewDataset.from_arrays([np.zeros((2, 1))], [0, 1], [bad_id, "c"], 2)
+        path = tmp_path / "ds.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(bad_id))):
+            save_csv(ds, path)
+        assert not path.exists()
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

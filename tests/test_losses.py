@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evifuse.dirichlet import BaseRate, DirichletParams, combined_evidence
+from evifuse.dirichlet import BaseRate, DirichletParams, combined_evidence, kl_dirichlet
 from evifuse.losses import (
     LossConfig,
     annealed_lambda,
@@ -14,15 +14,17 @@ from evifuse.losses import (
     ice_loss,
     kl_reg_grad,
     kl_reg_loss,
-    masked_alpha,
     overall_grad,
     overall_loss,
     overall_loss_and_grad,
     overall_loss_rows,
-    per_view_grad,
-    per_view_loss,
 )
-from oracles import fd_grad, overall_loss_and_grad_chain
+from oracles import (
+    fd_grad,
+    masked_alpha_reference,
+    overall_loss_and_grad_chain,
+    per_view_loss_and_grad_reference,
+)
 
 PI2_6 = math.pi * math.pi / 6.0
 
@@ -89,8 +91,11 @@ class TestIce:
 
 class TestKlRegularizer:
     def test_masking_replaces_label_entry(self):
-        got = masked_alpha(DirichletParams([5.0, 3.0, 2.0]), 1, DirichletParams([1.0, 1.0, 1.0]))
-        assert np.array_equal(got.alpha, [5.0, 1.0, 2.0])
+        alpha, beta = DirichletParams([5.0, 3.0, 2.0]), DirichletParams([1.0, 1.0, 1.0])
+        masked = masked_alpha_reference(alpha.alpha, 1, beta.alpha)
+        assert np.array_equal(masked, [5.0, 1.0, 2.0])
+        want = kl_dirichlet(DirichletParams(masked), beta)
+        assert kl_reg_loss(alpha, 1, beta) == pytest.approx(want, rel=1e-14)
 
     def test_zero_when_only_label_evidence(self):
         beta = DirichletParams([1.0, 1.0])
@@ -121,27 +126,30 @@ class TestKlRegularizer:
 
 
 class TestPerView:
+    """ice + lam * masked KL, one Dirichlet's term, against the scipy reference."""
+
     def test_lambda_zero_is_pure_ice(self):
-        cfg = uniform_cfg(2, 0.0)
         alpha = DirichletParams([3.0, 2.0])
-        assert per_view_loss(alpha, 0, cfg) == ice_loss(alpha, 0)
+        loss, grad = per_view_loss_and_grad_reference(alpha.alpha, 0, 0.0, [1.0, 1.0])
+        assert loss == pytest.approx(ice_loss(alpha, 0), rel=1e-12)
+        assert np.allclose(grad, ice_grad(alpha, 0), rtol=1e-12, atol=0.0)
 
     def test_lambda_blends_terms(self):
         alpha = DirichletParams([3.0, 2.0])
         beta = DirichletParams([1.0, 1.0])
         for lam in (0.25, 1.0):
-            cfg = LossConfig(lam, beta)
-            want = ice_loss(alpha, 0) + lam * kl_reg_loss(alpha, 0, beta)
-            assert per_view_loss(alpha, 0, cfg) == pytest.approx(want, rel=1e-15)
+            want, _ = per_view_loss_and_grad_reference(alpha.alpha, 0, lam, beta.alpha)
+            got = ice_loss(alpha, 0) + lam * kl_reg_loss(alpha, 0, beta)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_grad_matches_finite_differences(self):
-        cfg = LossConfig(0.7, DirichletParams([1.0, 1.0, 1.0]))
+        beta = DirichletParams([1.0, 1.0, 1.0])
         rng = np.random.default_rng(3)
         for _ in range(25):
             a = rng.uniform(0.3, 15.0, 3)
             label = int(rng.integers(0, 3))
-            got = per_view_grad(DirichletParams(a), label, cfg)
-            want = fd_grad(lambda x: per_view_loss(DirichletParams(x), label, cfg), a)
+            got = ice_grad(DirichletParams(a), label) + 0.7 * kl_reg_grad(DirichletParams(a), label, beta)
+            want = fd_grad(lambda x: per_view_loss_and_grad_reference(x, label, 0.7, beta.alpha)[0], a)
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-6
 
 
@@ -230,9 +238,9 @@ class TestOverall:
         cfg = LossConfig(0.5, DirichletParams([1.0, 1.0]))
         e = np.array([3.0, 1.0])
         loss, grads = overall_loss_and_grad([e], base, 0, cfg)
-        alpha = DirichletParams(e + 1.0)
-        assert loss == pytest.approx(2.0 * per_view_loss(alpha, 0, cfg), rel=1e-10)
-        assert np.allclose(grads[0], 2.0 * per_view_grad(alpha, 0, cfg), atol=1e-8)
+        want_loss, want_grad = per_view_loss_and_grad_reference(e + 1.0, 0, 0.5, [1.0, 1.0])
+        assert loss == pytest.approx(2.0 * want_loss, rel=1e-10)
+        assert np.allclose(grads[0], 2.0 * want_grad, atol=1e-8)
 
     def test_empty_views_rejected(self):
         with pytest.raises(ValueError):
