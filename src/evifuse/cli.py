@@ -95,8 +95,12 @@ def _parse_ints(text: str, what: str) -> tuple:
 def _config_section(ctx: click.Context, config_path: str) -> dict:
     """The invoked subcommand's config section, its values cast by each option's type.
 
-    Null values are dropped, so they mean the declared default. `seed` is
-    allowed in every section and cast by the group's own `--seed`.
+    Every top-level key must name a subcommand. Null values are dropped, so
+    they mean the declared default. Every option takes a number or a string
+    (none is a flag), so a boolean, list or object is rejected, and so is a
+    non-integral number for an integer option, which click's cast would
+    truncate. `seed` is allowed in every section and cast by the group's own
+    `--seed`.
     """
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -107,6 +111,9 @@ def _config_section(ctx: click.Context, config_path: str) -> dict:
         _fail(EXIT_VALIDATION, f"{config_path}: {exc}")
     if not isinstance(config, dict):
         _fail(EXIT_VALIDATION, f"{config_path}: config root must be an object")
+    for key in config:
+        if key not in ctx.command.commands:
+            _fail(EXIT_VALIDATION, f"{config_path}: config section {key!r} names no subcommand")
     name = ctx.invoked_subcommand
     section = config.get(name, {})
     if not isinstance(section, dict):
@@ -118,8 +125,11 @@ def _config_section(ctx: click.Context, config_path: str) -> dict:
         if key not in params:
             _fail(EXIT_VALIDATION, f"config section {name!r} has unknown key {key!r}")
         where = f"config section {name!r} key {key!r}"
-        if isinstance(value, (list, dict)):
-            _fail(EXIT_VALIDATION, f"{where}: expected a single value, got {json.dumps(value)}")
+        if isinstance(value, (list, dict, bool)):
+            _fail(EXIT_VALIDATION, f"{where}: expected a number or a string, got {json.dumps(value)}")
+        integer = isinstance(params[key].type, click.types.IntParamType)
+        if integer and isinstance(value, float) and not value.is_integer():
+            _fail(EXIT_VALIDATION, f"{where}: expected an integer, got {json.dumps(value)}")
         if value is not None:
             try:
                 values[key] = params[key].type_cast_value(ctx, value)

@@ -39,10 +39,11 @@ from .dirichlet import (
 )
 from .specfun import gammas
 
-# Floor for the alphas behind the ICE arguments (S, alpha_label) and behind
-# the psi' arguments of the KL gradient. The KL value itself is taken on the
-# unfloored masked alpha. Evidence is nonnegative by construction upstream,
-# so this only guards degenerate configurations.
+# Floor for alpha, applied once before any loss argument is formed: the ICE
+# arguments (S, alpha_label) and the masked alpha all come from the floored
+# alpha, so the KL value and its gradient are taken at the same point. Every
+# alpha is at least beta = a*W, since evidence is nonnegative, so the floor
+# binds only where some a_k*W lies below it.
 _ALPHA_FLOOR = 1e-8
 
 
@@ -79,82 +80,51 @@ def _checked_labels(labels, num_rows: int, num_classes: int) -> np.ndarray:
     return arr
 
 
-def _floored(alpha: np.ndarray) -> np.ndarray:
-    return np.maximum(alpha, _ALPHA_FLOOR)
-
-
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels[..., None] == np.arange(num_classes)
 
 
-def _ice_args(alpha: np.ndarray, hot: np.ndarray):
-    """The arguments whose special functions the ICE term needs: S, alpha_label."""
-    a = _floored(alpha)
-    return a.sum(axis=-1), np.where(hot, a, 0.0).sum(axis=-1)
+def _special(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
+    """The loss arguments of alpha (..., K) and their `gammas`, from one call.
+
+    The arguments are S, alpha_label, the masked alpha (the floored alpha
+    with its label entry replaced by beta's), its sum, beta and sum(beta).
+    """
+    a = np.maximum(alpha, _ALPHA_FLOOR)
+    masked = np.where(hot, beta, a)
+    args = (a.sum(axis=-1), np.where(hot, a, 0.0).sum(axis=-1),
+            masked, masked.sum(axis=-1), beta, beta.sum())
+    return args, gammas(*args)
 
 
-def _ice_loss_from(g_s, g_label):
-    """ICE loss (...,) from the `gammas` of _ice_args: psi(S) - psi(alpha_label)."""
-    return g_s[1] - g_label[1]
+def _values(args, g):
+    """ICE psi(S) - psi(alpha_label) and the masked KL, each (...,), from _special."""
+    return g[0][1] - g[1][1], kl_from_gammas(args[2], args[4], *g[2:])
 
 
-def _ice_from(hot: np.ndarray, g_s, g_label):
-    """ICE loss (...,) and its gradient (..., K) from the `gammas` of _ice_args."""
-    grad = np.expand_dims(g_s[2], -1) - hot * np.expand_dims(g_label[2], -1)
-    return _ice_loss_from(g_s, g_label), grad
+def _grads(hot: np.ndarray, args, g):
+    """Gradients (..., K) of both _values w.r.t. alpha, from the same triples' psi'.
+
+    The KL gradient is zero at the label, whose masked entry is beta's.
+    """
+    _, _, masked, s_masked, beta, s_beta = args
+    ice = np.expand_dims(g[0][2], -1) - hot * np.expand_dims(g[1][2], -1)
+    kl = (masked - beta) * g[2][2] - np.expand_dims((s_masked - s_beta) * g[3][2], -1)
+    return ice, np.where(hot, 0.0, kl)
 
 
-def _kl_loss_args(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
-    """Masked alpha and beta, each followed by its sum: the KL value's arguments."""
-    masked = np.where(hot, beta, alpha)
-    return masked, masked.sum(axis=-1), beta, beta.sum()
+def _one(alpha: DirichletParams, label: int, beta: DirichletParams | None = None):
+    """ICE and KL values and gradients of a single Dirichlet and label.
 
-
-def _kl_args(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
-    """_kl_loss_args plus the floored masked alpha and its sum, for the gradient."""
-    args = _kl_loss_args(alpha, hot, beta)
-    floored = _floored(args[0])
-    return (*args, floored, floored.sum(axis=-1))
-
-
-def _kl_from(hot: np.ndarray, args, g_m, g_sm, g_b, g_sb, g_f, g_sf):
-    """Masked-KL loss (...,) and its gradient (..., K), zero at the label."""
-    masked, _, beta, s_beta, floored, s_floored = args
-    loss = kl_from_gammas(masked, beta, g_m, g_sm, g_b, g_sb)
-    grad = (floored - beta) * g_f[2] - np.expand_dims((s_floored - s_beta) * g_sf[2], -1)
-    return loss, np.where(hot, 0.0, grad)
-
-
-def _ice_terms(alpha: np.ndarray, hot: np.ndarray):
-    return _ice_from(hot, *gammas(*_ice_args(alpha, hot)))
-
-
-def _kl_terms(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
-    args = _kl_args(alpha, hot, beta)
-    return _kl_from(hot, args, *gammas(*args))
-
-
-def _per_view_terms(alpha: np.ndarray, hot: np.ndarray, cfg: LossConfig):
-    """ICE + lam * masked KL, and its gradient, from one `gammas` call."""
-    ice_args = _ice_args(alpha, hot)
-    kl_args = _kl_args(alpha, hot, cfg.beta.alpha)
-    g = gammas(*ice_args, *kl_args)
-    ice, ice_g = _ice_from(hot, *g[:2])
-    kl, kl_g = _kl_from(hot, kl_args, *g[2:])
-    return ice + cfg.lam * kl, ice_g + cfg.lam * kl_g
-
-
-def _per_view_losses(alpha: np.ndarray, hot: np.ndarray, cfg: LossConfig):
-    """The losses of _per_view_terms without gradients, from one `gammas` call."""
-    masked, s_masked, beta, s_beta = _kl_loss_args(alpha, hot, cfg.beta.alpha)
-    g_s, g_label, *g_kl = gammas(*_ice_args(alpha, hot), masked, s_masked, beta, s_beta)
-    return _ice_loss_from(g_s, g_label) + cfg.lam * kl_from_gammas(masked, beta, *g_kl)
-
-
-def _one(alpha: DirichletParams, label: int):
-    """A single Dirichlet and label as a batch of one, with its label mask."""
-    labels = _checked_labels([int(label)], 1, alpha.num_classes)
-    return alpha.alpha[None, :], _one_hot(labels, alpha.num_classes)
+    The ICE ignores beta; without one, unit concentrations stand in.
+    """
+    k = alpha.num_classes
+    if beta is not None and beta.num_classes != k:
+        raise ValueError("alpha and beta disagree on the number of classes")
+    hot = _one_hot(_checked_labels([int(label)], 1, k), k)
+    args, triples = _special(alpha.alpha[None, :], hot, np.ones(k) if beta is None else beta.alpha)
+    (ice, kl), (ice_g, kl_g) = _values(args, triples), _grads(hot, args, triples)
+    return float(ice[0]), float(kl[0]), ice_g[0], kl_g[0]
 
 
 def ice_loss(alpha: DirichletParams, label: int) -> float:
@@ -162,18 +132,12 @@ def ice_loss(alpha: DirichletParams, label: int) -> float:
 
     Nonnegative, since the label component never exceeds the total strength.
     """
-    return float(_ice_terms(*_one(alpha, label))[0][0])
+    return _one(alpha, label)[0]
 
 
 def ice_grad(alpha: DirichletParams, label: int) -> np.ndarray:
     """d ice_loss / d alpha_j = psi'(S) - [j == label] psi'(alpha_label)."""
-    return _ice_terms(*_one(alpha, label))[1][0]
-
-
-def _checked_kl_terms(alpha: DirichletParams, label: int, beta: DirichletParams):
-    if alpha.num_classes != beta.num_classes:
-        raise ValueError("alpha and beta disagree on the number of classes")
-    return _kl_terms(*_one(alpha, label), beta.alpha)
+    return _one(alpha, label)[2]
 
 
 def kl_reg_loss(alpha: DirichletParams, label: int, beta: DirichletParams) -> float:
@@ -182,12 +146,12 @@ def kl_reg_loss(alpha: DirichletParams, label: int, beta: DirichletParams) -> fl
     The masked alpha is alpha with its label entry replaced by beta's, so
     evidence for the true class is never penalized.
     """
-    return float(_checked_kl_terms(alpha, label, beta)[0][0])
+    return _one(alpha, label, beta)[1]
 
 
 def kl_reg_grad(alpha: DirichletParams, label: int, beta: DirichletParams) -> np.ndarray:
     """Gradient of kl_reg_loss w.r.t. alpha; zero at the masked label entry."""
-    return _checked_kl_terms(alpha, label, beta)[1][0]
+    return _one(alpha, label, beta)[3]
 
 
 def overall_loss(view_alphas, combined_alpha: DirichletParams, label: int, cfg: LossConfig) -> float:
@@ -195,10 +159,8 @@ def overall_loss(view_alphas, combined_alpha: DirichletParams, label: int, cfg: 
 
     Each Dirichlet's loss is ice_loss + lam * kl_reg_loss.
     """
-    return sum(
-        ice_loss(alpha, label) + cfg.lam * kl_reg_loss(alpha, label, cfg.beta)
-        for alpha in [combined_alpha, *view_alphas]
-    )
+    terms = (_one(alpha, label, cfg.beta) for alpha in [combined_alpha, *view_alphas])
+    return sum(ice + cfg.lam * kl for ice, kl, _, _ in terms)
 
 
 def _evidence_array(e) -> np.ndarray:
@@ -259,8 +221,11 @@ def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: Loss
     are scored as usual, and the caller decides what divergence means.
     """
     single, stacked, alphas, hot, diverged = _checked_alphas(view_evidences, base_rate, labels)
-    terms, term_grads = _per_view_terms(alphas, hot, cfg)
-    loss = terms.sum(axis=0)
+    args, triples = _special(alphas, hot, cfg.beta.alpha)
+    ice, kl = _values(args, triples)
+    ice_g, kl_g = _grads(hot, args, triples)
+    loss = (ice + cfg.lam * kl).sum(axis=0)
+    term_grads = ice_g + cfg.lam * kl_g
 
     g_combined = term_grads[-1]
     num_views, w = stacked.shape[0], base_rate.weight
@@ -285,12 +250,13 @@ def overall_loss_rows(view_evidences, base_rate: BaseRate, labels, cfg: LossConf
 
     Takes the inputs of overall_loss_and_grad and returns (losses of shape
     (N,), combined alpha of shape (N, K)); each loss is bit for bit the one
-    overall_loss_and_grad gives. It hands the special functions only the
-    loss's arguments and builds no gradient. A diverged row gets a NaN loss
+    overall_loss_and_grad gives: it makes the same special-function call
+    and skips the gradient step. A diverged row gets a NaN loss
     and a NaN alpha. One sample as 1-d vectors gives a float and a (K,) alpha.
     """
     single, _, alphas, hot, diverged = _checked_alphas(view_evidences, base_rate, labels)
-    loss = _per_view_losses(alphas, hot, cfg).sum(axis=0)
+    ice, kl = _values(*_special(alphas, hot, cfg.beta.alpha))
+    loss = (ice + cfg.lam * kl).sum(axis=0)
     combined = alphas[-1]
     loss[diverged] = np.nan
     combined[diverged] = np.nan

@@ -497,6 +497,29 @@ class TestConfigPrecedence:
         self.assert_one_line_error(result, f"config section 'gen' key {key!r}", json.dumps(value))
         assert not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("classes", True), ("n_per_class", 2.7), ("seed", False), ("out_path", True),
+        ("separation", True),
+    ])
+    def test_boolean_or_fractional_integer_exits_2(self, tmp_path, key, value):
+        # click's casts would read true as 1 (or "True") and 2.7 as 2
+        cfg = self.config(tmp_path, {"gen": {key: value}})
+        result = run([*cfg, "gen", "--out", str(tmp_path / "a.csv")], expect=2)
+        self.assert_one_line_error(result, f"config section 'gen' key {key!r}", json.dumps(value))
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_integral_number_for_integer_option(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run([*self.config(tmp_path, {"gen": {"n_per_class": 4.0}}), "gen", "--out", str(a)])
+        run(["gen", "--n-per-class", "4", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_section_naming_no_subcommand_exits_2(self, tmp_path):
+        cfg = self.config(tmp_path, {"gne": {"n_per_class": 3}})
+        result = run([*cfg, "gen", "--out", str(tmp_path / "a.csv")], expect=2)
+        self.assert_one_line_error(result, "config section 'gne'", "names no subcommand")
+        assert not (tmp_path / "a.csv").exists()
+
     def test_null_means_the_declared_default(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = self.config(tmp_path, {"gen": {"seed": None, "classes": None, "n_per_class": 4}})

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from evifuse.dirichlet import BaseRate, DirichletParams, combined_evidence, kl_dirichlet
 from evifuse.losses import (
+    _ALPHA_FLOOR,
     LossConfig,
     annealed_lambda,
     ice_grad,
@@ -287,6 +288,10 @@ class TestOverall:
         assert len(calls) == 1
         overall_loss_rows(evidences, base, labels, cfg)
         assert len(calls) == 2
+        # S, alpha_label, masked alpha and its sum per Dirichlet, then beta and its sum
+        v, (n, k) = len(evidences), evidences[0].shape
+        sizes = [sum(np.size(a) for a in args) for args in calls]
+        assert sizes == [(v + 1) * n * (k + 3) + k + 1] * 2
 
     def test_rejects_bad_batches(self):
         base = BaseRate([0.5, 0.5], weight=2.0)
@@ -326,17 +331,35 @@ def _random_batch(rng, kind):
         else:
             big &= (np.arange(k) == labels[:, None])[None]
         evidence = np.where(big, 1e12 * rng.uniform(0.5, 1.0, evidence.shape), evidence)
+    elif kind == "floored":
+        # a base rate of 1e-9 under W = 1 puts beta, and the alpha of any
+        # zero evidence for that class, below the alpha floor
+        tiny = int(rng.integers(0, k))
+        rates = np.where(np.arange(k) == tiny, 0.0, base.rates)
+        rates *= (1.0 - 1e-9) / rates.sum()
+        rates[tiny] = 1e-9
+        base = BaseRate(rates, weight=1.0)
+        evidence[..., tiny] *= rng.uniform(size=(v, n)) < 0.5
+        evidence[0, 0, tiny] = 0.0
     cfg = LossConfig(lam, DirichletParams(base.rates * base.weight))
     return base, cfg, list(evidence), labels
 
 
+_KINDS = ["dense", "sparse", "zero", "huge", "huge_on_label", "floored"]
+
+
+def _floor_binds(base, evidences):
+    return bool(np.any(np.stack(evidences) + base.rates * base.weight < _ALPHA_FLOOR))
+
+
 class TestBatchedAgainstOpinionChain:
-    @pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "huge", "huge_on_label"])
+    @pytest.mark.parametrize("kind", _KINDS)
     def test_matches_reference_chain(self, kind):
-        rng = np.random.default_rng(["dense", "sparse", "zero", "huge", "huge_on_label"].index(kind))
+        rng = np.random.default_rng(_KINDS.index(kind))
         shapes = set()
         for _ in range(60):
             base, cfg, evidences, labels = _random_batch(rng, kind)
+            assert _floor_binds(base, evidences) == (kind == "floored")
             losses, grads = overall_loss_and_grad(evidences, base, labels, cfg)
             v, (n, k) = len(evidences), evidences[0].shape
             shapes.add((k, v))
@@ -361,11 +384,12 @@ class TestBatchedAgainstOpinionChain:
 
 
 class TestLossRows:
-    @pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "huge", "huge_on_label"])
+    @pytest.mark.parametrize("kind", _KINDS)
     def test_losses_equal_loss_and_grad_bit_for_bit(self, kind):
-        rng = np.random.default_rng(10 + ["dense", "sparse", "zero", "huge", "huge_on_label"].index(kind))
+        rng = np.random.default_rng(10 + _KINDS.index(kind))
         for _ in range(40):
             base, cfg, evidences, labels = _random_batch(rng, kind)
+            assert _floor_binds(base, evidences) == (kind == "floored")
             # any lambda: equal bits do not depend on the KL's precision
             cfg = LossConfig(float(rng.uniform(0.0, 1.0)), cfg.beta)
             losses, alpha = overall_loss_rows(evidences, base, labels, cfg)
