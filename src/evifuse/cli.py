@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import click
 import numpy as np
@@ -43,6 +43,9 @@ from .opinions import FusionConflictError, Opinion, bcf_fuse, cbf_fuse, combine_
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+# `train` defaults to the model's own field defaults.
+_MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelConfig)}
 
 
 @dataclass
@@ -103,12 +106,11 @@ def _config_section(ctx: click.Context, config_path: str) -> dict:
     `--seed`.
     """
     try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = datamod.read_json(config_path)
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
-    except json.JSONDecodeError as exc:
-        _fail(EXIT_VALIDATION, f"{config_path}: {exc}")
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     if not isinstance(config, dict):
         _fail(EXIT_VALIDATION, f"{config_path}: config root must be an object")
     for key in config:
@@ -193,21 +195,16 @@ def subcommand(name: str | None = None, seeded: bool = False):
                    "constraint fusion with the last.")
 def fuse(state, opinions_path, base_rate_spec, chain):
     """Fuse opinions from a file and print the combined result."""
-    with open(opinions_path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{opinions_path}: {exc}") from exc
+    raw = datamod.read_json(opinions_path)
     if not isinstance(raw, list) or not raw:
         raise ValueError("opinions file must hold a nonempty JSON list")
     opinions = [Opinion.from_dict(o) for o in raw]
 
     spec = base_rate_spec.strip()
     if spec.startswith("{"):
-        base_doc = json.loads(spec)
+        base_doc = datamod.parse_json(spec, "inline base rate")
     else:
-        with open(spec, "r", encoding="utf-8") as fh:
-            base_doc = json.load(fh)
+        base_doc = datamod.read_json(spec)
     base = BaseRate.from_dict(base_doc)
     if base.num_classes != opinions[0].num_classes:
         raise ValueError("base rate and opinions disagree on the number of classes")
@@ -324,10 +321,11 @@ def views(state, grid_file, roi, window, stride, center, cutout, out_dir):
 @click.option("--classes", type=int, required=True)
 @click.option("--views", "n_views", type=int, required=True)
 @click.option("--dims", type=str, required=True, help="Per-view dimensions, e.g. 4,4,4,4.")
-@click.option("--hidden", type=str, default="32", show_default=True)
-@click.option("--lr", type=float, default=1e-4, show_default=True)
-@click.option("--epochs", type=int, default=200, show_default=True)
-@click.option("--batch-size", type=int, default=32, show_default=True)
+@click.option("--hidden", type=str, default=",".join(map(str, _MODEL_DEFAULTS["hidden"])),
+              show_default=True)
+@click.option("--lr", type=float, default=_MODEL_DEFAULTS["learning_rate"], show_default=True)
+@click.option("--epochs", type=int, default=_MODEL_DEFAULTS["epochs"], show_default=True)
+@click.option("--batch-size", type=int, default=_MODEL_DEFAULTS["batch_size"], show_default=True)
 @click.option("--anneal-epochs", type=int, default=None)
 @click.option("--prior-weight", type=float, default=None)
 @click.option("--base-rate", "base_rate_mode", type=click.Choice(["train", "uniform"]),
@@ -360,20 +358,13 @@ def train(state, data_path, valid_path, out_path, classes, n_views, dims, hidden
     report = fit(model, train_ds, valid_ds)
     save_checkpoint(model, out_path)
     _log(state, f"checkpoint written to {out_path}")
-    final = {}
-    if report.train_loss:
-        final = {
-            "train_loss": report.train_loss[-1],
-            "train_acc": report.train_acc[-1],
-            "valid_loss": report.valid_loss[-1],
-            "valid_acc": report.valid_acc[-1],
-        }
+    curves = report.to_dict()
     _emit({
         "checkpoint": out_path,
         "base_rate": model.base_rate.to_dict(),
         "epochs": config.epochs,
-        "final": final,
-        "curves": report.to_dict(),
+        "final": {name: c[-1] for name, c in curves.items() if c and name != "skipped"},
+        "curves": curves,
     })
 
 

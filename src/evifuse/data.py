@@ -5,12 +5,15 @@ stores its samples as columns, one (N, d) feature matrix per view plus a
 label vector and an id tuple. Synthetic data comes from Gaussian clusters
 whose class separation lives along the first feature coordinate; the
 out-of-distribution generator displaces every cluster along the second
-coordinate, so the shift is orthogonal to anything the classifier can use. CSV is the interchange format for datasets,
-whitespace text for 2-d grids.
+coordinate, so the shift is orthogonal to anything the classifier can use.
+CSV is the interchange format for datasets, whitespace text for 2-d grids,
+and JSON for checkpoints, config files, opinions and base rates.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -58,10 +61,9 @@ class MultiViewDataset:
     ids: tuple
     num_classes: int
     view_dims: tuple
-    provenance: str
     _labels: np.ndarray = field(repr=False)
 
-    def __init__(self, samples, num_classes: int, view_dims, provenance: str = ""):
+    def __init__(self, samples, num_classes: int, view_dims):
         samples = tuple(samples)
         if not samples:
             raise ValueError("dataset must not be empty")
@@ -72,19 +74,19 @@ class MultiViewDataset:
             if tuple(v.size for v in s.views) != dims:
                 raise ValueError(f"sample {s.id}: view shapes do not match {dims}")
         views = [np.stack([s.views[v] for s in samples]) for v in range(len(dims))]
-        self._assign(views, [s.label for s in samples], [s.id for s in samples], num_classes, provenance)
+        self._assign(views, [s.label for s in samples], [s.id for s in samples], num_classes)
 
     @classmethod
-    def from_arrays(cls, views, labels, ids, num_classes: int, provenance: str = "") -> "MultiViewDataset":
+    def from_arrays(cls, views, labels, ids, num_classes: int) -> "MultiViewDataset":
         """Dataset from per-view (N, d_v) feature arrays, N integer labels and N ids.
 
         The arrays are copied, so the dataset owns what it marks read-only.
         """
         ds = cls.__new__(cls)
-        ds._assign(views, labels, ids, num_classes, provenance)
+        ds._assign(views, labels, ids, num_classes)
         return ds
 
-    def _assign(self, views, labels, ids, num_classes, provenance):
+    def _assign(self, views, labels, ids, num_classes):
         k = int(num_classes)
         if k < 2:
             raise ValueError("need at least two classes")
@@ -115,7 +117,6 @@ class MultiViewDataset:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "num_classes", k)
         object.__setattr__(self, "view_dims", tuple(v.shape[1] for v in views))
-        object.__setattr__(self, "provenance", str(provenance))
         object.__setattr__(self, "_labels", labels)
 
     @property
@@ -272,7 +273,6 @@ def gen_synthetic(spec: SyntheticSpec) -> MultiViewDataset:
         np.repeat(np.arange(k), n)[order],
         [ids[i] for i in order.tolist()],
         num_classes=k,
-        provenance=f"blobs(seed={spec.seed}, n_per_class={n}, scale={spec.scale})",
     )
 
 
@@ -289,10 +289,7 @@ def gen_ood(spec: SyntheticSpec, shift: float) -> MultiViewDataset:
         raise ValueError("need view_dim >= 2 for an orthogonal shift direction")
     means = spec.means.copy()
     means[:, :, 1] += shift
-    ds = gen_synthetic(SyntheticSpec(means, spec.scale, spec.n_per_class, spec.seed))
-    return MultiViewDataset.from_arrays(
-        ds.views, ds.labels(), ds.ids, ds.num_classes, provenance=f"{ds.provenance} | shift({shift})"
-    )
+    return gen_synthetic(SyntheticSpec(means, spec.scale, spec.n_per_class, spec.seed))
 
 
 def resample_class_ratio(ds: MultiViewDataset, ratio, seed: int) -> MultiViewDataset:
@@ -328,7 +325,6 @@ def resample_class_ratio(ds: MultiViewDataset, ratio, seed: int) -> MultiViewDat
         labels[keep],
         [ds.ids[i] for i in keep.tolist()],
         ds.num_classes,
-        provenance=f"{ds.provenance} | resampled(ratio={ratio.round(6).tolist()}, seed={seed})",
     )
 
 
@@ -371,8 +367,7 @@ def load_csv(path, num_classes: int, num_views: int, view_dims) -> MultiViewData
     if len(dims) != num_views:
         raise ValueError("view_dims length must equal num_views")
     n_fields = 2 + sum(dims)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
     if lines[0] != _csv_header(dims):
@@ -395,7 +390,6 @@ def load_csv(path, num_classes: int, num_views: int, view_dims) -> MultiViewData
         labels,
         [fields[0] for fields in rows],
         num_classes,
-        provenance=str(path),
     )
 
 
@@ -432,19 +426,51 @@ def load_grid(path) -> np.ndarray:
     """Whitespace-separated 2-d grid, one row per line."""
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = [float(x) for x in line.split()]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"{path}: line {lineno}: ragged row")
-            rows.append(row)
+    # newline=None splits lines as a file opened in text mode would
+    for lineno, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(x) for x in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError(f"{path}: line {lineno}: ragged row")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty grid")
     return np.array(rows, dtype=float)
+
+
+def read_text(path) -> str:
+    """The whole file as UTF-8 text; undecodable bytes are a ValueError naming the file.
+
+    OSError passes through, so a missing or unreadable file stays an IO error.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def parse_json(text: str, source, what: str = "JSON document"):
+    """`text` parsed as JSON; any parse failure is a ValueError naming `source`.
+
+    That covers malformed JSON, integers too long to convert and nesting
+    deeper than the parser's recursion limit.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"{source}: not a valid {what}: nested too deeply") from exc
+    except ValueError as exc:
+        raise ValueError(f"{source}: not a valid {what}: {exc}") from exc
+
+
+def read_json(path, what: str = "JSON document"):
+    """A JSON file, every failure but OSError a ValueError naming the file."""
+    return parse_json(read_text(path), path, what)

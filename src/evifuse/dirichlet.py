@@ -155,10 +155,12 @@ def combined_evidence(view_evidences, weight: float) -> np.ndarray:
 
 
 def rebase(e: EvidenceVector, new_a: BaseRate) -> DirichletParams:
-    """Attach a different prior to existing evidence: alpha = e + a'*W.
+    """Dirichlet of evidence under a prior: alpha = e + a'*W.
 
-    The evidence itself is untouched, so beliefs and uncertainty are
-    preserved; only expected probabilities move toward the new prior.
+    Zero evidence yields the bare prior. Attaching a different prior leaves
+    the evidence untouched, so beliefs and uncertainty are preserved; only
+    expected probabilities move toward the new prior. `opinions` binds the
+    same function as `dirichlet_from_evidence`.
     """
     if e.num_classes != new_a.num_classes:
         raise ValueError("evidence and base rate disagree on the number of classes")

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .data import MultiViewDataset, MultiViewSample
+from .data import MultiViewDataset, MultiViewSample, read_json
 from .dirichlet import BaseRate, DirichletParams, EvidenceVector, combined_evidence
 from .losses import LossConfig, annealed_lambda, overall_loss_and_grad, overall_loss_rows
 from .opinions import dirichlet_from_evidence, opinion_from_dirichlet
@@ -91,33 +91,23 @@ class ModelConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "num_views": self.num_views,
-            "view_dims": list(self.view_dims),
-            "hidden": list(self.hidden),
-            "prior_weight": self.prior_weight,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "anneal_epochs": self.anneal_epochs,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
-        return cls(
-            num_classes=obj["num_classes"],
-            num_views=obj["num_views"],
-            view_dims=tuple(obj["view_dims"]),
-            hidden=tuple(obj["hidden"]),
-            prior_weight=obj.get("prior_weight"),
-            learning_rate=obj.get("learning_rate", 1e-4),
-            epochs=obj.get("epochs", 200),
-            batch_size=obj.get("batch_size", 32),
-            anneal_epochs=obj.get("anneal_epochs"),
-            seed=obj.get("seed", 0),
-        )
+        """The config a `to_dict` record describes; an absent optional key takes its default.
+
+        A key that names no field is a ValueError; a missing key of a field
+        without a default is a KeyError naming it.
+        """
+        declared = {f.name: f for f in fields(cls)}
+        for key in obj:
+            if key not in declared:
+                raise ValueError(f"unknown config key {key!r}")
+        for name, f in declared.items():
+            if name not in obj and f.default is MISSING:
+                raise KeyError(name)
+        return cls(**obj)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -154,10 +144,7 @@ class EvidenceHead:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Evidence for (N, d) features as (N, K); a 1-d input gives (K,)."""
-        h = np.asarray(x, dtype=float)
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w.T + b)
-        return _softplus(h @ self.weights[-1].T + self.biases[-1])
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping activations for backward()."""
@@ -319,13 +306,7 @@ class TrainingReport:
     skipped: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "train_loss": list(self.train_loss),
-            "train_acc": list(self.train_acc),
-            "valid_loss": list(self.valid_loss),
-            "valid_acc": list(self.valid_acc),
-            "skipped": list(self.skipped),
-        }
+        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
 
     @property
     def final_valid_acc(self) -> float:
@@ -416,13 +397,7 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
         curves["valid_loss"].append(va_loss)
         curves["valid_acc"].append(va_acc)
 
-    return TrainingReport(
-        tuple(curves["train_loss"]),
-        tuple(curves["train_acc"]),
-        tuple(curves["valid_loss"]),
-        tuple(curves["valid_acc"]),
-        (0,) * cfg.epochs,
-    )
+    return TrainingReport(**{name: tuple(c) for name, c in curves.items()}, skipped=(0,) * cfg.epochs)
 
 
 def save_checkpoint(model: EvidentialModel, path) -> None:
@@ -509,11 +484,7 @@ def load_checkpoint(path) -> EvidentialModel:
     Raises ValueError, naming the path, for anything that is not a
     well-formed checkpoint of this format and version.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a valid checkpoint: {exc}") from exc
+    doc = read_json(path, "checkpoint")
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not an evidential model checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:

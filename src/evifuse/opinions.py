@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import BaseRate, DirichletParams, EvidenceVector, _read_only
+from .dirichlet import BaseRate, DirichletParams, _read_only
+# alpha = e + a*W, zero evidence giving the bare prior, is the map that
+# re-anchors evidence to a new prior, so one body serves both names.
+from .dirichlet import rebase as dirichlet_from_evidence
 
 _CLOSURE_TOL = 1e-9
 _CONFLICT_EPS = 1e-12
@@ -74,13 +77,6 @@ class Opinion:
 def _same_classes(dm: Opinion, dn: Opinion):
     if dm.num_classes != dn.num_classes:
         raise ValueError("opinions disagree on the number of classes")
-
-
-def dirichlet_from_evidence(e: EvidenceVector, a: BaseRate) -> DirichletParams:
-    """alpha = e + a*W; zero evidence yields the bare prior."""
-    if e.num_classes != a.num_classes:
-        raise ValueError("evidence and base rate disagree on the number of classes")
-    return DirichletParams(e.evidence + a.rates * a.weight)
 
 
 def opinion_from_dirichlet(alpha: DirichletParams, a: BaseRate) -> Opinion:

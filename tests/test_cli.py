@@ -4,6 +4,7 @@ import json
 import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import click
 import numpy as np
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 
 from evifuse.cli import main
 from evifuse.data import load_csv, load_grid, save_grid
-from evifuse.model import load_checkpoint
+from evifuse.model import ModelConfig, load_checkpoint
 
 runner = CliRunner()
 
@@ -273,7 +274,30 @@ class TestTrain:
         doc = out_json(result)
         assert len(doc["curves"]["valid_acc"]) == 2
         assert set(doc["final"]) == {"train_loss", "train_acc", "valid_loss", "valid_acc"}
+        assert all(doc["final"][name] == doc["curves"][name][-1] for name in doc["final"])
         assert doc["base_rate"]["weight"] == 2.0
+
+    def test_zero_epochs_has_no_final_values(self, trained, tmp_path):
+        result = run([
+            "--seed", "0", "train", "--data", str(trained["train"]),
+            "--valid", str(trained["valid"]), "--classes", "2", "--views", "2",
+            "--dims", "2,2", "--hidden", "4", "--epochs", "0", "--out", str(tmp_path / "m.json"),
+        ])
+        assert '"final": {}' in result.stdout
+        assert all(curve == [] for curve in out_json(result)["curves"].values())
+
+    def test_help_shows_the_model_config_defaults(self):
+        defaults = {f.name: f.default for f in fields(ModelConfig)}
+        params = {p.name: p for p in main.commands["train"].params}
+        shown = {"hidden": ",".join(map(str, defaults["hidden"])), "lr": defaults["learning_rate"],
+                 "epochs": defaults["epochs"], "batch_size": defaults["batch_size"]}
+        lines = {
+            line.split()[0]: line
+            for line in run(["train", "--help"]).stdout.splitlines() if line.lstrip().startswith("--")
+        }
+        for name, value in shown.items():
+            assert params[name].default == value
+            assert lines[f"--{name.replace('_', '-')}"].endswith(f"[default: {value}]")
 
 
 class TestEval:
@@ -327,6 +351,7 @@ class TestBadCheckpoint:
         (lambda doc: doc.pop("base_rate"), "missing 'base_rate'"),
         (lambda doc: doc["heads"].pop(), "one head per view"),
         (lambda doc: doc["heads"][0]["layers"][0].update(weights=[[1.0, 2.0]]), "head 0: layer 0"),
+        (lambda doc: doc["config"].update(hidden_size=[8]), "unknown config key 'hidden_size'"),
     ])
     def test_eval_exits_2_with_message(self, trained, tmp_path, edit, match):
         doc = json.loads(trained["model"].read_text())
@@ -345,6 +370,53 @@ class TestBadCheckpoint:
             "--dims", "2,2", "--hidden", "4", "--epochs", "1", "--out", str(out),
         ], expect=4)
         assert not out.parent.exists()
+
+
+# JSON nested far past the parser's recursion limit, bytes that are not
+# UTF-8, and malformed JSON.
+BAD_INPUTS = {
+    "deep": ("[" * 100_000 + "]" * 100_000).encode(),
+    "not_utf8": b"\xff\xfe{}",
+    "malformed": b"[{broken",
+}
+
+
+class TestUnreadableInput:
+    """Every file the CLI reads fails the same way on unreadable content."""
+
+    @staticmethod
+    def assert_one_line_naming(result, name):
+        assert result.stdout == "" and "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert name in result.stderr, result.stderr
+
+    @pytest.mark.parametrize("content", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    @pytest.mark.parametrize("where", ["config", "opinions", "base_rate", "model", "data", "grid"])
+    def test_exits_2_naming_the_file(self, trained, tmp_path, where, content):
+        bad = tmp_path / "bad.input"
+        bad.write_bytes(content)
+        ops = tmp_path / "ops.json"
+        write_opinions(ops, [((0.2, 0.4), 0.4), ((0.3, 0.1), 0.6)])
+        args = {
+            "config": ["--config", str(bad), "gen", "--out", str(tmp_path / "a.csv")],
+            "opinions": ["fuse", "--opinions", str(bad), "--base-rate", UNIFORM2],
+            "base_rate": ["fuse", "--opinions", str(ops), "--base-rate", str(bad)],
+            "model": ["eval", "--model", str(bad), "--data", str(trained["valid"])],
+            "data": ["eval", "--model", str(trained["model"]), "--data", str(bad)],
+            "grid": ["views", str(bad), "--roi", "4", "--window", "2", "--stride", "2",
+                     "--out-dir", str(tmp_path / "v")],
+        }[where]
+        self.assert_one_line_naming(run(["--quiet", *args], expect=2), str(bad))
+
+    @pytest.mark.parametrize("spec", [
+        '{"rates": [0.5, 0.5], "weight": 2.0',
+        '{"rates": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["malformed", "deep"])
+    def test_inline_base_rate_exits_2(self, tmp_path, spec):
+        ops = tmp_path / "ops.json"
+        write_opinions(ops, [((0.2, 0.4), 0.4), ((0.3, 0.1), 0.6)])
+        result = run(["--quiet", "fuse", "--opinions", str(ops), "--base-rate", spec], expect=2)
+        self.assert_one_line_naming(result, "inline base rate")
 
 
 @pytest.fixture

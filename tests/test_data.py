@@ -76,7 +76,7 @@ class TestColumnar:
             MultiViewSample((np.array([i, -i, 0.5 * i]), np.array([float(i * i)])), i % 3, f"s{i}")
             for i in range(7)
         )
-        return samples, MultiViewDataset(samples, num_classes=3, view_dims=(3, 1), provenance="p")
+        return samples, MultiViewDataset(samples, num_classes=3, view_dims=(3, 1))
 
     def test_arrays_are_read_only(self):
         _, ds = self.sample_dataset()
@@ -90,7 +90,7 @@ class TestColumnar:
         samples, ds = self.sample_dataset()
         arrays = MultiViewDataset.from_arrays(
             [np.stack([s.views[v] for s in samples]) for v in range(2)],
-            [s.label for s in samples], [s.id for s in samples], 3, "p",
+            [s.label for s in samples], [s.id for s in samples], 3,
         )
         for a, b in zip(ds.views, arrays.views):
             assert a.dtype == np.float64 and a.flags.c_contiguous
@@ -98,7 +98,7 @@ class TestColumnar:
         assert np.array_equal(ds.labels(), arrays.labels())
         assert ds.ids == arrays.ids == tuple(s.id for s in samples)
         assert ds.view_dims == arrays.view_dims == (3, 1)
-        assert (ds.num_classes, ds.provenance) == (arrays.num_classes, arrays.provenance)
+        assert ds.num_classes == arrays.num_classes == 3
 
     def test_samples_are_the_rows(self):
         samples, ds = self.sample_dataset()

@@ -1,4 +1,6 @@
+import json
 import warnings
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from evifuse.model import (
     ModelConfig,
     NonFiniteEvidence,
     TrainingDiverged,
+    TrainingReport,
     compute_base_rate,
     evaluate,
     fit,
@@ -69,6 +72,13 @@ class TestModelConfig:
     def test_dict_round_trip(self):
         cfg = tiny_config(prior_weight=3.5, anneal_epochs=7)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# A value other than the field default for every ModelConfig field that has one.
+NON_DEFAULTS = dict(
+    hidden=(4,), prior_weight=3.0, learning_rate=1e-3, epochs=3, batch_size=8,
+    anneal_epochs=2, seed=5,
+)
 
 
 class TestEvidenceHead:
@@ -435,6 +445,17 @@ class TestFit:
         with pytest.raises(ValueError, match="does not match"):
             fit(model, train, valid)
 
+    def test_report_dict_keys_are_its_fields(self):
+        train, valid = blob_data(4, 6), blob_data(5, 4)
+        model = EvidentialModel.initialize(
+            tiny_config(view_dims=(2, 2), epochs=2), compute_base_rate(train.labels(), 2)
+        )
+        report = fit(model, train, valid)
+        doc = report.to_dict()
+        assert list(doc) == [f.name for f in fields(TrainingReport)]
+        assert all(doc[name] == list(getattr(report, name)) for name in doc)
+        assert all(len(curve) == 2 for curve in doc.values())
+
     def test_diverged_is_a_runtime_error(self):
         assert issubclass(TrainingDiverged, RuntimeError)
 
@@ -494,6 +515,7 @@ class TestCheckpoint:
         (lambda doc: doc["heads"][1]["layers"].pop(), "head 1: a head needs 2 layers"),
         (lambda doc: doc["heads"][0]["layers"][0].update(weights=[[0.0] * 3] * 5), r"head 0: layer 0"),
         (lambda doc: doc["heads"][1]["layers"][1].update(bias=[0.0]), r"head 1: layer 1"),
+        (lambda doc: doc["config"].update(hidden_size=[8]), "unknown config key 'hidden_size'"),
     ])
     def test_rejects_malformed_documents(self, tmp_path, edit, match):
         import json
@@ -506,6 +528,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig) if f.default is not MISSING])
+    def test_missing_optional_config_key_takes_the_default(self, tmp_path, name):
+        # every other defaulted field holds a non-default value, so only `name`
+        # can fall back; a field missing from NON_DEFAULTS fails here
+        others = {
+            f.name: NON_DEFAULTS[f.name] for f in fields(ModelConfig)
+            if f.default is not MISSING and f.name != name
+        }
+        cfg = ModelConfig(num_classes=2, num_views=2, view_dims=(3, 2), **others)
+        model = EvidentialModel.initialize(cfg, BaseRate([0.4, 0.6], cfg.prior_weight))
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        del doc["config"][name]
+        path.write_text(json.dumps(doc))
+        back = load_checkpoint(path)
+        assert back.config == cfg
+        assert params_equal(model, back)
 
     def test_rejects_unknown_version(self, tmp_path):
         model = golden_model()
