@@ -3,10 +3,14 @@
 One head per view maps that view's features through tanh hidden layers to a
 softplus output, so evidence is nonnegative for every input. Heads are
 trained jointly by Adam on the overall evidential objective; gradients flow
-through the closed-form evidence fusion back into every head. Training and
-evaluation run on whole (N, d) feature matrices, one matmul per layer.
-Everything is seeded and reductions are ordered, so a config plus data
-determines the trained model bit for bit.
+through the closed-form evidence fusion back into every head.
+
+All parameters of a model live in one flat vector. Heads that share an input
+dimension form a stack, whose layers are (G, out, in) weight and (G, out)
+bias views into that vector, so training and evaluation make one batched
+matmul per layer per stack on (G, N, d) features, and Adam updates the whole
+vector at once. Everything is seeded and reductions are ordered, so a config
+plus data determines the trained model bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ CHECKPOINT_VERSION = 1
 # A loss-only call over r rows hands specfun's kernel (V+1) * r * (K + 3)
 # values (S, alpha_label, the masked alphas and their sum), and the kernel
 # holds about a dozen temporaries of that length, so a block needs about
-# 400 KB whatever the dataset size.
+# 400 KB whatever the dataset size. A block's features are views into the
+# stacked (G, N, d) arrays, so blocking copies no input.
 _EVAL_BLOCK = 4096
 
 
@@ -115,16 +120,31 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _layer_sizes(in_dim: int, hidden, num_classes: int) -> list:
+    """(fan_in, fan_out) of each layer of a head."""
+    sizes = [int(in_dim), *(int(h) for h in hidden), int(num_classes)]
+    return list(zip(sizes[:-1], sizes[1:]))
+
+
+def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """h @ w^T + b as one new array, for a head or, with a leading axis on all three, a stack."""
+    z = h @ np.swapaxes(w, -1, -2)
+    z += b if b.ndim == 1 else b[:, None, :]
+    return z
 
 
 class EvidenceHead:
-    """Dense map from one view's features to nonnegative class evidence."""
+    """Dense map from one view's features to nonnegative class evidence.
+
+    A head holds (out, in) weights and (out,) biases per layer. A stack of G
+    heads of one input dimension holds (G, out, in) and (G, out) instead and
+    maps (G, N, d) features to (G, N, K) evidence; every method serves both.
+    """
 
     def __init__(self, weights, biases):
         self.weights = [np.asarray(w, dtype=float) for w in weights]
@@ -134,9 +154,8 @@ class EvidenceHead:
 
     @classmethod
     def initialize(cls, in_dim: int, hidden, num_classes: int, rng) -> "EvidenceHead":
-        sizes = [int(in_dim), *(int(h) for h in hidden), int(num_classes)]
         weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        for fan_in, fan_out in _layer_sizes(in_dim, hidden, num_classes):
             r = 1.0 / np.sqrt(fan_in)
             weights.append(rng.uniform(-r, r, size=(fan_out, fan_in)))
             biases.append(rng.uniform(-r, r, size=fan_out))
@@ -152,27 +171,31 @@ class EvidenceHead:
         acts = [x]
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w.T + b)
+            h = _affine(h, w, b)
+            np.tanh(h, out=h)
             acts.append(h)
-        z_out = h @ self.weights[-1].T + self.biases[-1]
+        z_out = _affine(h, self.weights[-1], self.biases[-1])
         return _softplus(z_out), (acts, z_out)
 
-    def backward(self, cache, grad_evidence: np.ndarray):
+    def backward(self, cache, grad_evidence: np.ndarray, out=None):
         """Parameter gradients for an upstream d loss / d evidence.
 
-        With (N, K) upstream gradients the parameter gradients are summed
-        over the N samples.
+        With (N, K) upstream gradients, or (G, N, K) for a stack, the
+        parameter gradients are summed over the N samples. `out`, a
+        (weights, biases) pair of array lists shaped like the parameters,
+        receives the gradients in place and is returned.
         """
         acts, z_out = cache
         acts = [np.atleast_2d(a) for a in acts]
         delta = np.atleast_2d(grad_evidence * _sigmoid(z_out))
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = delta.T @ acts[layer]
-            grads_b[layer] = delta.sum(axis=0)
+        layers = len(self.weights)
+        grads_w, grads_b = out if out is not None else ([None] * layers, [None] * layers)
+        for layer in range(layers - 1, -1, -1):
+            grads_w[layer] = np.matmul(np.swapaxes(delta, -1, -2), acts[layer], out=grads_w[layer])
+            grads_b[layer] = np.sum(delta, axis=-2, out=grads_b[layer])
             if layer:
-                delta = (delta @ self.weights[layer]) * (1.0 - acts[layer] ** 2)
+                delta = delta @ self.weights[layer]
+                delta *= 1.0 - acts[layer] ** 2
         return grads_w, grads_b
 
     def parameters(self):
@@ -182,7 +205,14 @@ class EvidenceHead:
 
 
 class EvidentialModel:
-    """V evidence heads plus the training base rate and config."""
+    """V evidence heads plus the training base rate and config.
+
+    The model owns its parameters: the constructor copies the given heads'
+    values into one flat vector, laid out stack by stack (see the module
+    docstring). `heads[v]` is view v's slot in its stack, a 2-D EvidenceHead
+    whose arrays are views into that vector, so an in-place edit through it
+    reaches every pass of the model.
+    """
 
     def __init__(self, heads, base_rate: BaseRate, config: ModelConfig):
         if len(heads) != config.num_views:
@@ -191,9 +221,43 @@ class EvidentialModel:
             raise ValueError("base rate and config disagree on the number of classes")
         if base_rate.weight != config.prior_weight:
             raise ValueError("base rate weight and config prior_weight disagree")
-        self.heads = list(heads)
         self.base_rate = base_rate
         self.config = config
+        groups = {}
+        for v, dim in enumerate(config.view_dims):
+            groups.setdefault(dim, []).append(v)
+        self._groups = [tuple(group) for group in groups.values()]
+        self._params = np.zeros(sum(
+            fan_out * (fan_in + 1)
+            for dim in config.view_dims
+            for fan_in, fan_out in _layer_sizes(dim, config.hidden, config.num_classes)
+        ))
+        self._stacks = [EvidenceHead(w, b) for w, b in self._stack_arrays(self._params)]
+        self.heads = [None] * config.num_views
+        for stack, group in zip(self._stacks, self._groups):
+            for g, v in enumerate(group):
+                self.heads[v] = EvidenceHead([w[g] for w in stack.weights], [b[g] for b in stack.biases])
+        for v, (own, given) in enumerate(zip(self.heads, heads)):
+            values = [np.asarray(p, dtype=float) for p in given.parameters()]
+            if [p.shape for p in values] != [p.shape for p in own.parameters()]:
+                raise ValueError(f"head {v} does not have the layer shapes of the config")
+            for dst, src in zip(own.parameters(), values):
+                dst[...] = src
+
+    def _stack_arrays(self, flat: np.ndarray) -> list:
+        """Per stack, (weights, biases) lists of views into a vector of the parameters' layout."""
+        cfg = self.config
+        arrays, offset = [], 0
+        for group in self._groups:
+            g = len(group)
+            weights, biases = [], []
+            for fan_in, fan_out in _layer_sizes(cfg.view_dims[group[0]], cfg.hidden, cfg.num_classes):
+                weights.append(flat[offset : offset + g * fan_out * fan_in].reshape(g, fan_out, fan_in))
+                offset += g * fan_out * fan_in
+                biases.append(flat[offset : offset + g * fan_out].reshape(g, fan_out))
+                offset += g * fan_out
+            arrays.append((weights, biases))
+        return arrays
 
     @classmethod
     def initialize(cls, config: ModelConfig, base_rate: BaseRate) -> "EvidentialModel":
@@ -240,15 +304,30 @@ def _dataset(model: EvidentialModel, data) -> MultiViewDataset:
     return data
 
 
-def _view_evidences(model: EvidentialModel, views) -> list:
-    return [head.forward(x) for head, x in zip(model.heads, views)]
+def _stacked(model: EvidentialModel, views) -> list:
+    """Per stack, its views' (N, d) features as one (G, N, d) array."""
+    return [np.stack([views[v] for v in group]) for group in model._groups]
+
+
+def _per_view(model: EvidentialModel, stacked) -> list:
+    """The entries of per-stack (G, ...) arrays as a list in view order."""
+    out = [None] * model.config.num_views
+    for group, arrays in zip(model._groups, stacked):
+        for v, a in zip(group, arrays):
+            out[v] = a
+    return out
+
+
+def _view_evidences(model: EvidentialModel, stacked) -> list:
+    """Per-view (N, K) evidence from stacked features, one head pass per stack."""
+    return _per_view(model, [stack.forward(x) for stack, x in zip(model._stacks, stacked)])
 
 
 def forward(model: EvidentialModel, sample: MultiViewSample):
     """Evidence, per-view opinions, combined opinion, combined Dirichlet."""
-    views = _dataset(model, [sample]).views
+    stacked = _stacked(model, _dataset(model, [sample]).views)
     base = model.base_rate
-    evidences = [EvidenceVector(e[0]) for e in _view_evidences(model, views)]
+    evidences = [EvidenceVector(e[0]) for e in _view_evidences(model, stacked)]
     view_opinions = [
         opinion_from_dirichlet(dirichlet_from_evidence(e, base), base) for e in evidences
     ]
@@ -275,7 +354,7 @@ def evaluate(model: EvidentialModel, data, override: BaseRate | None = None):
     if anchor.num_classes != base.num_classes:
         raise ValueError("base rate override and model disagree on the number of classes")
     ds = _dataset(model, data)
-    fused = combined_evidence(_view_evidences(model, ds.views), base.weight)
+    fused = combined_evidence(_view_evidences(model, _stacked(model, ds.views)), base.weight)
     strength = fused.sum(axis=1)
     alpha = fused * (anchor.weight / base.weight) + anchor.rates * anchor.weight
     total = alpha.sum(axis=1, keepdims=True)
@@ -313,8 +392,8 @@ class TrainingReport:
         return self.valid_acc[-1] if self.valid_acc else float("nan")
 
 
-def _dataset_eval(model: EvidentialModel, views, labels, loss_cfg: LossConfig):
-    """Mean overall loss and accuracy on stacked per-view features.
+def _dataset_eval(model: EvidentialModel, stacked, labels, loss_cfg: LossConfig):
+    """Mean overall loss and accuracy on per-stack (G, N, d) features.
 
     Scores row blocks whose loss-only call passes at most _EVAL_BLOCK values
     to specfun, so peak memory does not grow with the dataset.
@@ -324,7 +403,7 @@ def _dataset_eval(model: EvidentialModel, views, labels, loss_cfg: LossConfig):
     total, correct = 0.0, 0
     for start in range(0, labels.size, rows):
         block = slice(start, start + rows)
-        evidences = _view_evidences(model, [x[block] for x in views])
+        evidences = _view_evidences(model, [x[:, block] for x in stacked])
         losses, alpha = overall_loss_rows(evidences, model.base_rate, labels[block], loss_cfg)
         total += losses.sum()
         correct += int(np.count_nonzero(np.argmax(alpha, axis=1) == labels[block]))
@@ -338,8 +417,9 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
     """Adam on the overall objective with a linearly annealed balance factor.
 
     Batches are drawn by a seeded permutation each epoch; each batch runs as
-    one forward, loss+gradient and backward pass, and the parameter gradient
-    is the batch mean. Raises TrainingDiverged, naming the epoch and the
+    one forward and one backward pass per stack of heads around one
+    loss+gradient call, and Adam steps the flat parameter vector along the
+    batch-mean gradient. Raises TrainingDiverged, naming the epoch and the
     first sample, if the objective stops being finite.
     """
     cfg = model.config
@@ -348,12 +428,13 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
             raise ValueError("dataset shape does not match the model config")
     base = model.base_rate
     beta = DirichletParams(base.rates * base.weight)
-    train_views, train_labels = train.views, train.labels()
-    valid_views, valid_labels = valid.views, valid.labels()
+    train_x, train_labels = _stacked(model, train.views), train.labels()
+    valid_x, valid_labels = _stacked(model, valid.views), valid.labels()
     rng = np.random.default_rng(cfg.seed + 1)  # decouple batch order from init
-    params = list(model.parameters())
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
+    params = model._params
+    grads = np.zeros_like(params)
+    grad_stacks = model._stack_arrays(grads)
+    adam_m, adam_v = np.zeros_like(params), np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -364,32 +445,31 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
         order = rng.permutation(len(train))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            results = [h.forward_cached(x[batch]) for h, x in zip(model.heads, train_views)]
+            results = [
+                stack.forward_cached(np.take(x, batch, axis=1))
+                for stack, x in zip(model._stacks, train_x)
+            ]
             losses, ev_grads = overall_loss_and_grad(
-                [e for e, _ in results], base, train_labels[batch], loss_cfg
+                _per_view(model, [e for e, _ in results]), base, train_labels[batch], loss_cfg
             )
             bad = np.flatnonzero(~np.isfinite(losses))
             if bad.size:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, sample {train.ids[batch[bad[0]]]}"
                 )
-            grads = []
-            for head, (_, cache), g_e in zip(model.heads, results, ev_grads):
-                grads_w, grads_b = head.backward(cache, g_e)
-                for gw, gb in zip(grads_w, grads_b):
-                    grads += [gw, gb]
+            for stack, group, (_, cache), out in zip(model._stacks, model._groups, results, grad_stacks):
+                stack.backward(cache, np.stack([ev_grads[v] for v in group]), out=out)
             step += 1
             lr_t = cfg.learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
-            for p, g, m, v in zip(params, grads, adam_m, adam_v):
-                g /= batch.size
-                m *= beta1
-                m += (1.0 - beta1) * g
-                v *= beta2
-                v += (1.0 - beta2) * g * g
-                p -= lr_t * m / (np.sqrt(v) + eps)
+            grads /= batch.size
+            adam_m *= beta1
+            adam_m += (1.0 - beta1) * grads
+            adam_v *= beta2
+            adam_v += (1.0 - beta2) * grads * grads
+            params -= lr_t * adam_m / (np.sqrt(adam_v) + eps)
 
-        tr_loss, tr_acc = _dataset_eval(model, train_views, train_labels, loss_cfg)
-        va_loss, va_acc = _dataset_eval(model, valid_views, valid_labels, loss_cfg)
+        tr_loss, tr_acc = _dataset_eval(model, train_x, train_labels, loss_cfg)
+        va_loss, va_acc = _dataset_eval(model, valid_x, valid_labels, loss_cfg)
         if not (np.isfinite(tr_loss) and np.isfinite(va_loss)):
             raise TrainingDiverged(f"non-finite epoch loss at epoch {epoch}")
         curves["train_loss"].append(tr_loss)
@@ -436,12 +516,12 @@ def save_checkpoint(model: EvidentialModel, path) -> None:
         raise
 
 
-def _head_from_doc(head_doc, sizes) -> EvidenceHead:
+def _head_from_doc(head_doc, layer_sizes) -> EvidenceHead:
     layers = head_doc.get("layers") if isinstance(head_doc, dict) else None
-    if not isinstance(layers, list) or len(layers) != len(sizes) - 1:
-        raise ValueError(f"a head needs {len(sizes) - 1} layers")
+    if not isinstance(layers, list) or len(layers) != len(layer_sizes):
+        raise ValueError(f"a head needs {len(layer_sizes)} layers")
     weights, biases = [], []
-    for i, (layer, fan_in, fan_out) in enumerate(zip(layers, sizes[:-1], sizes[1:])):
+    for i, (layer, (fan_in, fan_out)) in enumerate(zip(layers, layer_sizes)):
         if not isinstance(layer, dict):
             raise ValueError(f"layer {i} is not an object")
         w = np.array(layer.get("weights"), dtype=float)
@@ -472,7 +552,7 @@ def _model_from_doc(doc: dict) -> EvidentialModel:
     heads = []
     for v, (head_doc, dim) in enumerate(zip(heads_doc, config.view_dims)):
         try:
-            heads.append(_head_from_doc(head_doc, [dim, *config.hidden, config.num_classes]))
+            heads.append(_head_from_doc(head_doc, _layer_sizes(dim, config.hidden, config.num_classes)))
         except ValueError as exc:
             raise ValueError(f"head {v}: {exc}") from exc
     return EvidentialModel(heads, base, config)

@@ -237,6 +237,72 @@ def overall_loss_and_grad_chain(evidences, rates, weight, label, lam):
     return loss, grads
 
 
+def head_forward_reference(weights, biases, x):
+    """One evidence head's pass on (N, d) features: (evidence, (activations, z_out)).
+
+    Tanh hidden layers and a softplus output, one (out, in) matrix per layer,
+    as `fit` ran each head on its own before heads of one input size were
+    stacked.
+    """
+    acts = [x]
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.tanh(h @ w.T + b)
+        acts.append(h)
+    z_out = h @ weights[-1].T + biases[-1]
+    return np.logaddexp(0.0, z_out), (acts, z_out)
+
+
+def _sigmoid_reference(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _head_backward_reference(weights, cache, grad_evidence):
+    """Gradients of one head's parameters, summed over the rows, as w0, b0, w1, b1, ..."""
+    acts, z_out = cache
+    delta = grad_evidence * _sigmoid_reference(z_out)
+    grads = [None] * (2 * len(weights))
+    for layer in range(len(weights) - 1, -1, -1):
+        grads[2 * layer] = delta.T @ acts[layer]
+        grads[2 * layer + 1] = delta.sum(axis=0)
+        if layer:
+            delta = (delta @ weights[layer]) * (1.0 - acts[layer] ** 2)
+    return grads
+
+
+def fit_step_reference(heads, moments, step, views, loss_and_grad, learning_rate):
+    """One minibatch of `fit`, one pass per head and one Adam update per array.
+
+    `heads` holds each view's (weights, biases) lists and `moments` one
+    Adam (m, v) pair per parameter array, in head order and w0, b0, w1, b1,
+    ... within a head; both are updated in place. `views` are the
+    minibatch's per-view (B, d) features, `loss_and_grad` maps per-view
+    evidence to (losses, per-view evidence gradients), and `step` is the
+    1-based Adam step. Returns the losses.
+    """
+    results = [head_forward_reference(w, b, x) for (w, b), x in zip(heads, views)]
+    losses, ev_grads = loss_and_grad([e for e, _ in results])
+    grads = []
+    for (weights, _), (_, cache), g_e in zip(heads, results, ev_grads):
+        grads += _head_backward_reference(weights, cache, g_e)
+    params = [p for weights, biases in heads for pair in zip(weights, biases) for p in pair]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr_t = learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
+    for p, g, (m, v) in zip(params, grads, moments):
+        g /= len(views[0])
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr_t * m / (np.sqrt(v) + eps)
+    return losses
+
+
 def ece_reference(confidences, correct, num_bins):
     """Calibration error by scanning half-open upper-closed bin edges."""
     n = len(confidences)

@@ -5,9 +5,11 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
+import evifuse.model as model_module
+
 from evifuse.data import MultiViewDataset, MultiViewSample, SyntheticSpec, gen_synthetic
 from evifuse.dirichlet import BaseRate, DirichletParams, predict_class
-from evifuse.losses import LossConfig, overall_loss_and_grad
+from evifuse.losses import LossConfig, annealed_lambda, overall_loss_and_grad, overall_loss_rows
 from evifuse.model import (
     EvidenceHead,
     EvidentialModel,
@@ -25,7 +27,14 @@ from evifuse.model import (
 )
 from evifuse.opinions import dirichlet_from_opinion
 
-from oracles import bcf_reference, cbf_reference, fd_grad, logistic_accuracy
+from oracles import (
+    bcf_reference,
+    cbf_reference,
+    fd_grad,
+    fit_step_reference,
+    head_forward_reference,
+    logistic_accuracy,
+)
 
 
 def tiny_config(**overrides):
@@ -147,6 +156,28 @@ class TestEvidenceHead:
             assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
+    def test_stack_equals_each_head_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        heads = [EvidenceHead.initialize(3, (5, 4), 2, rng) for _ in range(3)]
+        stack = EvidenceHead(
+            [np.stack(layer) for layer in zip(*(h.weights for h in heads))],
+            [np.stack(layer) for layer in zip(*(h.biases for h in heads))],
+        )
+        x, upstream = rng.normal(size=(3, 9, 3)), rng.normal(size=(3, 9, 2))
+
+        evidence, cache = stack.forward_cached(x)
+        out = ([np.empty_like(w) for w in stack.weights], [np.empty_like(b) for b in stack.biases])
+        grads_w, grads_b = stack.backward(cache, upstream, out=out)
+        assert all(got is want for got, want in zip(grads_w + grads_b, out[0] + out[1]))
+        assert evidence.shape == (3, 9, 2)
+        for g, head in enumerate(heads):
+            e_g, cache_g = head.forward_cached(x[g])
+            assert np.array_equal(evidence[g], e_g)
+            gw, gb = head.backward(cache_g, upstream[g])
+            for got, want in zip(grads_w + grads_b, gw + gb):
+                assert np.array_equal(got[g], want)
+
+
 def _forward_with(head, layer, arr_list, flat_vals, x):
     saved = arr_list[layer].copy()
     arr_list[layer].ravel()[:] = flat_vals
@@ -193,6 +224,37 @@ class TestModelAssembly:
             EvidentialModel(model.heads, BaseRate([0.3, 0.3, 0.4], weight=2.0), cfg)
         with pytest.raises(ValueError, match="prior_weight"):
             EvidentialModel(model.heads, BaseRate([0.5, 0.5], weight=3.0), cfg)
+        wider = EvidentialModel.initialize(tiny_config(hidden=(5,)), base)
+        with pytest.raises(ValueError, match="head 0 does not have the layer shapes"):
+            EvidentialModel(wider.heads, base, cfg)
+
+    def test_model_owns_its_parameters(self):
+        train, valid = blob_data(2, 20), blob_data(3, 10)
+        cfg = tiny_config(view_dims=(2, 2), learning_rate=1e-2, epochs=2, batch_size=8)
+        base = compute_base_rate(train.labels(), 2)
+        m1 = EvidentialModel.initialize(cfg, base)
+        before = [p.copy() for p in m1.parameters()]
+        m2 = EvidentialModel(m1.heads, base, cfg)
+        assert params_equal(m1, m2)
+        fit(m2, train, valid)
+        assert all(np.array_equal(p, q) for p, q in zip(m1.parameters(), before))
+        assert not params_equal(m1, m2)
+
+    def test_in_place_head_edit_reaches_every_pass(self):
+        # view 2 shares a stack with view 0; silence it through its head alone
+        cfg = tiny_config(num_views=3, view_dims=(3, 2, 3))
+        base = BaseRate([0.5, 0.5], weight=2.0)
+        model = EvidentialModel.initialize(cfg, base)
+        ds = mixed_data(cfg.view_dims, 2, 12, seed=8)
+        before = evaluate(model, ds)
+        model.heads[2].weights[-1][:] = 0.0
+        model.heads[2].biases[-1][:] = -40.0
+        after = evaluate(model, ds)
+        assert not np.array_equal(before[2], after[2])
+        for a, b in zip(after, evaluate(EvidentialModel(model.heads, base, cfg), ds)):
+            assert np.array_equal(a, b)
+        evidences = forward(model, next(iter(ds)))[0]
+        assert np.all(evidences[2].evidence < 1e-15) and np.all(evidences[0].evidence > 1e-3)
 
 
 GOLDEN_SAMPLE = MultiViewSample((np.array([0.5, -1.0, 2.0]), np.array([1.5, -0.5])), 0, "golden")
@@ -358,6 +420,52 @@ def blob_data(seed, n, separation=4.0):
     )
 
 
+def mixed_data(view_dims, num_classes, n, seed):
+    """n samples whose views have the given dimensions; each class shifts every feature."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % num_classes
+    views = [rng.normal(size=(n, d)) + labels[:, None] for d in view_dims]
+    return MultiViewDataset.from_arrays(views, labels, [f"s{i}" for i in range(n)], num_classes)
+
+
+def fit_reference(model, train, valid):
+    """`fit`'s epochs as a loop over fit_step_reference: (per-head parameter lists, curves).
+
+    Starts from the model's current parameters and leaves the model as it is.
+    """
+    cfg, base = model.config, model.base_rate
+    heads = [([w.copy() for w in h.weights], [b.copy() for b in h.biases]) for h in model.heads]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for h in model.heads for p in h.parameters()]
+    beta = DirichletParams(base.rates * base.weight)
+    rows = max(1, model_module._EVAL_BLOCK // ((cfg.num_views + 1) * (cfg.num_classes + 3)))
+    rng = np.random.default_rng(cfg.seed + 1)
+    curves = {name: [] for name in ("train_loss", "train_acc", "valid_loss", "valid_acc")}
+    step = 0
+    for epoch in range(cfg.epochs):
+        loss_cfg = LossConfig(annealed_lambda(epoch, cfg.anneal_epochs), beta)
+        order = rng.permutation(len(train))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            labels = train.labels()[batch]
+            step += 1
+            fit_step_reference(
+                heads, moments, step, [x[batch] for x in train.views],
+                lambda evidences: overall_loss_and_grad(evidences, base, labels, loss_cfg),
+                cfg.learning_rate,
+            )
+        for name, ds in (("train", train), ("valid", valid)):
+            labels, total, correct = ds.labels(), 0.0, 0
+            for start in range(0, len(ds), rows):
+                block = slice(start, start + rows)
+                evidences = [head_forward_reference(w, b, x[block])[0] for (w, b), x in zip(heads, ds.views)]
+                losses, alpha = overall_loss_rows(evidences, base, labels[block], loss_cfg)
+                total += losses.sum()
+                correct += int(np.count_nonzero(np.argmax(alpha, axis=1) == labels[block]))
+            curves[f"{name}_loss"].append(float(total / labels.size))
+            curves[f"{name}_acc"].append(correct / labels.size)
+    return heads, curves
+
+
 class TestFit:
     def test_learns_separable_blobs(self):
         train, valid = blob_data(0, 100), blob_data(1, 50)
@@ -435,6 +543,63 @@ class TestFit:
         model = EvidentialModel.initialize(cfg, compute_base_rate(train.labels(), 2))
         fit(model, train, valid)
         assert len(calls) == 3 * -(-len(train) // 16)  # epochs * ceil(N / batch_size)
+
+    @pytest.mark.parametrize("num_classes,view_dims,hidden", [
+        (2, (2, 2, 2, 2), (64,)),  # the criterion-07 shape: one stack of four
+        (3, (2, 3, 2), (5,)),  # two stacks, one of them non-contiguous
+        (2, (3, 2), ()),
+        (4, (2, 2, 3), (8, 6)),
+    ])
+    def test_matches_the_per_head_reference(self, monkeypatch, num_classes, view_dims, hidden):
+        # 7-row evaluation blocks, and 25 training rows in batches of 6, 6, 6, 6 and 1
+        monkeypatch.setattr(
+            "evifuse.model._EVAL_BLOCK", 7 * (len(view_dims) + 1) * (num_classes + 3)
+        )
+        train = mixed_data(view_dims, num_classes, 25, seed=20)
+        valid = mixed_data(view_dims, num_classes, 16, seed=21)
+        cfg = ModelConfig(
+            num_classes=num_classes, num_views=len(view_dims), view_dims=view_dims,
+            hidden=hidden, learning_rate=1e-2, epochs=3, batch_size=6, seed=6,
+        )
+        model = EvidentialModel.initialize(cfg, compute_base_rate(train.labels(), num_classes))
+        rng = np.random.default_rng(cfg.seed)  # every head drawn in view order from one stream
+        drawn = [EvidenceHead.initialize(d, hidden, num_classes, rng) for d in view_dims]
+        for head, want in zip(model.heads, drawn):
+            assert all(np.array_equal(p, q) for p, q in zip(head.parameters(), want.parameters()))
+
+        ref_heads, ref_curves = fit_reference(model, train, valid)
+        report = fit(model, train, valid)
+        for head, (weights, biases) in zip(model.heads, ref_heads):
+            assert all(np.array_equal(p, q) for p, q in zip(head.weights + head.biases, weights + biases))
+        assert report.to_dict() == {**ref_curves, "skipped": [0] * cfg.epochs}
+
+    @pytest.mark.parametrize("view_dims,stacks", [((2, 2, 2, 2), 1), ((2, 3, 2), 2), ((3, 2), 2)])
+    def test_one_head_pass_per_stack(self, monkeypatch, view_dims, stacks):
+        counts = {"forward": 0, "forward_cached": 0, "backward": 0}
+
+        def counted(name):
+            real = getattr(EvidenceHead, name)
+
+            def method(self, *args, **kwargs):
+                counts[name] += 1
+                return real(self, *args, **kwargs)
+            return method
+
+        for name in counts:
+            monkeypatch.setattr(EvidenceHead, name, counted(name))
+        monkeypatch.setattr("evifuse.model._EVAL_BLOCK", 7 * (len(view_dims) + 1) * 5)  # 7 rows
+        train, valid = mixed_data(view_dims, 2, 20, seed=22), mixed_data(view_dims, 2, 9, seed=23)
+        cfg = tiny_config(num_views=len(view_dims), view_dims=view_dims, epochs=2, batch_size=8)
+        model = EvidentialModel.initialize(cfg, compute_base_rate(train.labels(), 2))
+        fit(model, train, valid)
+        batches, blocks = -(-20 // 8), -(-20 // 7) + -(-9 // 7)
+        assert counts["backward"] == stacks * cfg.epochs * batches
+        assert counts["forward"] == stacks * cfg.epochs * blocks  # the per-epoch evaluation
+        assert counts["forward_cached"] == counts["backward"] + counts["forward"]
+
+        counts.update(forward=0, forward_cached=0)
+        evaluate(model, valid)
+        assert counts["forward"] == stacks
 
     def test_dataset_shape_must_match(self):
         train, valid = blob_data(6, 10), blob_data(7, 5)
