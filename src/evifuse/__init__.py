@@ -33,7 +33,6 @@ from .losses import (
     overall_grad,
     overall_loss,
     overall_loss_and_grad,
-    overall_loss_rows,
 )
 from .data import (
     MultiViewDataset,
@@ -88,7 +87,6 @@ __all__ = [
     "projected_probability",
     "LossConfig", "annealed_lambda", "ice_grad", "ice_loss", "kl_reg_grad",
     "kl_reg_loss", "overall_grad", "overall_loss", "overall_loss_and_grad",
-    "overall_loss_rows",
     "MultiViewDataset", "MultiViewSample", "SyntheticSpec", "ViewGeometry",
     "extract_views", "gen_ood", "gen_synthetic", "load_csv", "load_grid",
     "resample_class_ratio", "save_csv", "save_grid",

@@ -8,9 +8,10 @@ is byte-reproducible given the same inputs and seed. A config file holds one
 object per subcommand, keyed by parameter name; click checks its values with
 each option's own type and choices.
 
-Exit codes: 0 success, 2 usage or validation, 3 numeric failure (total
-fusion conflict, a diverged training run, overflowing evidence at
-evaluation), 4 file IO.
+Exit codes: 0 success, 2 usage or validation (also a request too large to
+fit in memory, and a calibration bin count above `metrics.MAX_BINS`), 3
+numeric failure (total fusion conflict, a diverged training run,
+overflowing evidence at evaluation), 4 file IO.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def subcommand(name: str | None = None, seeded: bool = False):
     """Register a subcommand of `main`; its body takes the CliState first.
 
     The body gets each parameter as click resolved it, logged to stderr
-    together with the seed when `seeded`. Library errors become the
-    documented exit codes.
+    together with the seed when `seeded`. Library errors, and running out
+    of memory, become the documented exit codes with one stderr line.
     """
 
     def decorate(fn):
@@ -177,6 +178,9 @@ def subcommand(name: str | None = None, seeded: bool = False):
                 _fail(EXIT_IO, str(exc))
             except ValueError as exc:
                 _fail(EXIT_VALIDATION, str(exc))
+            except MemoryError as exc:
+                detail = " ".join(str(exc).split()) or "no detail"
+                _fail(EXIT_VALIDATION, f"{ctx.info_name}: out of memory; ask for smaller sizes ({detail})")
 
         return main.command(name)(callback)
 
@@ -247,6 +251,8 @@ def fuse(state, opinions_path, base_rate_spec, chain):
 def gen(state, classes, views, dim, n_per_class, separation, scale, out_path,
         ood_shift, ood_out, ratio, imbalanced_out):
     """Generate synthetic multi-view datasets (ID, optional OOD/imbalanced)."""
+    if views < 2:
+        raise ValueError(f"--views must be at least 2, a local view and the global one, not {views}")
     if (ood_shift is None) != (ood_out is None):
         raise ValueError("--ood-shift and --ood-out must be given together")
     if (ratio is None) != (imbalanced_out is None):

@@ -167,13 +167,10 @@ def _evidence_array(e) -> np.ndarray:
     return e.evidence if isinstance(e, EvidenceVector) else np.asarray(e, dtype=float)
 
 
-def _checked_alphas(view_evidences, base_rate: BaseRate, labels):
-    """Checked, stacked inputs of a batched loss call and the V+1 Dirichlets.
+def _checked_inputs(view_evidences, base_rate: BaseRate, labels):
+    """(single, evidence stacked as (V, N, K), label mask (N, K)) of a loss call.
 
-    Returns (single, stacked evidence (V, N, K), alphas (V+1, N, K) with the
-    combined one last, label mask (N, K), diverged row indices). A diverged
-    row's alphas are set to 1 and its evidence to 0, placeholders that keep
-    the special functions finite; the callers score those rows NaN.
+    The stacked array is a new one, so the core may write into it.
     """
     evidences = [_evidence_array(e) for e in view_evidences]
     if not evidences:
@@ -190,16 +187,43 @@ def _checked_alphas(view_evidences, base_rate: BaseRate, labels):
     _, num_rows, num_classes = stacked.shape
     if num_classes != base_rate.num_classes:
         raise ValueError("evidence and base rate disagree on the number of classes")
-    hot = _one_hot(_checked_labels(labels, num_rows, num_classes), num_classes)
-    w = base_rate.weight
+    return single, stacked, _one_hot(_checked_labels(labels, num_rows, num_classes), num_classes)
 
-    fused = combined_evidence(stacked, w)
-    alphas = np.concatenate([stacked, fused[None]]) + base_rate.rates * w
+
+def _overall(stacked: np.ndarray, hot: np.ndarray, base_rate: BaseRate, cfg: LossConfig, grad=True):
+    """Overall losses (N,), combined alpha (N, K) and, with `grad`, the (V, N, K) gradients.
+
+    Takes checked evidence stacked as (V, N, K), the global view last, and
+    an (N, K) label mask. A row whose concentrations do not sum to a finite
+    value gets a NaN loss, alpha and gradient; its evidence in `stacked`,
+    which the caller owns, is set to 0 and its alphas to 1, placeholders
+    that keep the special functions finite. The loss-only pass makes the
+    same special-function call, so its losses equal the gradient pass's bit
+    for bit.
+    """
+    num_views, w = stacked.shape[0], base_rate.weight
+    alphas = np.concatenate([stacked, combined_evidence(stacked, w)[None]]) + base_rate.rates * w
     diverged = np.flatnonzero(~np.isfinite(alphas.sum(axis=(0, 2))))
-    if diverged.size:
-        alphas[:, diverged] = 1.0
-        stacked[:, diverged] = 0.0
-    return single, stacked, alphas, hot, diverged
+    alphas[:, diverged] = 1.0
+    stacked[:, diverged] = 0.0
+    args, triples = _special(alphas, hot, cfg.beta.alpha)
+    ice, kl = _values(args, triples)
+    loss = (ice + cfg.lam * kl).sum(axis=0)
+    combined = alphas[-1]
+    loss[diverged] = combined[diverged] = np.nan
+    if not grad:
+        return loss, combined
+    ice_g, kl_g = _grads(hot, args, triples)
+    term_grads = ice_g + cfg.lam * kl_g
+    grads, g_combined = term_grads[:-1], term_grads[-1]
+    if num_views == 1:
+        grads += g_combined
+    else:
+        local, glob = np.sum(stacked[:-1], axis=0), stacked[-1]
+        grads[:-1] += g_combined * (1.0 + glob / w)
+        grads[-1] += g_combined * (1.0 + local / w)
+    grads[:, diverged] = np.nan
+    return loss, combined, grads
 
 
 def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: LossConfig):
@@ -220,49 +244,11 @@ def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: Loss
     evidence overflowed, gets a NaN loss and NaN gradients; the other rows
     are scored as usual, and the caller decides what divergence means.
     """
-    single, stacked, alphas, hot, diverged = _checked_alphas(view_evidences, base_rate, labels)
-    args, triples = _special(alphas, hot, cfg.beta.alpha)
-    ice, kl = _values(args, triples)
-    ice_g, kl_g = _grads(hot, args, triples)
-    loss = (ice + cfg.lam * kl).sum(axis=0)
-    term_grads = ice_g + cfg.lam * kl_g
-
-    g_combined = term_grads[-1]
-    num_views, w = stacked.shape[0], base_rate.weight
-    if num_views == 1:
-        grads = [term_grads[0] + g_combined]
-    else:
-        local, glob = np.sum(stacked[:-1], axis=0), stacked[-1]
-        g_local = g_combined * (1.0 + glob / w)
-        grads = [term_grads[v] + g_local for v in range(num_views - 1)]
-        grads.append(term_grads[-2] + g_combined * (1.0 + local / w))
-    if diverged.size:
-        loss[diverged] = np.nan
-        for g in grads:
-            g[diverged] = np.nan
+    single, stacked, hot = _checked_inputs(view_evidences, base_rate, labels)
+    loss, _, grads = _overall(stacked, hot, base_rate, cfg)
     if single:
         return float(loss[0]), [g[0] for g in grads]
-    return loss, grads
-
-
-def overall_loss_rows(view_evidences, base_rate: BaseRate, labels, cfg: LossConfig):
-    """Overall loss per sample and the combined alpha, without gradients.
-
-    Takes the inputs of overall_loss_and_grad and returns (losses of shape
-    (N,), combined alpha of shape (N, K)); each loss is bit for bit the one
-    overall_loss_and_grad gives: it makes the same special-function call
-    and skips the gradient step. A diverged row gets a NaN loss
-    and a NaN alpha. One sample as 1-d vectors gives a float and a (K,) alpha.
-    """
-    single, _, alphas, hot, diverged = _checked_alphas(view_evidences, base_rate, labels)
-    ice, kl = _values(*_special(alphas, hot, cfg.beta.alpha))
-    loss = (ice + cfg.lam * kl).sum(axis=0)
-    combined = alphas[-1]
-    loss[diverged] = np.nan
-    combined[diverged] = np.nan
-    if single:
-        return float(loss[0]), combined[0]
-    return loss, combined
+    return loss, list(grads)
 
 
 def overall_grad(view_evidences, base_rate: BaseRate, labels, cfg: LossConfig):

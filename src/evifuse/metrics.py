@@ -20,6 +20,11 @@ import numpy as np
 
 _UNIT_TOL = 1e-9
 
+# Most calibration bins a report may ask for. Each bin costs one pass over
+# the confidences and one entry in the report, so a larger count buys no
+# resolution on any realistic sample size and only time and memory.
+MAX_BINS = 10_000
+
 
 def check_unit_interval(name: str, values) -> None:
     """Raise ValueError unless every value lies in [0, 1], up to 1e-9."""
@@ -87,9 +92,12 @@ def _calibration(confidence: np.ndarray, correct: np.ndarray, num_bins: int):
 
     A bin's accuracy and mean confidence are means over its members in
     sample order; the ECE weighs each nonempty bin's gap by its share.
+    A bin count outside [1, MAX_BINS] is a ValueError.
     """
     if num_bins < 1:
         raise ValueError("need at least one bin")
+    if num_bins > MAX_BINS:
+        raise ValueError(f"need at most {MAX_BINS} bins, not {num_bins}")
     idx = _bin_index(confidence, num_bins)
     total, bins = 0.0, []
     for m in range(num_bins):

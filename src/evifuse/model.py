@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import MultiViewDataset, MultiViewSample, read_json
 from .dirichlet import BaseRate, DirichletParams, EvidenceVector, combined_evidence
-from .losses import LossConfig, annealed_lambda, overall_loss_and_grad, overall_loss_rows
+from .losses import LossConfig, _one_hot, _overall, annealed_lambda
 from .opinions import dirichlet_from_evidence, opinion_from_dirichlet
 
 CHECKPOINT_FORMAT = "evifuse-model"
@@ -226,7 +226,7 @@ class EvidentialModel:
         groups = {}
         for v, dim in enumerate(config.view_dims):
             groups.setdefault(dim, []).append(v)
-        self._groups = [tuple(group) for group in groups.values()]
+        self._groups = list(groups.values())
         self._params = np.zeros(sum(
             fan_out * (fan_in + 1)
             for dim in config.view_dims
@@ -309,18 +309,17 @@ def _stacked(model: EvidentialModel, views) -> list:
     return [np.stack([views[v] for v in group]) for group in model._groups]
 
 
-def _per_view(model: EvidentialModel, stacked) -> list:
-    """The entries of per-stack (G, ...) arrays as a list in view order."""
-    out = [None] * model.config.num_views
-    for group, arrays in zip(model._groups, stacked):
-        for v, a in zip(group, arrays):
-            out[v] = a
+def _by_view(model: EvidentialModel, outputs) -> np.ndarray:
+    """Per-stack (G, N, K) outputs as one (V, N, K) array in view order."""
+    out = np.empty((model.config.num_views, *outputs[0].shape[1:]))
+    for group, e in zip(model._groups, outputs):
+        out[group] = e
     return out
 
 
-def _view_evidences(model: EvidentialModel, stacked) -> list:
-    """Per-view (N, K) evidence from stacked features, one head pass per stack."""
-    return _per_view(model, [stack.forward(x) for stack, x in zip(model._stacks, stacked)])
+def _view_evidences(model: EvidentialModel, stacked) -> np.ndarray:
+    """(V, N, K) evidence from stacked features, one head pass per stack."""
+    return _by_view(model, [stack.forward(x) for stack, x in zip(model._stacks, stacked)])
 
 
 def forward(model: EvidentialModel, sample: MultiViewSample):
@@ -392,11 +391,12 @@ class TrainingReport:
         return self.valid_acc[-1] if self.valid_acc else float("nan")
 
 
-def _dataset_eval(model: EvidentialModel, stacked, labels, loss_cfg: LossConfig):
+def _dataset_eval(model: EvidentialModel, stacked, labels, hot, loss_cfg: LossConfig):
     """Mean overall loss and accuracy on per-stack (G, N, d) features.
 
-    Scores row blocks whose loss-only call passes at most _EVAL_BLOCK values
-    to specfun, so peak memory does not grow with the dataset.
+    Takes the (N,) labels and their (N, K) one-hot mask. Scores row blocks
+    whose loss-only core call passes at most _EVAL_BLOCK values to specfun,
+    so peak memory does not grow with the dataset.
     """
     cfg = model.config
     rows = max(1, _EVAL_BLOCK // ((cfg.num_views + 1) * (cfg.num_classes + 3)))
@@ -404,7 +404,7 @@ def _dataset_eval(model: EvidentialModel, stacked, labels, loss_cfg: LossConfig)
     for start in range(0, labels.size, rows):
         block = slice(start, start + rows)
         evidences = _view_evidences(model, [x[:, block] for x in stacked])
-        losses, alpha = overall_loss_rows(evidences, model.base_rate, labels[block], loss_cfg)
+        losses, alpha = _overall(evidences, hot[block], model.base_rate, loss_cfg, grad=False)
         total += losses.sum()
         correct += int(np.count_nonzero(np.argmax(alpha, axis=1) == labels[block]))
     return float(total / labels.size), correct / labels.size
@@ -417,10 +417,11 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
     """Adam on the overall objective with a linearly annealed balance factor.
 
     Batches are drawn by a seeded permutation each epoch; each batch runs as
-    one forward and one backward pass per stack of heads around one
-    loss+gradient call, and Adam steps the flat parameter vector along the
-    batch-mean gradient. Raises TrainingDiverged, naming the epoch and the
-    first sample, if the objective stops being finite.
+    one forward and one backward pass per stack of heads around one call of
+    the loss core on the batch's (V, B, K) evidence, and Adam steps the flat
+    parameter vector along the batch-mean gradient. Raises TrainingDiverged,
+    naming the epoch and the first sample, if the objective stops being
+    finite.
     """
     cfg = model.config
     for ds in (train, valid):
@@ -430,6 +431,7 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
     beta = DirichletParams(base.rates * base.weight)
     train_x, train_labels = _stacked(model, train.views), train.labels()
     valid_x, valid_labels = _stacked(model, valid.views), valid.labels()
+    train_hot, valid_hot = _one_hot(train_labels, cfg.num_classes), _one_hot(valid_labels, cfg.num_classes)
     rng = np.random.default_rng(cfg.seed + 1)  # decouple batch order from init
     params = model._params
     grads = np.zeros_like(params)
@@ -449,16 +451,15 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
                 stack.forward_cached(np.take(x, batch, axis=1))
                 for stack, x in zip(model._stacks, train_x)
             ]
-            losses, ev_grads = overall_loss_and_grad(
-                _per_view(model, [e for e, _ in results]), base, train_labels[batch], loss_cfg
-            )
+            evidences = _by_view(model, [e for e, _ in results])
+            losses, _, ev_grads = _overall(evidences, train_hot[batch], base, loss_cfg)
             bad = np.flatnonzero(~np.isfinite(losses))
             if bad.size:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, sample {train.ids[batch[bad[0]]]}"
                 )
             for stack, group, (_, cache), out in zip(model._stacks, model._groups, results, grad_stacks):
-                stack.backward(cache, np.stack([ev_grads[v] for v in group]), out=out)
+                stack.backward(cache, ev_grads[group], out=out)
             step += 1
             lr_t = cfg.learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
             grads /= batch.size
@@ -468,8 +469,8 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
             adam_v += (1.0 - beta2) * grads * grads
             params -= lr_t * adam_m / (np.sqrt(adam_v) + eps)
 
-        tr_loss, tr_acc = _dataset_eval(model, train_x, train_labels, loss_cfg)
-        va_loss, va_acc = _dataset_eval(model, valid_x, valid_labels, loss_cfg)
+        tr_loss, tr_acc = _dataset_eval(model, train_x, train_labels, train_hot, loss_cfg)
+        va_loss, va_acc = _dataset_eval(model, valid_x, valid_labels, valid_hot, loss_cfg)
         if not (np.isfinite(tr_loss) and np.isfinite(va_loss)):
             raise TrainingDiverged(f"non-finite epoch loss at epoch {epoch}")
         curves["train_loss"].append(tr_loss)

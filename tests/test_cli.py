@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import evifuse.data
 from evifuse.cli import main
 from evifuse.data import load_csv, load_grid, save_grid
+from evifuse.metrics import MAX_BINS
 from evifuse.model import ModelConfig, load_checkpoint
 
 runner = CliRunner()
@@ -142,6 +144,22 @@ class TestGen:
             "gen", "--out", str(tmp_path / "x.csv"), "--ood-shift", "2.0",
         ], expect=2)
         assert "together" in result.stderr
+
+    @pytest.mark.parametrize("views", ["1", "0"])
+    def test_fewer_than_two_views_exits_2(self, tmp_path, views):
+        out = tmp_path / "x.csv"
+        result = run(["--quiet", "gen", "--views", views, "--out", str(out)], expect=2)
+        assert result.stderr.count("\n") == 1 and "at least 2" in result.stderr
+        assert not out.exists()
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 5.82 TiB for an array")
+
+        monkeypatch.setattr(evifuse.data, "gen_synthetic", exhausted)
+        result = run(["--quiet", "gen", "--out", str(tmp_path / "x.csv")], expect=2)
+        assert result.stderr == "error: gen: out of memory; ask for smaller sizes" \
+            " (Unable to allocate 5.82 TiB for an array)\n"
 
 
 class TestViews:
@@ -328,6 +346,14 @@ class TestEval:
         args = ["eval", "--model", str(trained["model"]), "--data", str(trained["valid"])]
         assert run(args).stdout == run(args).stdout
 
+    def test_bins_above_the_cap_exit_2(self, trained):
+        result = run([
+            "--quiet", "eval", "--model", str(trained["model"]), "--data", str(trained["valid"]),
+            "--bins", str(MAX_BINS + 1),
+        ], expect=2)
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+        assert f"at most {MAX_BINS} bins" in result.stderr
+
 
 class TestInProcess:
     def test_captured_streams_are_released(self, trained):
@@ -502,6 +528,15 @@ class TestAdaptSweep:
             _, _, auc, ece = line.split(",")
             assert auc == "" or 0.0 <= float(auc) <= 1.0
             assert 0.0 <= float(ece) <= 1.0
+
+    def test_bins_above_the_cap_exit_2(self, trained):
+        result = run([
+            "--quiet", "adapt-sweep", "--model", str(trained["model"]),
+            "--uniform-model", str(trained["uniform"]), "--data", str(trained["train"]),
+            "--bins", str(MAX_BINS + 1),
+        ], expect=2)
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+        assert f"at most {MAX_BINS} bins" in result.stderr
 
 
 class TestConfigPrecedence:

@@ -10,6 +10,8 @@ from evifuse.dirichlet import BaseRate, DirichletParams, combined_evidence, kl_d
 from evifuse.losses import (
     _ALPHA_FLOOR,
     LossConfig,
+    _checked_inputs,
+    _overall,
     annealed_lambda,
     ice_grad,
     ice_loss,
@@ -18,8 +20,8 @@ from evifuse.losses import (
     overall_grad,
     overall_loss,
     overall_loss_and_grad,
-    overall_loss_rows,
 )
+from evifuse.model import EvidentialModel, ModelConfig, _stacked, _view_evidences
 from oracles import (
     fd_grad,
     masked_alpha_reference,
@@ -28,6 +30,12 @@ from oracles import (
 )
 
 PI2_6 = math.pi * math.pi / 6.0
+
+
+def loss_rows(view_evidences, base, labels, cfg):
+    """The loss core's loss-only pass on checked inputs: (losses (N,), combined alpha (N, K))."""
+    _, stacked, hot = _checked_inputs(view_evidences, base, labels)
+    return _overall(stacked, hot, base, cfg, grad=False)
 
 
 def uniform_cfg(k, lam):
@@ -265,9 +273,12 @@ class TestOverall:
         local = np.array([[1.0, 2.0], [np.inf, 1.0], [1e200, 0.0], [np.nan, 1.0], [0.5, 3.0]])
         glob = np.array([[2.0, 0.5], [1.0, 1.0], [1e200, 1.0], [1.0, 1.0], [4.0, 0.0]])
         labels = np.array([0, 1, 0, 1, 1])
+        given = local.copy(), glob.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             losses, grads = overall_loss_and_grad([local, glob], base, labels, cfg)
-            rows, alpha = overall_loss_rows([local, glob], base, labels, cfg)
+            rows, alpha = loss_rows([local, glob], base, labels, cfg)
+        # the core writes placeholders into its own stacked copy, never the caller's arrays
+        assert all(np.array_equal(e, g, equal_nan=True) for e, g in zip((local, glob), given))
         good, bad = [0, 4], [1, 2, 3]
         assert np.all(np.isnan(losses[bad]))
         assert all(np.all(np.isnan(g[bad])) for g in grads)
@@ -276,6 +287,23 @@ class TestOverall:
         want, want_grads = overall_loss_and_grad([local[good], glob[good]], base, labels[good], cfg)
         assert np.array_equal(losses[good], want)
         assert all(np.array_equal(g[good], w) for g, w in zip(grads, want_grads))
+
+        # evidence of a model whose views (2, 3, 2) form two stacks, one non-contiguous;
+        # rows 1 and 3 diverge
+        config = ModelConfig(num_classes=2, num_views=3, view_dims=(2, 3, 2), hidden=(4,))
+        model = EvidentialModel.initialize(config, base)
+        features = [np.random.default_rng(d).normal(size=(4, d)) for d in config.view_dims]
+        evidence = _view_evidences(model, _stacked(model, features))
+        evidence[0, 1, 0] = np.inf
+        evidence[2, 3, 1] = np.nan
+        hot = np.arange(2) == np.array([0, 1, 1, 0])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, alpha = _overall(evidence.copy(), hot, base, cfg, grad=False)
+            losses, combined, grads = _overall(evidence.copy(), hot, base, cfg)
+        assert np.array_equal(rows, losses, equal_nan=True)
+        assert np.array_equal(alpha, combined, equal_nan=True)
+        assert np.array_equal(np.isnan(rows), [False, True, False, True])
+        assert np.array_equal(np.isnan(grads).all(axis=(0, 2)), [False, True, False, True])
 
     def test_one_special_function_call_per_batch(self, monkeypatch):
         import evifuse.losses as losses_module
@@ -286,7 +314,7 @@ class TestOverall:
         base, cfg, evidences, labels = _random_batch(np.random.default_rng(3), "dense")
         overall_loss_and_grad(evidences, base, labels, cfg)
         assert len(calls) == 1
-        overall_loss_rows(evidences, base, labels, cfg)
+        loss_rows(evidences, base, labels, cfg)
         assert len(calls) == 2
         # S, alpha_label, masked alpha and its sum per Dirichlet, then beta and its sum
         v, (n, k) = len(evidences), evidences[0].shape
@@ -297,15 +325,14 @@ class TestOverall:
         base = BaseRate([0.5, 0.5], weight=2.0)
         cfg = uniform_cfg(2, 0.0)
         ok = np.ones((3, 2))
-        for routine in (overall_loss_and_grad, overall_loss_rows):
-            with pytest.raises(ValueError, match="label"):
-                routine([ok, ok], base, np.array([0, 2, 1]), cfg)
-            with pytest.raises(ValueError, match="labels"):
-                routine([ok, ok], base, np.array([0, 1]), cfg)
-            with pytest.raises(ValueError, match="one shape"):
-                routine([ok, np.ones((2, 2))], base, np.array([0, 1, 1]), cfg)
-            with pytest.raises(ValueError, match="nonnegative"):
-                routine([ok, -ok], base, np.array([0, 1, 1]), cfg)
+        with pytest.raises(ValueError, match="label"):
+            overall_loss_and_grad([ok, ok], base, np.array([0, 2, 1]), cfg)
+        with pytest.raises(ValueError, match="labels"):
+            overall_loss_and_grad([ok, ok], base, np.array([0, 1]), cfg)
+        with pytest.raises(ValueError, match="one shape"):
+            overall_loss_and_grad([ok, np.ones((2, 2))], base, np.array([0, 1, 1]), cfg)
+        with pytest.raises(ValueError, match="nonnegative"):
+            overall_loss_and_grad([ok, -ok], base, np.array([0, 1, 1]), cfg)
 
 
 def _random_batch(rng, kind):
@@ -392,7 +419,7 @@ class TestLossRows:
             assert _floor_binds(base, evidences) == (kind == "floored")
             # any lambda: equal bits do not depend on the KL's precision
             cfg = LossConfig(float(rng.uniform(0.0, 1.0)), cfg.beta)
-            losses, alpha = overall_loss_rows(evidences, base, labels, cfg)
+            losses, alpha = loss_rows(evidences, base, labels, cfg)
             want, _ = overall_loss_and_grad(evidences, base, labels, cfg)
             assert np.array_equal(losses, want)
             fused = combined_evidence(evidences, base.weight) + base.rates * base.weight
@@ -402,9 +429,9 @@ class TestLossRows:
         base = BaseRate([0.3, 0.7], weight=2.0)
         cfg = uniform_cfg(2, 0.4)
         evidences = [np.array([3.0, 1.0]), np.array([0.5, 2.0])]
-        loss, alpha = overall_loss_rows(evidences, base, 1, cfg)
-        assert loss == overall_loss_and_grad(evidences, base, 1, cfg)[0]
-        assert alpha.shape == (2,)
+        loss, alpha = loss_rows(evidences, base, 1, cfg)
+        assert loss.shape == (1,) and alpha.shape == (1, 2)
+        assert loss[0] == overall_loss_and_grad(evidences, base, 1, cfg)[0]
 
 
 
@@ -438,7 +465,7 @@ class TestExtremeEvidence:
     def test_loss_routines_agree_and_stay_finite(self, batch):
         evidences, labels, base, cfg = batch
         losses, grads = overall_loss_and_grad(evidences, base, labels, cfg)
-        rows, _ = overall_loss_rows(evidences, base, labels, cfg)
+        rows, _ = loss_rows(evidences, base, labels, cfg)
         assert np.array_equal(rows, losses)
         assert np.all(np.isfinite(losses)) and np.all(losses >= 0.0)
         assert all(np.all(np.isfinite(g)) for g in grads)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evifuse.metrics import (
+    MAX_BINS,
     EvalRecord,
     accuracy,
     auc_binary,
@@ -94,6 +95,10 @@ class TestEce:
             ece([], 10)
         with pytest.raises(ValueError):
             ece(make_records((0.5,), (True,)), 0)
+        with pytest.raises(ValueError, match="at most"):
+            ece(make_records((0.5,), (True,)), MAX_BINS + 1)
+        with pytest.raises(ValueError, match="at most"):
+            report_from_arrays([0], [0.5], [0], MAX_BINS + 1)
 
 
 class TestAccuracy:

@@ -8,8 +8,8 @@ import pytest
 import evifuse.model as model_module
 
 from evifuse.data import MultiViewDataset, MultiViewSample, SyntheticSpec, gen_synthetic
-from evifuse.dirichlet import BaseRate, DirichletParams, predict_class
-from evifuse.losses import LossConfig, annealed_lambda, overall_loss_and_grad, overall_loss_rows
+from evifuse.dirichlet import BaseRate, DirichletParams, combined_evidence, predict_class
+from evifuse.losses import LossConfig, annealed_lambda, overall_loss_and_grad
 from evifuse.model import (
     EvidenceHead,
     EvidentialModel,
@@ -458,7 +458,8 @@ def fit_reference(model, train, valid):
             for start in range(0, len(ds), rows):
                 block = slice(start, start + rows)
                 evidences = [head_forward_reference(w, b, x[block])[0] for (w, b), x in zip(heads, ds.views)]
-                losses, alpha = overall_loss_rows(evidences, base, labels[block], loss_cfg)
+                losses = overall_loss_and_grad(evidences, base, labels[block], loss_cfg)[0]
+                alpha = combined_evidence(evidences, base.weight) + base.rates * base.weight
                 total += losses.sum()
                 correct += int(np.count_nonzero(np.argmax(alpha, axis=1) == labels[block]))
             curves[f"{name}_loss"].append(float(total / labels.size))
@@ -531,9 +532,9 @@ class TestFit:
         import evifuse.model as model_module
 
         calls = []
-        real = model_module.overall_loss_and_grad
+        real = model_module._overall
         monkeypatch.setattr(
-            model_module, "overall_loss_and_grad", lambda *a: calls.append(1) or real(*a)
+            model_module, "_overall", lambda *a, grad=True: calls.append(grad) or real(*a, grad=grad)
         )
         train, valid = blob_data(12, 20), blob_data(13, 9)
         cfg = ModelConfig(
@@ -542,7 +543,7 @@ class TestFit:
         )
         model = EvidentialModel.initialize(cfg, compute_base_rate(train.labels(), 2))
         fit(model, train, valid)
-        assert len(calls) == 3 * -(-len(train) // 16)  # epochs * ceil(N / batch_size)
+        assert calls.count(True) == 3 * -(-len(train) // 16)  # epochs * ceil(N / batch_size)
 
     @pytest.mark.parametrize("num_classes,view_dims,hidden", [
         (2, (2, 2, 2, 2), (64,)),  # the criterion-07 shape: one stack of four
