@@ -11,7 +11,10 @@ each option's own type and choices.
 Exit codes: 0 success, 2 usage or validation (also a request too large to
 fit in memory, and a calibration bin count above `metrics.MAX_BINS`), 3
 numeric failure (total fusion conflict, a diverged training run,
-overflowing evidence at evaluation), 4 file IO.
+overflowing evidence at evaluation), 4 file IO. No subcommand creates a
+missing parent directory: an output path whose directory does not exist
+exits 4, and `views` creates its `--out-dir` itself but not that
+directory's parent.
 """
 
 from __future__ import annotations
@@ -308,7 +311,10 @@ def views(state, grid_file, roi, window, stride, center, cutout, out_dir):
         if len(cut) != 3:
             raise ValueError("cutout must be row,col,size")
     patches, roi_patch = datamod.extract_views(grid, geom, center=center_xy, cutout=cut)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.mkdir(out_dir)
+    except FileExistsError:
+        pass
     local_paths = []
     for i, patch in enumerate(patches):
         path = os.path.join(out_dir, f"local_{i:02d}.txt")

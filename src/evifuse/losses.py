@@ -84,17 +84,18 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels[..., None] == np.arange(num_classes)
 
 
-def _special(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray):
+def _special(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray, grad: bool = True):
     """The loss arguments of alpha (..., K) and their `gammas`, from one call.
 
     The arguments are S, alpha_label, the masked alpha (the floored alpha
     with its label entry replaced by beta's), its sum, beta and sum(beta).
+    Without `grad` the call leaves out psi', which only _grads reads.
     """
     a = np.maximum(alpha, _ALPHA_FLOOR)
     masked = np.where(hot, beta, a)
     args = (a.sum(axis=-1), np.where(hot, a, 0.0).sum(axis=-1),
             masked, masked.sum(axis=-1), beta, beta.sum())
-    return args, gammas(*args)
+    return args, gammas(*args, with_trigamma=grad)
 
 
 def _values(args, g):
@@ -198,15 +199,15 @@ def _overall(stacked: np.ndarray, hot: np.ndarray, base_rate: BaseRate, cfg: Los
     value gets a NaN loss, alpha and gradient; its evidence in `stacked`,
     which the caller owns, is set to 0 and its alphas to 1, placeholders
     that keep the special functions finite. The loss-only pass makes the
-    same special-function call, so its losses equal the gradient pass's bit
-    for bit.
+    same special-function call without psi', whose ln Gamma and psi are
+    the same bits, so its losses equal the gradient pass's bit for bit.
     """
     num_views, w = stacked.shape[0], base_rate.weight
     alphas = np.concatenate([stacked, combined_evidence(stacked, w)[None]]) + base_rate.rates * w
     diverged = np.flatnonzero(~np.isfinite(alphas.sum(axis=(0, 2))))
     alphas[:, diverged] = 1.0
     stacked[:, diverged] = 0.0
-    args, triples = _special(alphas, hot, cfg.beta.alpha)
+    args, triples = _special(alphas, hot, cfg.beta.alpha, grad)
     ice, kl = _values(args, triples)
     loss = (ice + cfg.lam * kl).sum(axis=0)
     combined = alphas[-1]

@@ -20,9 +20,9 @@ import numpy as np
 
 _UNIT_TOL = 1e-9
 
-# Most calibration bins a report may ask for. Each bin costs one pass over
-# the confidences and one entry in the report, so a larger count buys no
-# resolution on any realistic sample size and only time and memory.
+# Most calibration bins a report may ask for. Each bin costs one entry in
+# the report, so a larger count buys no resolution on any realistic sample
+# size and only time and memory.
 MAX_BINS = 10_000
 
 
@@ -99,16 +99,21 @@ def _calibration(confidence: np.ndarray, correct: np.ndarray, num_bins: int):
     if num_bins > MAX_BINS:
         raise ValueError(f"need at most {MAX_BINS} bins, not {num_bins}")
     idx = _bin_index(confidence, num_bins)
-    total, bins = 0.0, []
-    for m in range(num_bins):
-        mask = idx == m
-        count = int(np.count_nonzero(mask))
-        acc = conf = None
-        if count:
-            acc = float(correct[mask].mean())
-            conf = float(confidence[mask].mean())
-            total += count / confidence.size * abs(acc - conf)
-        bins.append({"lo": m / num_bins, "hi": (m + 1) / num_bins, "count": count, "acc": acc, "conf": conf})
+    # a stable sort keeps each bin's members in sample order, so a bin's
+    # slice holds the values its mask would pick, in the same order
+    order = np.argsort(idx, kind="stable")
+    correct, confidence = correct[order], confidence[order]
+    counts = np.bincount(idx, minlength=num_bins)
+    ends = np.cumsum(counts)
+    bins = [{"lo": m / num_bins, "hi": (m + 1) / num_bins, "count": 0, "acc": None, "conf": None}
+            for m in range(num_bins)]
+    total = 0.0
+    for m in np.flatnonzero(counts).tolist():
+        count, end = int(counts[m]), int(ends[m])
+        acc = float(correct[end - count:end].mean())
+        conf = float(confidence[end - count:end].mean())
+        total += count / confidence.size * abs(acc - conf)
+        bins[m].update(count=count, acc=acc, conf=conf)
     return total, bins
 
 

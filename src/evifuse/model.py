@@ -116,7 +116,9 @@ class ModelConfig:
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+    # logaddexp(0, z) by its own formula, max(z, 0) + log1p(e^-|z|), in
+    # numpy's vectorised exp and log1p; exp never overflows
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -1,18 +1,20 @@
 """Log-gamma, digamma, and trigamma for positive real arguments.
 
 One kernel computes all three at once. Arguments below 10 are lifted by a
-constant 10 steps with the standard recurrences, then a Bernoulli asymptotic
-series is evaluated at the lifted point; the three series share 1/x, 1/x**2
-and log x. With the series truncated after the B12 term the truncation error
-at x = 10 is below 1e-14 relative, comfortably inside the 1e-12 budget the
-Dirichlet losses need. Every element is computed on its own, so a value's
-bits do not depend on what else is in the same call. Inputs are validated,
-not clamped; numeric floors are the caller's policy.
+constant 10 steps with the standard recurrences (Abramowitz & Stegun 6.1.15,
+6.3.5), taken in five pairs whose products share one quadratic (see
+`_lift`), then a Bernoulli asymptotic series is evaluated at the lifted
+point; the three series share 1/x, 1/x**2 and log x. With the series
+truncated after the B12 term the truncation error at x = 10 is below 1e-14
+relative, comfortably inside the 1e-12 budget the Dirichlet losses need.
+Every element is computed on its own, so a value's bits do not depend on
+what else is in the same call. Inputs are validated, not clamped; numeric
+floors are the caller's policy.
 
 `gammas` serves callers that need several quantities of several arrays: one
-validated kernel pass over their concatenation. `ln_gamma`, `digamma` and
-`trigamma` are views of it that accept scalars or arrays and return matching
-shapes.
+validated kernel pass over their concatenation, which can leave psi' out.
+`ln_gamma`, `digamma` and `trigamma` are views of it that accept scalars or
+arrays and return matching shapes.
 """
 
 from __future__ import annotations
@@ -59,35 +61,56 @@ def _horner(tail, z):
     return acc
 
 
-def _lift(x0: np.ndarray) -> np.ndarray:
+# (x+k)(x+9-k) - x(x+9) for k = 1..4: the lift pairs x+k with x+9-k, and
+# every pair's product is t + c with t = x(x+9).
+_PAIR_OFFSETS = (8.0, 14.0, 18.0, 20.0)
+
+
+def _lift(x0: np.ndarray, trig: bool = True) -> np.ndarray:
     """Recurrence terms taking x0 < 10 to x0 + 10, one row per quantity.
 
-    ln Gamma(x) = ln Gamma(x+10) - ln x - ln((x+1) ... (x+9)),
+    ln Gamma(x) = ln Gamma(x+10) - ln(x (x+1) ... (x+9)),
     psi(x) = psi(x+10) - sum 1/(x+k), psi'(x) = psi'(x+10) + sum 1/(x+k)**2.
-    The product stays below 19**9, so it cannot overflow, and x goes through
-    its own log, so a tiny x cannot underflow it.
+    The ten factors go in five pairs, (x+k)(x+9-k) = t + c with t = x(x+9)
+    and c in {0, 8, 14, 18, 20}. With s = 2x+9, the sum of a pair, each pair
+    adds s/(t+c) to the psi sum and s**2/(t+c)**2 - 2/(t+c) to the psi' sum,
+    a subtraction that loses at most a factor 2 since the first term is at
+    least twice the second: five divisions and one log where single steps
+    take ten and two. x needs no log of its own: every partial product is
+    at least t >= 9x, and the whole at least x*9!, so none underflows where
+    x does not, and below x = 10 it stays under 3.4e11. Without `trig` the
+    psi' row is left out; the other two rows are the same bits either way.
     """
-    out = np.empty((3, x0.size))
-    lg, dg, tg = out
-    inv = 1.0 / x0
-    np.negative(inv, out=dg)
-    np.multiply(inv, inv, out=tg)
-    step, prod = np.empty_like(x0), np.ones_like(x0)
-    for k in range(1, _LIFT):
-        np.add(x0, k, out=step)
+    t = x0 + 9.0
+    t *= x0
+    out = np.empty((3 if trig else 2, x0.size))
+    lg, dg = out[0], out[1]
+    np.divide(1.0, t, out=dg)
+    if trig:
+        tg = out[2]
+        np.multiply(dg, dg, out=tg)
+    prod, step, inv = t.copy(), np.empty_like(t), np.empty_like(t)
+    for c in _PAIR_OFFSETS:
+        np.add(t, c, out=step)
         prod *= step
         np.divide(1.0, step, out=inv)
-        dg -= inv
-        inv *= inv
-        tg += inv
-    np.log(x0, out=lg)
-    lg += np.log(prod)
+        dg += inv
+        if trig:
+            inv *= inv
+            tg += inv
+    neg_s = -2.0 * x0
+    neg_s -= 9.0
+    if trig:
+        tg *= neg_s * neg_s
+        tg -= dg + dg
+    dg *= neg_s
+    np.log(prod, out=lg)
     np.negative(lg, out=lg)
     return out
 
 
-def _kernel(flat: np.ndarray) -> np.ndarray:
-    """(3, n) rows ln Gamma, psi, psi' of a flat array of finite x > 0."""
+def _kernel(flat: np.ndarray, trig: bool = True) -> np.ndarray:
+    """Rows ln Gamma, psi and, with `trig`, psi' of a flat array of finite x > 0."""
     low = np.flatnonzero(flat < _LIFT)
     x0 = flat[low]
     x = flat.copy()
@@ -95,28 +118,30 @@ def _kernel(flat: np.ndarray) -> np.ndarray:
     inv = 1.0 / x
     inv2 = inv * inv
     log_x = np.log(x)
-    out = np.empty((3, x.size))
-    lg, dg, tg = out
+    out = np.empty((3 if trig else 2, x.size))
+    lg, dg = out[0], out[1]
     np.multiply(x - 0.5, log_x, out=lg)
     lg -= x
     lg += _HALF_LOG_2PI
     lg += inv * _horner(_LGAMMA_TAIL, inv2)
     np.subtract(log_x, 0.5 * inv, out=dg)
     dg -= inv2 * _horner(_DIGAMMA_TAIL, inv2)
-    np.add(inv, 0.5 * inv2, out=tg)
-    tg += inv * inv2 * _horner(_TRIGAMMA_TAIL, inv2)
+    if trig:
+        tg = out[2]
+        np.add(inv, 0.5 * inv2, out=tg)
+        tg += inv * inv2 * _horner(_TRIGAMMA_TAIL, inv2)
     if low.size:
-        for row, term in zip(out, _lift(x0)):
+        for row, term in zip(out, _lift(x0, trig)):
             row[low] += term
     return out
 
 
-def _triples(arrays, name: str) -> list:
+def _triples(arrays, name: str, trig: bool = True) -> list:
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     flat = np.concatenate([a.ravel() for a in arrays])
     if flat.size and not (flat.min() > 0.0 and flat.max() < np.inf):
         raise ValueError(f"{name} is defined for finite x > 0 only")
-    rows = _kernel(flat)
+    rows = _kernel(flat, trig)
     triples, start = [], 0
     for a in arrays:
         end = start + a.size
@@ -128,14 +153,18 @@ def _triples(arrays, name: str) -> list:
     return triples
 
 
-def gammas(*arrays) -> list:
+def gammas(*arrays, with_trigamma: bool = True) -> list:
     """(ln Gamma, psi, psi') of each argument, from one kernel pass.
 
     Returns one triple per argument, each entry shaped like the argument: a
-    float for a scalar or 0-d array, an array otherwise. Raises ValueError
-    if any element is not finite or not strictly positive.
+    float for a scalar or 0-d array, an array otherwise. With
+    `with_trigamma=False` each is a (ln Gamma, psi) pair instead, for a
+    caller that needs no derivative; the pair's bits equal the triple's
+    first two entries, and the pass skips the psi' series and lift terms.
+    Raises ValueError if any element is not finite or not strictly
+    positive.
     """
-    return _triples(arrays, "gammas")
+    return _triples(arrays, "gammas", with_trigamma)
 
 
 def ln_gamma(x):
@@ -145,12 +174,12 @@ def ln_gamma(x):
     in the immediate neighborhood of the zeros at x = 1 and x = 2 where the
     error is absolute (~1e-15).
     """
-    return _triples([x], "ln_gamma")[0][0]
+    return _triples([x], "ln_gamma", False)[0][0]
 
 
 def digamma(x):
     """Digamma psi(x), the logarithmic derivative of the gamma function."""
-    return _triples([x], "digamma")[0][1]
+    return _triples([x], "digamma", False)[0][1]
 
 
 def trigamma(x):

@@ -13,6 +13,103 @@ import numpy as np
 from scipy import integrate, special
 
 
+_LIFT = 10  # arguments below this are lifted by exactly this many steps
+_HALF_LOG_2PI = 0.9189385332046727  # 0.5*ln(2*pi)
+
+# Bernoulli-number coefficient tails, lowest order first, consumed by a
+# Horner loop in 1/x**2.
+_LGAMMA_TAIL = (
+    1.0 / 12.0,
+    -1.0 / 360.0,
+    1.0 / 1260.0,
+    -1.0 / 1680.0,
+    1.0 / 1188.0,
+    -691.0 / 360360.0,
+)
+_DIGAMMA_TAIL = (
+    1.0 / 12.0,
+    -1.0 / 120.0,
+    1.0 / 252.0,
+    -1.0 / 240.0,
+    1.0 / 132.0,
+    -691.0 / 32760.0,
+)
+_TRIGAMMA_TAIL = (
+    1.0 / 6.0,
+    -1.0 / 30.0,
+    1.0 / 42.0,
+    -1.0 / 30.0,
+    5.0 / 66.0,
+    -691.0 / 2730.0,
+)
+
+
+def _horner(tail, z):
+    acc = tail[-1] * z
+    acc += tail[-2]
+    for c in tail[-3::-1]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _lift(x0: np.ndarray) -> np.ndarray:
+    """Recurrence terms taking x0 < 10 to x0 + 10, one row per quantity.
+
+    ln Gamma(x) = ln Gamma(x+10) - ln x - ln((x+1) ... (x+9)),
+    psi(x) = psi(x+10) - sum 1/(x+k), psi'(x) = psi'(x+10) + sum 1/(x+k)**2.
+    The product stays below 19**9, so it cannot overflow, and x goes through
+    its own log, so a tiny x cannot underflow it.
+    """
+    out = np.empty((3, x0.size))
+    lg, dg, tg = out
+    inv = 1.0 / x0
+    np.negative(inv, out=dg)
+    np.multiply(inv, inv, out=tg)
+    step, prod = np.empty_like(x0), np.ones_like(x0)
+    for k in range(1, _LIFT):
+        np.add(x0, k, out=step)
+        prod *= step
+        np.divide(1.0, step, out=inv)
+        dg -= inv
+        inv *= inv
+        tg += inv
+    np.log(x0, out=lg)
+    lg += np.log(prod)
+    np.negative(lg, out=lg)
+    return out
+
+
+def gammas_kernel_reference(flat: np.ndarray) -> np.ndarray:
+    """(3, n) rows ln Gamma, psi, psi' of a flat array of finite x > 0.
+
+    The special-function kernel as it was before its lift went in pairs:
+    nine single recurrence steps, one division and one product factor
+    each, then the same Bernoulli series at the lifted point.
+    """
+    low = np.flatnonzero(flat < _LIFT)
+    x0 = flat[low]
+    x = flat.copy()
+    x[low] = x0 + _LIFT
+    inv = 1.0 / x
+    inv2 = inv * inv
+    log_x = np.log(x)
+    out = np.empty((3, x.size))
+    lg, dg, tg = out
+    np.multiply(x - 0.5, log_x, out=lg)
+    lg -= x
+    lg += _HALF_LOG_2PI
+    lg += inv * _horner(_LGAMMA_TAIL, inv2)
+    np.subtract(log_x, 0.5 * inv, out=dg)
+    dg -= inv2 * _horner(_DIGAMMA_TAIL, inv2)
+    np.add(inv, 0.5 * inv2, out=tg)
+    tg += inv * inv2 * _horner(_TRIGAMMA_TAIL, inv2)
+    if low.size:
+        for row, term in zip(out, _lift(x0)):
+            row[low] += term
+    return out
+
+
 def fd_grad(f, x, h=1e-5):
     """Central finite-difference gradient of a scalar function of a vector."""
     x = np.asarray(x, dtype=float)
@@ -250,7 +347,8 @@ def head_forward_reference(weights, biases, x):
         h = np.tanh(h @ w.T + b)
         acts.append(h)
     z_out = h @ weights[-1].T + biases[-1]
-    return np.logaddexp(0.0, z_out), (acts, z_out)
+    softplus = np.maximum(z_out, 0.0) + np.log1p(np.exp(-np.abs(z_out)))
+    return softplus, (acts, z_out)
 
 
 def _sigmoid_reference(z):
@@ -319,6 +417,28 @@ def ece_reference(confidences, correct, num_bins):
         conf = sum(confidences[i] for i in members) / len(members)
         total += len(members) / n * abs(acc - conf)
     return total
+
+
+def calibration_loop_reference(confidence, correct, num_bins):
+    """(ECE, per-bin stats) with one mask per bin, every bin visited.
+
+    The calibration loop as it was before it visited nonempty bins only;
+    bins are upper-closed, ((m-1)/M, m/M], with confidence 0 in the first.
+    """
+    idx = np.ceil(confidence * num_bins).astype(int) - 1
+    idx[confidence <= 0.0] = 0
+    idx = np.clip(idx, 0, num_bins - 1)
+    total, bins = 0.0, []
+    for m in range(num_bins):
+        mask = idx == m
+        count = int(np.count_nonzero(mask))
+        acc = conf = None
+        if count:
+            acc = float(correct[mask].mean())
+            conf = float(confidence[mask].mean())
+            total += count / confidence.size * abs(acc - conf)
+        bins.append({"lo": m / num_bins, "hi": (m + 1) / num_bins, "count": count, "acc": acc, "conf": conf})
+    return total, bins
 
 
 def auc_reference(scores, labels):

@@ -152,6 +152,12 @@ class TestGen:
         assert result.stderr.count("\n") == 1 and "at least 2" in result.stderr
         assert not out.exists()
 
+    def test_missing_out_directory_exits_4(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        result = run(["--quiet", "gen", "--out", str(out)], expect=4)
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert not out.parent.exists()
+
     def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch):
         def exhausted(spec):
             raise MemoryError("Unable to allocate 5.82 TiB for an array")
@@ -193,6 +199,35 @@ class TestViews:
             "views", str(tmp_path / "nope.txt"), "--roi", "4", "--window", "2",
             "--stride", "2", "--out-dir", str(tmp_path / "v"),
         ], expect=4)
+
+    def _views_into(self, tmp_path, out_dir, expect):
+        grid_path = tmp_path / "grid.txt"
+        save_grid(np.arange(64.0).reshape(8, 8), grid_path)
+        return run([
+            "--quiet", "views", str(grid_path), "--roi", "4", "--window", "2",
+            "--stride", "2", "--out-dir", str(out_dir),
+        ], expect=expect)
+
+    def test_creates_its_leaf_directory_only(self, tmp_path):
+        out_dir = tmp_path / "a" / "b" / "c"
+        result = self._views_into(tmp_path, out_dir, expect=4)
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert not (tmp_path / "a").exists()
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        self._views_into(tmp_path, out_dir, expect=0)
+        assert (out_dir / "global.txt").exists()
+
+    def test_writes_into_an_existing_directory(self, tmp_path):
+        out_dir = tmp_path / "v"
+        out_dir.mkdir()
+        doc = out_json(self._views_into(tmp_path, out_dir, expect=0))
+        assert doc["patch_count"] == 4
+
+    def test_out_dir_that_is_a_file_exits_4(self, tmp_path):
+        out_dir = tmp_path / "v"
+        out_dir.write_text("")
+        result = self._views_into(tmp_path, out_dir, expect=4)
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 
 @pytest.fixture(scope="module")

@@ -310,7 +310,12 @@ class TestOverall:
 
         calls = []
         real = losses_module.gammas
-        monkeypatch.setattr(losses_module, "gammas", lambda *a: calls.append(a) or real(*a))
+
+        def spy(*a, **kw):
+            calls.append((a, kw))
+            return real(*a, **kw)
+
+        monkeypatch.setattr(losses_module, "gammas", spy)
         base, cfg, evidences, labels = _random_batch(np.random.default_rng(3), "dense")
         overall_loss_and_grad(evidences, base, labels, cfg)
         assert len(calls) == 1
@@ -318,8 +323,10 @@ class TestOverall:
         assert len(calls) == 2
         # S, alpha_label, masked alpha and its sum per Dirichlet, then beta and its sum
         v, (n, k) = len(evidences), evidences[0].shape
-        sizes = [sum(np.size(a) for a in args) for args in calls]
+        sizes = [sum(np.size(a) for a in args) for args, _ in calls]
         assert sizes == [(v + 1) * n * (k + 3) + k + 1] * 2
+        # only the gradient pass reads psi'
+        assert [kw.get("with_trigamma", True) for _, kw in calls] == [True, False]
 
     def test_rejects_bad_batches(self):
         base = BaseRate([0.5, 0.5], weight=2.0)

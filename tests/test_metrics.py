@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from evifuse.metrics import (
     MAX_BINS,
     EvalRecord,
+    _calibration,
     accuracy,
     auc_binary,
     ece,
@@ -17,7 +18,7 @@ from evifuse.metrics import (
     report_from_arrays,
 )
 
-from oracles import auc_reference, ece_reference, metrics_report_reference
+from oracles import auc_reference, calibration_loop_reference, ece_reference, metrics_report_reference
 
 
 def make_records(confs, corrects):
@@ -78,6 +79,20 @@ class TestEce:
             for m in (1, 2, 5, 15):
                 want = ece_reference(confs.tolist(), corrects.tolist(), m)
                 assert ece(records, m) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("num_bins", [1, 10, 37, MAX_BINS])
+    def test_equals_the_every_bin_loop(self, num_bins):
+        rng = np.random.default_rng(num_bins)
+        for n in (1, 7, 500):
+            # ties, both ends and bin edges, as well as uniform draws
+            confs = np.concatenate([rng.uniform(0.0, 1.0, n), [0.0, 1.0, 0.5, 3 / num_bins]])
+            confs = np.minimum(confs, 1.0)
+            corrects = rng.uniform(size=confs.size) < confs
+            got = _calibration(confs, corrects, num_bins)
+            assert got == calibration_loop_reference(confs, corrects, num_bins)
+            if n < 500 or num_bins < MAX_BINS:  # the scan is O(N*M) in Python
+                want = ece_reference(confs.tolist(), corrects.tolist(), num_bins)
+                assert got[0] == pytest.approx(want, abs=1e-12)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(1)

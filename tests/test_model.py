@@ -110,6 +110,24 @@ class TestEvidenceHead:
         head.weights[-1][:] = 0.0
         assert np.all(head.forward(np.array([5.0, -3.0])) < 1e-15)
 
+    def test_softplus_is_logaddexp_within_4_ulp(self):
+        rng = np.random.default_rng(14)
+        z = np.concatenate([
+            rng.normal(0.0, 3.0, 200_000),
+            rng.uniform(-750.0, 750.0, 200_000),
+            rng.normal(0.0, 1e-3, 20_000),
+        ])
+        got, want = model_module._softplus(z), np.logaddexp(0.0, z)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    def test_softplus_is_logaddexp_exactly_at_the_edges(self):
+        z = np.array([0.0, -0.0, 1e200, -1e200, np.inf, -np.inf, np.nan])
+        got = model_module._softplus(z)
+        with np.errstate(invalid="ignore"):  # logaddexp flags NaN; softplus passes it on
+            want = np.logaddexp(0.0, z)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got[0] == np.log(2.0)
+
     def test_backward_matches_finite_differences(self):
         head = EvidenceHead.initialize(3, (4,), 2, np.random.default_rng(4))
         x = np.array([0.3, -1.2, 0.7])

@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from evifuse.specfun import digamma, gammas, ln_gamma, trigamma
+from evifuse.specfun import _kernel, digamma, gammas, ln_gamma, trigamma
+
+from oracles import gammas_kernel_reference
 
 mpmath.mp.dps = 40
 
@@ -168,3 +170,65 @@ class TestGammas:
     def test_rejects_a_bad_element_in_any_argument(self, bad):
         with pytest.raises(ValueError, match="finite x > 0"):
             gammas(np.ones(3), np.array([2.0, bad]))
+        with pytest.raises(ValueError, match="finite x > 0"):
+            gammas(np.ones(3), np.array([2.0, bad]), with_trigamma=False)
+
+
+DIGAMMA_ROOT = 1.4616321449683623  # psi's one positive zero
+
+
+def _lift_grid():
+    # every kernel input the lift serves: log-spaced down to 1e-300, dense in
+    # (0, 10], the edges of the lift, the loss floor and psi's root
+    rng = np.random.default_rng(14)
+    return np.concatenate([
+        10.0 ** rng.uniform(-300.0, 1.0, 1200),
+        rng.uniform(0.0, 10.0, 1200),
+        [np.nextafter(10.0, 0.0), 10.0, 1e-8, DIGAMMA_ROOT, 1.0, 2.0, 1e-300],
+    ])
+
+
+def _hybrid_errs(got, want):
+    # psi' overflows below about 7e-155; there both must be inf
+    finite = np.isfinite(want)
+    assert np.all(np.isposinf(got[~finite]) & np.isposinf(want[~finite]))
+    return np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))
+
+
+class TestPairedLift:
+    def test_matches_the_single_step_kernel(self):
+        x = _lift_grid()
+        with np.errstate(over="ignore"):
+            got, want = _kernel(x), gammas_kernel_reference(x)
+        for got_row, want_row, tol in zip(got, want, (1e-14, 4e-15, 4e-15)):
+            assert _hybrid_errs(got_row, want_row).max() < tol
+
+    def test_matches_mpmath(self):
+        x = _lift_grid()[::4]
+        with np.errstate(over="ignore"):
+            got = _kernel(x)
+        fns = (mpmath.loggamma, mpmath.digamma, lambda v: mpmath.polygamma(1, v))
+        for row, fn in zip(got, fns):
+            want = np.array([float(fn(mpmath.mpf(float(v)))) for v in x])
+            assert _hybrid_errs(row, want).max() < 2e-14
+
+    @pytest.mark.parametrize("x", [1e-200, 1e-300])
+    def test_ln_gamma_and_psi_of_tiny_x_skip_the_overflowing_psi1(self, x):
+        # psi'(x) ~ 1/x**2 overflows; the other two are finite and warn of nothing
+        m = mpmath.mpf(x)
+        assert hybrid_err(ln_gamma(x), float(mpmath.loggamma(m))) < 1e-15
+        assert hybrid_err(digamma(x), float(mpmath.digamma(m))) < 1e-15
+
+    def test_psi_at_its_root(self):
+        assert abs(digamma(DIGAMMA_ROOT)) < 1e-15
+
+    def test_pairs_without_trigamma_are_the_triples_bits(self):
+        x = _lift_grid()
+        big = np.array([10.0, 11.5, 1e3, 1e300])
+        with np.errstate(over="ignore"):
+            full = gammas(x, big, 3.5)
+            pairs = gammas(x, big, 3.5, with_trigamma=False)
+        for triple, pair in zip(full, pairs):
+            assert len(pair) == 2
+            for a, b in zip(triple[:2], pair):
+                assert np.array_equal(a, b)
