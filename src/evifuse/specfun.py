@@ -102,7 +102,9 @@ def _lift(x0: np.ndarray, trig: bool = True) -> np.ndarray:
     neg_s -= 9.0
     if trig:
         tg *= neg_s * neg_s
-        tg -= dg + dg
+        # where 1/t overflows (x below about 6e-310) psi' is +inf already,
+        # and subtracting the infinite psi sum would make it inf - inf
+        np.subtract(tg, dg + dg, out=tg, where=np.isfinite(dg))
     dg *= neg_s
     np.log(prod, out=lg)
     np.negative(lg, out=lg)

@@ -179,19 +179,21 @@ DIGAMMA_ROOT = 1.4616321449683623  # psi's one positive zero
 
 def _lift_grid():
     # every kernel input the lift serves: log-spaced down to 1e-300, dense in
-    # (0, 10], the edges of the lift, the loss floor and psi's root
+    # (0, 10], the edges of the lift, the loss floor, psi's root and two
+    # subnormals, where 1/(x(x+9)) overflows
     rng = np.random.default_rng(14)
     return np.concatenate([
         10.0 ** rng.uniform(-300.0, 1.0, 1200),
         rng.uniform(0.0, 10.0, 1200),
-        [np.nextafter(10.0, 0.0), 10.0, 1e-8, DIGAMMA_ROOT, 1.0, 2.0, 1e-300],
+        [np.nextafter(10.0, 0.0), 10.0, 1e-8, DIGAMMA_ROOT, 1.0, 2.0, 1e-300, 1e-310, 5e-324],
     ])
 
 
 def _hybrid_errs(got, want):
-    # psi' overflows below about 7e-155; there both must be inf
+    # psi' overflows below about 7e-155 and psi below about 6e-309; there
+    # both must be the same infinity
     finite = np.isfinite(want)
-    assert np.all(np.isposinf(got[~finite]) & np.isposinf(want[~finite]))
+    assert np.all(np.isinf(want[~finite]) & (got[~finite] == want[~finite]))
     return np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))
 
 
@@ -218,6 +220,14 @@ class TestPairedLift:
         m = mpmath.mpf(x)
         assert hybrid_err(ln_gamma(x), float(mpmath.loggamma(m))) < 1e-15
         assert hybrid_err(digamma(x), float(mpmath.digamma(m))) < 1e-15
+
+    def test_subnormal_x_gives_infinities_not_nan(self):
+        # 1/(x(x+9)) overflows: psi is -inf, psi' +inf, ln Gamma ~ -ln x stays finite
+        x = np.array([1e-310, 5e-324])
+        with np.errstate(over="ignore"):
+            lg, dg, tg = gammas(x)[0]
+            assert np.array_equal(trigamma(x), tg)
+        assert np.all(np.isfinite(lg)) and np.all(np.isneginf(dg)) and np.all(np.isposinf(tg))
 
     def test_psi_at_its_root(self):
         assert abs(digamma(DIGAMMA_ROOT)) < 1e-15
