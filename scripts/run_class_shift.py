@@ -8,13 +8,10 @@ the numbers asserted by the acceptance suite.
 
 import argparse
 
-import numpy as np
-
-from evifuse.cli import _parse_proportions
-from evifuse.data import SyntheticSpec, gen_synthetic, resample_class_ratio
+from evifuse.data import SyntheticSpec, gen_synthetic, parse_proportions, resample_class_ratio
 from evifuse.dirichlet import BaseRate
 from evifuse.metrics import report_from_arrays
-from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, evaluate, fit
+from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, fit, score
 
 
 def parse_args(argv=None):
@@ -42,15 +39,14 @@ def blob_spec(args, n_per_class, seed):
 
 
 def report(model, ds, bins, override=None):
-    pred, _, probs = evaluate(model, ds, override)
-    return report_from_arrays(pred, probs[np.arange(len(ds)), pred], ds.labels(), bins)
+    return report_from_arrays(*score(model, ds, override)[:2], ds.labels(), bins)
 
 
 def main(argv=None):
     args = parse_args(argv)
 
     pool = gen_synthetic(blob_spec(args, args.pool_n, seed=10))
-    train_mix = _parse_proportions(args.train_ratio, "train ratio")
+    train_mix = parse_proportions(args.train_ratio, "train ratio")
     train = resample_class_ratio(pool, train_mix, seed=100)
     valid = gen_synthetic(blob_spec(args, args.valid_n, seed=12))
     test_pool = gen_synthetic(blob_spec(args, args.test_n, seed=11))
@@ -70,7 +66,7 @@ def main(argv=None):
     wins = 0
     ratio_texts = [r for r in args.ratios.split(",") if r]
     for text in ratio_texts:
-        mix = _parse_proportions(text, "ratio")
+        mix = parse_proportions(text, "ratio")
         sub = resample_class_ratio(test_pool, mix, seed=200)
         tp = report(model, sub, args.bins)
         override = BaseRate(mix, model.base_rate.weight)

@@ -11,7 +11,7 @@ import time
 
 from evifuse.data import SyntheticSpec, gen_ood, gen_synthetic
 from evifuse.metrics import ood_detect
-from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, evaluate, fit
+from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, fit, score
 
 
 def parse_args(argv=None):
@@ -39,10 +39,6 @@ def blob_spec(args, n_per_class, seed):
     )
 
 
-def uncertainties(model, ds):
-    return evaluate(model, ds)[1]
-
-
 def main(argv=None):
     args = parse_args(argv)
     t0 = time.perf_counter()
@@ -61,17 +57,15 @@ def main(argv=None):
     model = EvidentialModel.initialize(cfg, compute_base_rate(train.labels(), args.classes))
     report = fit(model, train, valid)
 
-    id_u = uncertainties(model, valid)
-    ood_u = uncertainties(model, shifted)
+    id_u = score(model, valid)[2]
+    ood_u = score(model, shifted)[2]
     res = ood_detect(id_u, ood_u, percentile=args.percentile)
     gap = float(res.scaled_test.mean() - res.scaled_val.mean())
-    id_ok = int((~(res.scaled_val > res.threshold)).sum())
-    detection = (id_ok + int(res.flags.sum())) / (id_u.size + ood_u.size)
 
     print(f"train acc {report.train_acc[-1]:.3f}  valid acc {report.final_valid_acc:.3f}")
     print(f"mean uncertainty: id {id_u.mean():.4f}  shifted {ood_u.mean():.4f}")
     print(f"scaled mean gap {gap:.3f}  threshold {res.threshold:.4f} at pct {args.percentile:g}")
-    print(f"detection accuracy {detection:.3f}  (id {id_u.size}, shifted {ood_u.size})")
+    print(f"detection accuracy {res.detection_accuracy:.3f}  (id {id_u.size}, shifted {ood_u.size})")
     print(f"elapsed {time.perf_counter() - t0:.1f}s")
     return 0
 

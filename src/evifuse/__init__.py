@@ -44,6 +44,7 @@ from .data import (
     gen_synthetic,
     load_csv,
     load_grid,
+    parse_proportions,
     resample_class_ratio,
     save_csv,
     save_grid,
@@ -56,7 +57,6 @@ from .metrics import (
     ece,
     metrics_report,
     ood_detect,
-    predictive_entropy,
     report_from_arrays,
 )
 from .model import (
@@ -73,6 +73,7 @@ from .model import (
     load_checkpoint,
     predict,
     save_checkpoint,
+    score,
 )
 from .specfun import digamma, gammas, ln_gamma, trigamma
 
@@ -89,12 +90,12 @@ __all__ = [
     "kl_reg_loss", "overall_grad", "overall_loss", "overall_loss_and_grad",
     "MultiViewDataset", "MultiViewSample", "SyntheticSpec", "ViewGeometry",
     "extract_views", "gen_ood", "gen_synthetic", "load_csv", "load_grid",
-    "resample_class_ratio", "save_csv", "save_grid",
+    "parse_proportions", "resample_class_ratio", "save_csv", "save_grid",
     "EvalRecord", "OodResult", "accuracy", "auc_binary", "ece",
-    "metrics_report", "ood_detect", "predictive_entropy", "report_from_arrays",
+    "metrics_report", "ood_detect", "report_from_arrays",
     "EvidenceHead", "EvidentialModel", "ModelConfig", "NonFiniteEvidence", "TrainingDiverged",
     "TrainingReport", "compute_base_rate", "evaluate", "fit", "forward", "load_checkpoint",
-    "predict", "save_checkpoint",
+    "predict", "save_checkpoint", "score",
     "digamma", "gammas", "ln_gamma", "trigamma",
     "__version__",
 ]

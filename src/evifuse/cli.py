@@ -37,10 +37,10 @@ from .model import (
     NonFiniteEvidence,
     TrainingDiverged,
     compute_base_rate,
-    evaluate,
     fit,
     load_checkpoint,
     save_checkpoint,
+    score,
 )
 from .opinions import FusionConflictError, Opinion, bcf_fuse, cbf_fuse, combine_multiview, dirichlet_from_opinion
 
@@ -79,17 +79,6 @@ def _log(state: CliState, message: str):
 
 def _emit(obj):
     _echo(json.dumps(obj, sort_keys=True))
-
-
-def _parse_proportions(text: str, what: str) -> np.ndarray:
-    parts = text.split(":") if ":" in text else text.split(",")
-    try:
-        values = np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {what} {text!r}: {exc}") from exc
-    if values.size < 2 or np.any(~np.isfinite(values)) or np.any(values <= 0.0):
-        raise ValueError(f"{what} needs at least two strictly positive entries")
-    return values / values.sum()
 
 
 def _parse_ints(text: str, what: str) -> tuple:
@@ -260,32 +249,28 @@ def gen(state, classes, views, dim, n_per_class, separation, scale, out_path,
         raise ValueError("--ood-shift and --ood-out must be given together")
     if (ratio is None) != (imbalanced_out is None):
         raise ValueError("--ratio and --imbalanced-out must be given together")
+    proportions = None if ratio is None else datamod.parse_proportions(ratio, "ratio")
 
     spec = datamod.SyntheticSpec.blobs(
         num_classes=classes, num_views=views, view_dim=dim, separation=separation,
         scale=scale, n_per_class=n_per_class, seed=state.seed,
     )
     ds = datamod.gen_synthetic(spec)
+    # Every output is made, and so checked, before the first write.
+    ood = None if ood_shift is None else datamod.gen_ood(spec, ood_shift)
+    sub = None if proportions is None else datamod.resample_class_ratio(ds, proportions, state.seed)
     datamod.save_csv(ds, out_path)
     _log(state, f"wrote {len(ds)} samples to {out_path}")
-    summary = {"out": out_path, "n": len(ds),
-               "ood_out": None, "ood_n": None,
-               "imbalanced_out": None, "imbalanced_n": None}
-
-    if ood_shift is not None:
-        ood = datamod.gen_ood(spec, ood_shift)
+    if ood is not None:
         datamod.save_csv(ood, ood_out)
         _log(state, f"wrote {len(ood)} shifted samples to {ood_out}")
-        summary["ood_out"] = ood_out
-        summary["ood_n"] = len(ood)
-    if ratio is not None:
-        proportions = _parse_proportions(ratio, "ratio")
-        sub = datamod.resample_class_ratio(ds, proportions, state.seed)
+    if sub is not None:
         datamod.save_csv(sub, imbalanced_out)
         _log(state, f"wrote {len(sub)} resampled samples to {imbalanced_out}")
-        summary["imbalanced_out"] = imbalanced_out
-        summary["imbalanced_n"] = len(sub)
-    _emit(summary)
+    # the paired-flag checks leave a side output's path None when it is not made
+    _emit({"out": out_path, "n": len(ds),
+           "ood_out": ood_out, "ood_n": None if ood is None else len(ood),
+           "imbalanced_out": imbalanced_out, "imbalanced_n": None if sub is None else len(sub)})
 
 
 @subcommand()
@@ -380,16 +365,6 @@ def train(state, data_path, valid_path, out_path, classes, n_views, dims, hidden
     })
 
 
-def _scores(model: EvidentialModel, ds, override: BaseRate | None):
-    """(predicted classes, their confidences, combined uncertainties) of ds.
-
-    Confidences are checked to lie in [0, 1] by `report_from_arrays`.
-    """
-    predicted, uncertainty, probs = evaluate(model, ds, override)
-    metricsmod.check_unit_interval("uncertainty", uncertainty)
-    return predicted, probs[np.arange(len(ds)), predicted], uncertainty
-
-
 def _load_for_model(model: EvidentialModel, path):
     cfg = model.config
     return datamod.load_csv(path, cfg.num_classes, cfg.num_views, cfg.view_dims)
@@ -407,9 +382,9 @@ def eval_cmd(state, model_path, data_path, base_rate_override, bins):
     ds = _load_for_model(model, data_path)
     override = None
     if base_rate_override is not None:
-        rates = _parse_proportions(base_rate_override, "base rate override")
+        rates = datamod.parse_proportions(base_rate_override, "base rate override")
         override = BaseRate(rates, model.base_rate.weight)
-    predicted, confidence, uncertainty = _scores(model, ds, override)
+    predicted, confidence, uncertainty = score(model, ds, override)
     labels = ds.labels()
     report = metricsmod.report_from_arrays(predicted, confidence, labels, bins)
     report["base_rate_override"] = None if override is None else override.rates.tolist()
@@ -432,21 +407,18 @@ def ood(state, model_path, id_path, ood_path, percentile):
     model = load_checkpoint(model_path)
     id_ds = _load_for_model(model, id_path)
     ood_ds = _load_for_model(model, ood_path)
-    id_u = _scores(model, id_ds, None)[2]
-    ood_u = _scores(model, ood_ds, None)[2]
+    id_u = score(model, id_ds)[2]
+    ood_u = score(model, ood_ds)[2]
     result = metricsmod.ood_detect(id_u, ood_u, percentile)
-    id_flags = result.scaled_val > result.threshold
-    correct = int((~id_flags).sum()) + int(result.flags.sum())
-    detection_acc = correct / (len(id_ds) + len(ood_ds))
     _emit({
         "threshold": result.threshold,
         "percentile": percentile,
-        "detection_accuracy": detection_acc,
+        "detection_accuracy": result.detection_accuracy,
         "mean_uncertainty_id": float(id_u.mean()),
         "mean_uncertainty_ood": float(ood_u.mean()),
         "mean_scaled_id": float(result.scaled_val.mean()),
         "mean_scaled_ood": float(result.scaled_test.mean()),
-        "id": _ood_rows(id_ds.ids, id_u, result.scaled_val, id_flags),
+        "id": _ood_rows(id_ds.ids, id_u, result.scaled_val, result.val_flags),
         "ood": _ood_rows(ood_ds.ids, ood_u, result.scaled_test, result.flags),
     })
 
@@ -480,7 +452,7 @@ def adapt_sweep(state, model_path, uniform_path, data_path, ratios, bins):
     lines = ["ratio,strategy,auc,ece"]
     for ratio_text in ratios.split(","):
         ratio_text = ratio_text.strip()
-        proportions = _parse_proportions(ratio_text, "ratio")
+        proportions = datamod.parse_proportions(ratio_text, "ratio")
         sub = datamod.resample_class_ratio(ds, proportions, state.seed)
         test_rate = BaseRate(proportions, model.base_rate.weight)
         runs = (
@@ -489,7 +461,7 @@ def adapt_sweep(state, model_path, uniform_path, data_path, ratios, bins):
             ("train_test_prior", model, test_rate),
         )
         for name, m, override in runs:
-            predicted, confidence, _ = _scores(m, sub, override)
+            predicted, confidence, _ = score(m, sub, override)
             report = metricsmod.report_from_arrays(predicted, confidence, sub.labels(), bins)
             auc = "" if report["auc"] is None else f"{report['auc']:.6f}"
             lines.append(f"{ratio_text},{name},{auc},{report['ece']:.6f}")

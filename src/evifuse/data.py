@@ -292,6 +292,31 @@ def gen_ood(spec: SyntheticSpec, shift: float) -> MultiViewDataset:
     return gen_synthetic(SyntheticSpec(means, spec.scale, spec.n_per_class, spec.seed))
 
 
+def _proportions(values: np.ndarray, what: str) -> np.ndarray:
+    """Finite positive values over their sum; a ValueError naming `what`, not
+    an overflow warning, when the sum is not finite."""
+    if np.any(~np.isfinite(values)) or np.any(values <= 0.0):
+        raise ValueError(f"{what} entries must be strictly positive")
+    with np.errstate(over="ignore"):
+        total = values.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"{what} entries must have a finite sum")
+    return values / total
+
+
+def parse_proportions(text: str, what: str) -> np.ndarray:
+    """Proportions summing to 1 from "a:b:..." or "a,b,...", e.g. 2:8 or 0.8,0.2;
+    at least two finite positive entries with a finite sum, else a ValueError."""
+    parts = text.split(":") if ":" in text else text.split(",")
+    try:
+        values = np.array([float(p) for p in parts])
+    except ValueError as exc:
+        raise ValueError(f"cannot parse {what} {text!r}: {exc}") from exc
+    if values.size < 2:
+        raise ValueError(f"{what} needs at least two strictly positive entries")
+    return _proportions(values, what)
+
+
 def resample_class_ratio(ds: MultiViewDataset, ratio, seed: int) -> MultiViewDataset:
     """Seeded subsample of ds hitting the requested class proportions.
 
@@ -301,13 +326,15 @@ def resample_class_ratio(ds: MultiViewDataset, ratio, seed: int) -> MultiViewDat
     ratio = np.asarray(ratio, dtype=float)
     if ratio.size != ds.num_classes:
         raise ValueError("ratio length must equal the number of classes")
-    if np.any(~np.isfinite(ratio)) or np.any(ratio <= 0.0):
-        raise ValueError("ratio entries must be strictly positive")
-    ratio = ratio / ratio.sum()
+    ratio = _proportions(ratio, "ratio")
     labels = ds.labels()
     counts = np.bincount(labels, minlength=ds.num_classes)
     if np.any(counts == 0):
         raise ValueError("dataset is missing a class entirely")
+    # A share that rounds to no sample even at all N samples is never met;
+    # refusing it here also keeps counts / ratio from overflowing.
+    if ratio.min() * labels.size < 0.5:
+        raise ValueError("not enough samples to honor the requested ratio")
     total = int(np.min(np.floor(counts / ratio)))
     want = np.round(ratio * total).astype(int)
     while np.any(want > counts) or np.any(want < 1):

@@ -1,4 +1,4 @@
-"""Evaluation: accuracy, binary AUC, calibration error, entropy, OOD protocol.
+"""Evaluation: accuracy, binary AUC, calibration error, OOD protocol.
 
 Reports are computed on (N,) columns of predictions, confidences and labels
 (`report_from_arrays`); `metrics_report`, `ece` and `accuracy` take
@@ -156,25 +156,18 @@ def auc_binary(scores, labels) -> float:
     return float(u_stat / (n_pos * n_neg))
 
 
-def predictive_entropy(probs) -> float:
-    """Shannon entropy -sum p ln p of a probability vector, 0 ln 0 = 0."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size < 2 or np.any(~np.isfinite(p)) or np.any(p < -1e-9):
-        raise ValueError("probs must be a finite nonnegative vector")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError("probs must sum to 1")
-    pos = p > 0.0
-    return float(-(p[pos] * np.log(p[pos])).sum())
-
-
 @dataclass(frozen=True, eq=False)
 class OodResult:
-    """Flags for the test pool plus the shared scaled axis and threshold."""
+    """Flags for both pools, the shared scaled axis and threshold, and the
+    share of samples detected correctly: validation samples left unflagged
+    plus test samples flagged, over both pools."""
 
     flags: np.ndarray
     threshold: float
     scaled_val: np.ndarray
     scaled_test: np.ndarray
+    val_flags: np.ndarray
+    detection_accuracy: float
 
 
 def ood_detect(val_uncertainties, test_uncertainties, percentile: float = 50.0) -> OodResult:
@@ -182,7 +175,7 @@ def ood_detect(val_uncertainties, test_uncertainties, percentile: float = 50.0) 
 
     Validation and test uncertainties are pooled, scaled together to [0, 1],
     and the threshold is the given percentile of the pooled scaled values.
-    Test samples strictly above the threshold are flagged.
+    Samples of either pool strictly above the threshold are flagged.
     """
     val = np.asarray(val_uncertainties, dtype=float)
     test = np.asarray(test_uncertainties, dtype=float)
@@ -197,7 +190,9 @@ def ood_detect(val_uncertainties, test_uncertainties, percentile: float = 50.0) 
     scaled_val = (val - lo) / (hi - lo)
     scaled_test = (test - lo) / (hi - lo)
     threshold = float(np.percentile(np.concatenate([scaled_val, scaled_test]), percentile))
-    return OodResult(scaled_test > threshold, threshold, scaled_val, scaled_test)
+    flags, val_flags = scaled_test > threshold, scaled_val > threshold
+    correct = int((~val_flags).sum()) + int(flags.sum())
+    return OodResult(flags, threshold, scaled_val, scaled_test, val_flags, correct / pool.size)
 
 
 def report_from_arrays(predicted, confidence, labels, num_bins: int = 10) -> dict:

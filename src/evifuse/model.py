@@ -24,6 +24,7 @@ import numpy as np
 from .data import MultiViewDataset, MultiViewSample, read_json
 from .dirichlet import BaseRate, DirichletParams, EvidenceVector, combined_evidence
 from .losses import LossConfig, _one_hot, _overall, annealed_lambda
+from .metrics import check_unit_interval
 from .opinions import dirichlet_from_evidence, opinion_from_dirichlet
 
 CHECKPOINT_FORMAT = "evifuse-model"
@@ -365,6 +366,14 @@ def evaluate(model: EvidentialModel, data, override: BaseRate | None = None):
     return np.argmax(alpha, axis=1), base.weight / (base.weight + strength), alpha / total
 
 
+def score(model: EvidentialModel, data, override: BaseRate | None = None):
+    """(predicted classes, their expected probabilities, combined uncertainties)
+    of data; uncertainties are checked to lie in [0, 1]."""
+    predicted, uncertainty, probs = evaluate(model, data, override)
+    check_unit_interval("uncertainty", uncertainty)
+    return predicted, probs[np.arange(predicted.size), predicted], uncertainty
+
+
 def predict(model: EvidentialModel, sample: MultiViewSample, base_rate_override: BaseRate | None = None):
     """(predicted class, combined uncertainty, expected probabilities) of one sample."""
     classes, uncertainty, probs = evaluate(model, [sample], base_rate_override)
@@ -508,7 +517,7 @@ def save_checkpoint(model: EvidentialModel, path) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            fh.write(json.dumps(doc, sort_keys=True))
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())

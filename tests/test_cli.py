@@ -152,6 +152,31 @@ class TestGen:
         assert result.stderr.count("\n") == 1 and "at least 2" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("ratio,match", [
+        ("1:", "cannot parse ratio"),
+        ("1e308:1e308", "ratio entries must have a finite sum"),
+        ("1e-320:1", "not enough samples"),
+    ])
+    def test_bad_ratio_exits_2_before_writing(self, tmp_path, ratio, match):
+        out, oodp, imb = (tmp_path / n for n in ("d.csv", "ood.csv", "imb.csv"))
+        result = run([
+            "--quiet", "gen", "--n-per-class", "3", "--out", str(out),
+            "--ood-shift", "5.0", "--ood-out", str(oodp),
+            "--ratio", ratio, "--imbalanced-out", str(imb),
+        ], expect=2)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert match in result.stderr and "Warning" not in result.stderr
+        assert not any(p.exists() for p in (out, oodp, imb))
+
+    def test_bad_ood_shift_writes_nothing(self, tmp_path):
+        out, oodp = tmp_path / "d.csv", tmp_path / "ood.csv"
+        result = run([
+            "--quiet", "gen", "--dim", "1", "--n-per-class", "3", "--out", str(out),
+            "--ood-shift", "5.0", "--ood-out", str(oodp),
+        ], expect=2)
+        assert result.stderr.startswith("error: ") and "view_dim" in result.stderr
+        assert not out.exists() and not oodp.exists()
+
     def test_missing_out_directory_exits_4(self, tmp_path):
         out = tmp_path / "missing" / "x.csv"
         result = run(["--quiet", "gen", "--out", str(out)], expect=4)
@@ -726,3 +751,71 @@ class TestQuiet:
         assert result.stderr == ""
         noisy = run(["gen", "--n-per-class", "3", "--out", str(tmp_path / "n.csv")])
         assert "gen config" in noisy.stderr
+
+
+# Each value stands in for one parameter of an otherwise valid invocation.
+# Values that allocate or multiply work (huge sizes or epoch counts, a
+# one-cell window and stride) are left out: they need a child process
+# under a memory limit, not an in-process runner.
+CONTRACT_VALUES = ["0", "-1", "nan", "inf", "", "1:", "a,b", "1e308:1e308"]
+
+
+def contract_invocations(trained, tmp_path):
+    """A valid value for every parameter of every subcommand, keyed by name."""
+    ops, grid = tmp_path / "ops.json", tmp_path / "grid.txt"
+    write_opinions(ops, [((0.5, 0.2), 0.3), ((0.4, 0.4), 0.2)])
+    save_grid(np.arange(100.0).reshape(10, 10), grid)
+    model, uniform = str(trained["model"]), str(trained["uniform"])
+    train, valid, ood = str(trained["train"]), str(trained["valid"]), str(trained["ood"])
+    return {
+        "fuse": {"opinions_path": str(ops), "base_rate_spec": UNIFORM2, "chain": "cbf"},
+        "gen": {
+            "classes": "2", "views": "2", "dim": "2", "n_per_class": "10", "separation": "3",
+            "scale": "1", "out_path": "g.csv", "ood_shift": "2", "ood_out": "go.csv",
+            "ratio": "1:2", "imbalanced_out": "gi.csv",
+        },
+        "views": {
+            "grid_file": str(grid), "roi": "8", "window": "4", "stride": "2",
+            "center": "5,5", "cutout": "0,0,2", "out_dir": "v",
+        },
+        "train": {
+            "data_path": train, "valid_path": valid, "out_path": "m.json", "classes": "2",
+            "n_views": "2", "dims": "2,2", "hidden": "4", "lr": "1e-3", "epochs": "1",
+            "batch_size": "16", "anneal_epochs": "1", "prior_weight": "2",
+            "base_rate_mode": "uniform",
+        },
+        "eval": {"model_path": model, "data_path": valid, "base_rate_override": "1:1", "bins": "5"},
+        "ood": {"model_path": model, "id_path": valid, "ood_path": ood, "percentile": "50"},
+        "adapt-sweep": {
+            "model_path": model, "uniform_path": uniform, "data_path": train,
+            "ratios": "1:1,2:1", "bins": "5",
+        },
+    }
+
+
+def contract_argv(command, values):
+    argv = [command]
+    for p in main.commands[command].params:
+        argv += [values[p.name]] if isinstance(p, click.Argument) else [p.opts[0], values[p.name]]
+    return argv
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command,param", [
+        (name, p.name) for name, command in sorted(main.commands.items()) for p in command.params
+    ])
+    def test_bad_values_exit_with_a_documented_code(self, trained, tmp_path, monkeypatch, command, param):
+        # every output path is relative, so each run writes under tmp_path
+        monkeypatch.chdir(tmp_path)
+        values = contract_invocations(trained, tmp_path)[command]
+        assert set(values) == {p.name for p in main.commands[command].params}
+        assert run(["--quiet", *contract_argv(command, values)]).stderr == ""
+        for bad in CONTRACT_VALUES:
+            result = runner.invoke(main, ["--quiet", *contract_argv(command, dict(values, **{param: bad}))])
+            case = f"{command} {param}={bad!r}: exit {result.exit_code}\n{result.stderr}"
+            assert result.exit_code in (0, 2, 3, 4), case
+            assert "Traceback" not in result.stderr and "Warning" not in result.stderr, case
+            if result.exit_code:
+                # click's own parse errors follow its usage text; library errors are one line
+                lines = result.stderr.splitlines()
+                assert lines[-1].startswith("Error:") or (len(lines) == 1 and lines[0].startswith("error:")), case

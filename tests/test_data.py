@@ -15,6 +15,7 @@ from evifuse.data import (
     gen_synthetic,
     load_csv,
     load_grid,
+    parse_proportions,
     resample_class_ratio,
     save_csv,
     save_grid,
@@ -306,6 +307,68 @@ class TestResample:
         )
         with pytest.raises(ValueError, match="missing a class"):
             resample_class_ratio(only_zero, (0.5, 0.5), seed=0)
+
+    # the suite turns warnings into errors, so these also show that no
+    # overflow warning escapes on the way to the ValueError
+    def test_overflowing_ratio_sum_is_a_value_error(self):
+        ds = gen_synthetic(SyntheticSpec.blobs(2, 1, 2, n_per_class=20, seed=9))
+        with pytest.raises(ValueError, match="finite sum"):
+            resample_class_ratio(ds, (1e308, 1e308), seed=0)
+
+    @pytest.mark.parametrize("ratio", [(1e-320, 1.0), (5e-324, 1.0), (1.0, 1e-300)])
+    def test_vanishing_share_is_not_enough_samples(self, ratio):
+        ds = gen_synthetic(SyntheticSpec.blobs(2, 1, 2, n_per_class=20, seed=9))
+        with pytest.raises(ValueError, match="not enough samples"):
+            resample_class_ratio(ds, ratio, seed=0)
+
+    @pytest.mark.parametrize("minority", [1.0 / 19.0, 1.0 / 39.0, 1.0 / 78.0, 1.0 / 79.0, 1.0 / 80.0])
+    def test_counts_match_the_unguarded_search_near_the_cutoff(self, minority):
+        # with 40 samples a minority share of 1/80 and below never rounds to
+        # a sample; the early refusal must agree with the full search
+        ds = gen_synthetic(SyntheticSpec.blobs(2, 1, 2, n_per_class=20, seed=9))
+        ratio = np.array([minority, 1.0]) / (minority + 1.0)
+        counts = np.array([20, 20])
+        total = int(np.min(np.floor(counts / ratio)))
+        want = np.round(ratio * total).astype(int)
+        while (np.any(want > counts) or np.any(want < 1)) and total >= 2:
+            total -= 1
+            want = np.round(ratio * total).astype(int)
+        if np.any(want > counts) or np.any(want < 1):
+            with pytest.raises(ValueError, match="not enough samples"):
+                resample_class_ratio(ds, (minority, 1.0), seed=0)
+        else:
+            sub = resample_class_ratio(ds, (minority, 1.0), seed=0)
+            assert np.array_equal(np.bincount(sub.labels()), want)
+
+
+class TestParseProportions:
+    @pytest.mark.parametrize("text,want", [
+        ("2:8", [0.2, 0.8]), ("0.8,0.2", [0.8, 0.2]), ("1:1:2", [0.25, 0.25, 0.5]),
+    ])
+    def test_both_separators(self, text, want):
+        assert np.allclose(parse_proportions(text, "ratio"), want, rtol=0, atol=1e-15)
+
+    @given(st.lists(st.floats(min_value=5e-324, max_value=1.7976931348623157e308), min_size=2, max_size=6))
+    def test_finite_sums_normalise_as_values_over_their_sum(self, values):
+        values = np.array(values)
+        with np.errstate(over="ignore"):
+            total = values.sum()
+        text = ":".join(repr(v) for v in values.tolist())
+        if not np.isfinite(total):
+            with pytest.raises(ValueError, match="finite sum"):
+                parse_proportions(text, "ratio")
+        else:
+            assert np.array_equal(bits(parse_proportions(text, "ratio")), bits(values / total))
+
+    @pytest.mark.parametrize("text,match", [
+        ("1:", "cannot parse"), ("a,b", "cannot parse"), ("", "cannot parse"),
+        ("1", "at least two"), ("1:0", "strictly positive"), ("1:-1", "strictly positive"),
+        ("nan:1", "strictly positive"), ("inf:1", "strictly positive"), ("1:0:2", "strictly positive"),
+        ("1e308:1e308", "base rate override entries must have a finite sum"),
+    ])
+    def test_rejects_with_a_message_naming_what(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_proportions(text, "base rate override")
 
 
 EDGE_FLOATS = [

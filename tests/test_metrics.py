@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +12,6 @@ from evifuse.metrics import (
     ece,
     metrics_report,
     ood_detect,
-    predictive_entropy,
     report_from_arrays,
 )
 
@@ -166,22 +163,6 @@ class TestAuc:
             auc_binary([0.5], [0, 1])
 
 
-class TestEntropy:
-    def test_hand_cases(self):
-        want = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
-        assert predictive_entropy([0.75, 0.25]) == pytest.approx(want, rel=1e-12)
-        assert predictive_entropy([0.75, 0.25]) == pytest.approx(0.5623, abs=5e-5)
-        assert predictive_entropy([0.5, 0.5]) == pytest.approx(math.log(2.0), rel=1e-12)
-        assert predictive_entropy([1.0, 0.0]) == 0.0
-        assert predictive_entropy([0.25] * 4) == pytest.approx(math.log(4.0), rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            predictive_entropy([0.5, 0.6])
-        with pytest.raises(ValueError):
-            predictive_entropy([1.5, -0.5])
-
-
 class TestOodDetect:
     def test_hand_case_threshold(self):
         res = ood_detect([0.1, 0.2], [0.8, 0.9], percentile=50.0)
@@ -189,6 +170,17 @@ class TestOodDetect:
         assert np.array_equal(res.flags, [True, True])
         assert np.allclose(res.scaled_val, [0.0, 0.125], atol=1e-12)
         assert np.allclose(res.scaled_test, [0.875, 1.0], atol=1e-12)
+        assert np.array_equal(res.val_flags, [False, False])
+        assert res.detection_accuracy == 1.0
+
+    def test_detection_accuracy_counts_both_pools(self):
+        # pooled scaled values 0, .25, .5, .75 | .25, 1; threshold = median .375
+        res = ood_detect([0.0, 1.0, 2.0, 3.0], [1.0, 4.0], percentile=50.0)
+        assert res.threshold == pytest.approx(0.375, abs=1e-12)
+        assert np.array_equal(res.val_flags, [False, False, True, True])
+        assert np.array_equal(res.flags, [False, True])
+        # two validation samples left unflagged plus one test sample flagged
+        assert res.detection_accuracy == 3 / 6
 
     def test_flags_are_strictly_above(self):
         # with a constant test pool at the threshold nothing gets flagged

@@ -24,6 +24,7 @@ from evifuse.model import (
     load_checkpoint,
     predict,
     save_checkpoint,
+    score,
 )
 from evifuse.opinions import dirichlet_from_opinion
 
@@ -438,6 +439,27 @@ def blob_data(seed, n, separation=4.0):
     )
 
 
+class TestScore:
+    def test_reads_the_predicted_class_off_evaluate(self):
+        model = golden_model()
+        rng = np.random.default_rng(15)
+        samples = [
+            MultiViewSample((rng.normal(size=3), rng.normal(size=2)), 0, f"s{i}") for i in range(12)
+        ]
+        for rate in (None, BaseRate([0.2, 0.8], weight=2.0)):
+            classes, u, probs = evaluate(model, samples, rate)
+            predicted, confidence, uncertainty = score(model, samples, rate)
+            assert np.array_equal(predicted, classes) and np.array_equal(uncertainty, u)
+            for i, c in enumerate(classes.tolist()):
+                assert confidence[i] == probs[i, c] == probs[i].max()
+
+    def test_uncertainty_outside_the_unit_interval_is_rejected(self, monkeypatch):
+        bad = (np.array([0]), np.array([1.5]), np.array([[0.6, 0.4]]))
+        monkeypatch.setattr(model_module, "evaluate", lambda *args: bad)
+        with pytest.raises(ValueError, match="uncertainty"):
+            score(golden_model(), [GOLDEN_SAMPLE])
+
+
 def mixed_data(view_dims, num_classes, n, seed):
     """n samples whose views have the given dimensions; each class shifts every feature."""
     rng = np.random.default_rng(seed)
@@ -682,10 +704,11 @@ class TestCheckpoint:
         save_checkpoint(golden_model(), path)
         before = path.read_bytes()
 
-        def broken_dump(*args, **kwargs):
+        def broken_fsync(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr("evifuse.model.json.dump", broken_dump)
+        # fails after the whole document reached the temporary file
+        monkeypatch.setattr("evifuse.model.os.fsync", broken_fsync)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(golden_model(), path)
         assert path.read_bytes() == before

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts in `scripts/` at tiny sizes."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -32,3 +33,34 @@ def test_script_runs_and_reports(capsys, name, argv, expected):
     assert len(lines) == len(expected)
     for line, start in zip(lines, expected):
         assert line.startswith(start), line
+
+
+def private_evifuse_imports(source):
+    """Dotted names of every import from evifuse with an underscore-prefixed part."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [
+            name for name in names
+            if name.split(".")[0] == "evifuse"
+            and any(p.startswith("_") and not p.endswith("__") for p in name.split("."))
+        ]
+    return found
+
+
+def test_private_import_finder():
+    assert private_evifuse_imports(
+        "from evifuse.cli import main, _parse\nimport evifuse._x\nfrom evifuse import __version__\n"
+        "import numpy._core\nfrom os import _exit\n"
+    ) == ["evifuse.cli._parse", "evifuse._x"]
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+def test_script_imports_no_private_evifuse_name(path):
+    # scripts are written against the library's public API only
+    assert private_evifuse_imports(path.read_text()) == []
