@@ -42,7 +42,7 @@ from .model import (
     save_checkpoint,
     score,
 )
-from .opinions import FusionConflictError, Opinion, bcf_fuse, cbf_fuse, combine_multiview, dirichlet_from_opinion
+from .opinions import FusionConflictError, Opinion, _fold, bcf_fuse, cbf_fuse, combine_multiview, dirichlet_from_opinion
 
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
@@ -211,12 +211,7 @@ def fuse(state, opinions_path, base_rate_spec, chain):
         combined = combine_multiview(opinions[:-1], opinions[-1])
     else:
         op = cbf_fuse if chain == "cbf" else bcf_fuse
-        combined = opinions[0]
-        for i, other in enumerate(opinions[1:], start=1):
-            try:
-                combined = op(combined, other)
-            except FusionConflictError as exc:
-                raise FusionConflictError(f"{chain} stage {i} (opinion {i}): {exc}") from exc
+        combined = _fold(op, opinions, chain + " stage {0} (opinion {0})")
     alpha = dirichlet_from_opinion(combined, base)
     _emit({
         "opinion": combined.to_dict(),
@@ -285,16 +280,8 @@ def views(state, grid_file, roi, window, stride, center, cutout, out_dir):
     """Tile a grid file into overlapping local views plus the global ROI."""
     geom = datamod.ViewGeometry(roi, window, stride)
     grid = datamod.load_grid(grid_file)
-    center_xy = None
-    if center is not None:
-        center_xy = _parse_ints(center, "center")
-        if len(center_xy) != 2:
-            raise ValueError("center must be row,col")
-    cut = None
-    if cutout is not None:
-        cut = _parse_ints(cutout, "cutout")
-        if len(cut) != 3:
-            raise ValueError("cutout must be row,col,size")
+    center_xy = None if center is None else _parse_ints(center, "center")
+    cut = None if cutout is None else _parse_ints(cutout, "cutout")
     patches, roi_patch = datamod.extract_views(grid, geom, center=center_xy, cutout=cut)
     try:
         os.mkdir(out_dir)

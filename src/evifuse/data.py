@@ -172,6 +172,10 @@ def extract_views(grid, geom: ViewGeometry, center=None, cutout=None):
     defaults to the grid center. `cutout`, if given, is (row, col, size) in
     ROI-local coordinates; that square is zeroed before extraction.
     """
+    if center is not None and len(center) != 2:
+        raise ValueError("center must be row,col")
+    if cutout is not None and len(cutout) != 3:
+        raise ValueError("cutout must be row,col,size")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise ValueError("grid must be 2-d")

@@ -202,7 +202,7 @@ def _overall(stacked: np.ndarray, hot: np.ndarray, base_rate: BaseRate, cfg: Los
     same special-function call without psi', whose ln Gamma and psi are
     the same bits, so its losses equal the gradient pass's bit for bit.
     """
-    num_views, w = stacked.shape[0], base_rate.weight
+    w = base_rate.weight
     alphas = np.concatenate([stacked, combined_evidence(stacked, w)[None]]) + base_rate.rates * w
     diverged = np.flatnonzero(~np.isfinite(alphas.sum(axis=(0, 2))))
     alphas[:, diverged] = 1.0
@@ -217,12 +217,10 @@ def _overall(stacked: np.ndarray, hot: np.ndarray, base_rate: BaseRate, cfg: Los
     ice_g, kl_g = _grads(hot, args, triples)
     term_grads = ice_g + cfg.lam * kl_g
     grads, g_combined = term_grads[:-1], term_grads[-1]
-    if num_views == 1:
-        grads += g_combined
-    else:
-        local, glob = np.sum(stacked[:-1], axis=0), stacked[-1]
-        grads[:-1] += g_combined * (1.0 + glob / w)
-        grads[-1] += g_combined * (1.0 + local / w)
+    # with one view there are no local views: L = 0 and the factor is 1
+    local, glob = np.sum(stacked[:-1], axis=0), stacked[-1]
+    grads[:-1] += g_combined * (1.0 + glob / w)
+    grads[-1] += g_combined * (1.0 + local / w)
     grads[:, diverged] = np.nan
     return loss, combined, grads
 

@@ -147,6 +147,21 @@ def bcf_fuse(dm: Opinion, dn: Opinion) -> Opinion:
     return Opinion(beliefs, um * un / c)
 
 
+def _fold(op, opinions, stage: str) -> Opinion:
+    """Left fold of the fusion operator `op` over a nonempty opinion list.
+
+    A FusionConflictError raised while fusing in `opinions[i]` is re-raised
+    prefixed with `stage.format(i)`, which names the failing stage.
+    """
+    fused, *rest = opinions
+    for i, other in enumerate(rest, start=1):
+        try:
+            fused = op(fused, other)
+        except FusionConflictError as exc:
+            raise FusionConflictError(f"{stage.format(i)}: {exc}") from exc
+    return fused
+
+
 def combine_multiview(local_opinions, global_opinion: Opinion) -> Opinion:
     """Fuse local-view opinions cumulatively, then constrain with the global view.
 
@@ -157,15 +172,5 @@ def combine_multiview(local_opinions, global_opinion: Opinion) -> Opinion:
     locals_ = list(local_opinions)
     if not locals_:
         raise ValueError("need at least one local opinion")
-    fused = locals_[0]
-    for i, op in enumerate(locals_[1:], start=1):
-        try:
-            fused = cbf_fuse(fused, op)
-        except FusionConflictError as exc:
-            raise FusionConflictError(
-                f"cumulative stage {i} (folding local opinion {i}): {exc}"
-            ) from exc
-    try:
-        return bcf_fuse(fused, global_opinion)
-    except FusionConflictError as exc:
-        raise FusionConflictError(f"constraint stage (global view): {exc}") from exc
+    fused = _fold(cbf_fuse, locals_, "cumulative stage {0} (folding local opinion {0})")
+    return _fold(bcf_fuse, [fused, global_opinion], "constraint stage (global view)")

@@ -201,6 +201,17 @@ class TestExtractViews:
         with pytest.raises(ValueError):
             extract_views(np.zeros(5), ViewGeometry(2, 1, 1))
 
+    @pytest.mark.parametrize("center,cutout,message", [
+        ((4,), None, "center must be row,col"),
+        ((4, 4, 5), None, "center must be row,col"),
+        (None, (1, 1), "cutout must be row,col,size"),
+        (None, (1, 1, 2, 2), "cutout must be row,col,size"),
+    ])
+    def test_center_and_cutout_lengths(self, center, cutout, message):
+        # a short center once raised IndexError and a long one was cut to two entries
+        with pytest.raises(ValueError, match=message):
+            extract_views(np.zeros((8, 8)), ViewGeometry(4, 2, 2), center=center, cutout=cutout)
+
 
 class TestSynthetic:
     def test_blobs_layout(self):

@@ -251,6 +251,23 @@ class TestOverall:
         assert loss == pytest.approx(2.0 * want_loss, rel=1e-10)
         assert np.allclose(grads[0], 2.0 * want_grad, atol=1e-8)
 
+    def test_single_view_is_exactly_twice_its_own_dirichlet_terms(self):
+        # the view's Dirichlet and the combined one coincide, so the combined
+        # route's factor 1 + L/W is exactly 1 and both routes add equal bits
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(2, 6))
+            e = rng.exponential(10 ** rng.uniform(-3, 5), size=k)
+            rates = rng.dirichlet(np.ones(k)) * 0.9 + 0.1 / k
+            base = BaseRate(rates / rates.sum(), float(rng.uniform(0.5, 8.0)))
+            beta = DirichletParams(base.rates * base.weight)
+            lam, label = float(rng.uniform()), int(rng.integers(0, k))
+            loss, (grad,) = overall_loss_and_grad([e], base, label, LossConfig(lam, beta))
+            alpha = DirichletParams(e + base.rates * base.weight)
+            assert loss == 2.0 * (ice_loss(alpha, label) + lam * kl_reg_loss(alpha, label, beta))
+            want = 2.0 * (ice_grad(alpha, label) + lam * kl_reg_grad(alpha, label, beta))
+            assert np.array_equal(grad, want)
+
     def test_empty_views_rejected(self):
         with pytest.raises(ValueError):
             overall_loss_and_grad([], BaseRate([0.5, 0.5]), 0, uniform_cfg(2, 0.0))
