@@ -14,7 +14,7 @@ from evifuse.metrics import report_from_arrays
 from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, fit, score
 
 
-def parse_args(argv=None):
+def build_parser():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--separation", type=float, default=4.0)
     p.add_argument("--pool-n", type=int, default=300, help="per-class size of the train pool")
@@ -28,7 +28,7 @@ def parse_args(argv=None):
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    return p.parse_args(argv)
+    return p
 
 
 def blob_spec(args, n_per_class, seed):
@@ -43,8 +43,16 @@ def report(model, ds, bins, override=None):
 
 
 def main(argv=None):
-    args = parse_args(argv)
+    """Run the experiment; a ValueError from bad input exits 2 through argparse."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return run(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
+
+def run(args):
     pool = gen_synthetic(blob_spec(args, args.pool_n, seed=10))
     train_mix = parse_proportions(args.train_ratio, "train ratio")
     train = resample_class_ratio(pool, train_mix, seed=100)

@@ -14,7 +14,7 @@ from evifuse.metrics import ood_detect
 from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, fit, score
 
 
-def parse_args(argv=None):
+def build_parser():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--views", type=int, default=4)
@@ -29,7 +29,7 @@ def parse_args(argv=None):
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--percentile", type=float, default=50.0)
     p.add_argument("--seed", type=int, default=0)
-    return p.parse_args(argv)
+    return p
 
 
 def blob_spec(args, n_per_class, seed):
@@ -40,7 +40,16 @@ def blob_spec(args, n_per_class, seed):
 
 
 def main(argv=None):
-    args = parse_args(argv)
+    """Run the experiment; a ValueError from bad input exits 2 through argparse."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return run(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def run(args):
     t0 = time.perf_counter()
 
     train = gen_synthetic(blob_spec(args, args.train_n, args.seed))

@@ -401,7 +401,8 @@ def load_csv(path, num_classes: int, num_views: int, view_dims) -> MultiViewData
     lines = read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
-    if lines[0] != _csv_header(dims):
+    # the field count first: the names of a huge declared shape need not be built
+    if lines[0].count(",") != n_fields - 1 or lines[0] != _csv_header(dims):
         raise ValueError(f"{path}: line 1: header does not match the declared shape")
     rows = [line.split(",") for line in lines[1:] if line]
     if not rows:
@@ -488,14 +489,25 @@ def read_text(path) -> str:
         raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
+def _json_int(literal: str) -> int:
+    value = int(literal)
+    try:
+        float(value)
+    except OverflowError:
+        digits = len(literal.lstrip("-"))
+        raise ValueError(f"integer of {digits} digits is too large for a float") from None
+    return value
+
+
 def parse_json(text: str, source, what: str = "JSON document"):
     """`text` parsed as JSON; any parse failure is a ValueError naming `source`.
 
-    That covers malformed JSON, integers too long to convert and nesting
-    deeper than the parser's recursion limit.
+    That covers malformed JSON, integers too long to convert, integers no
+    float can hold (every reader would cast them to float or fail on them
+    later) and nesting deeper than the parser's recursion limit.
     """
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except RecursionError as exc:
         raise ValueError(f"{source}: not a valid {what}: nested too deeply") from exc
     except ValueError as exc:

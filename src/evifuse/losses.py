@@ -225,6 +225,9 @@ def _overall(stacked: np.ndarray, hot: np.ndarray, base_rate: BaseRate, cfg: Los
     return loss, combined, grads
 
 
+# A row that diverges on the way (0 * inf in the combination, an overflowing
+# sum) is scored NaN as documented, so numpy's warnings would only be noise.
+@np.errstate(over="ignore", invalid="ignore")
 def overall_loss_and_grad(view_evidences, base_rate: BaseRate, labels, cfg: LossConfig):
     """Overall loss per sample and its exact gradient w.r.t. every view's evidence.
 

@@ -585,5 +585,6 @@ def load_checkpoint(path) -> EvidentialModel:
         return _model_from_doc(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: malformed checkpoint: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer setting given as 1e999, which reads as inf
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc

@@ -1,6 +1,10 @@
 import gc
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -448,6 +452,17 @@ class TestBadCheckpoint:
         assert match in result.stderr and str(bad) in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("key", ["epochs", "num_classes", "batch_size", "hidden", "view_dims"])
+    def test_integer_setting_of_1e999_exits_2(self, trained, tmp_path, key):
+        # 1e999 reads as inf, which no integer cast takes
+        doc = json.loads(trained["model"].read_text())
+        doc["config"][key] = ["@"] * len(doc["config"][key]) if key in ("hidden", "view_dims") else "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"@"', "1e999"))
+        result = run(["--quiet", "eval", "--model", str(bad), "--data", str(trained["valid"])], expect=2)
+        assert result.stderr.startswith(f"error: {bad}: malformed checkpoint: ")
+        assert result.stderr.count("\n") == 1
+
     def test_train_to_missing_directory_exits_4(self, trained, tmp_path):
         out = tmp_path / "missing" / "m.json"
         run([
@@ -457,6 +472,9 @@ class TestBadCheckpoint:
         ], expect=4)
         assert not out.parent.exists()
 
+
+# An integer literal of 401 digits, too large for any float.
+HUGE_INT = "1" + "0" * 400
 
 # JSON nested far past the parser's recursion limit, bytes that are not
 # UTF-8, and malformed JSON.
@@ -493,6 +511,30 @@ class TestUnreadableInput:
                      "--out-dir", str(tmp_path / "v")],
         }[where]
         self.assert_one_line_naming(run(["--quiet", *args], expect=2), str(bad))
+
+    @pytest.mark.parametrize("where", ["config", "opinions", "base_rate", "inline_base_rate", "model"])
+    def test_integer_no_float_holds_exits_2(self, trained, tmp_path, where):
+        # each of these once reached a float cast and ended in an OverflowError
+        bad = tmp_path / "bad.json"
+        ops = tmp_path / "ops.json"
+        write_opinions(ops, [((0.2, 0.4), 0.4), ((0.3, 0.1), 0.6)])
+        checkpoint = json.loads(trained["model"].read_text())
+        checkpoint["base_rate"]["weight"] = int(HUGE_INT)
+        huge_rate = f'{{"rates": [0.5, 0.5], "weight": {HUGE_INT}}}'
+        content, args = {
+            "config": (f'{{"gen": {{"separation": {HUGE_INT}}}}}',
+                       ["--config", str(bad), "gen", "--out", str(tmp_path / "a.csv")]),
+            "opinions": (f'[{{"beliefs": [{HUGE_INT}, 0], "uncertainty": 0.5}}]',
+                         ["fuse", "--opinions", str(bad), "--base-rate", UNIFORM2]),
+            "base_rate": (huge_rate, ["fuse", "--opinions", str(ops), "--base-rate", str(bad)]),
+            "inline_base_rate": (None, ["fuse", "--opinions", str(ops), "--base-rate", huge_rate]),
+            "model": (json.dumps(checkpoint), ["eval", "--model", str(bad), "--data", str(trained["valid"])]),
+        }[where]
+        if content is not None:
+            bad.write_text(content)
+        result = run(["--quiet", *args], expect=2)
+        self.assert_one_line_naming(result, "inline base rate" if content is None else str(bad))
+        assert "too large for a float" in result.stderr
 
     @pytest.mark.parametrize("spec", [
         '{"rates": [0.5, 0.5], "weight": 2.0',
@@ -794,10 +836,22 @@ def contract_invocations(trained, tmp_path):
 
 
 def contract_argv(command, values):
+    """`command` with each parameter in `values` on the command line."""
     argv = [command]
     for p in main.commands[command].params:
-        argv += [values[p.name]] if isinstance(p, click.Argument) else [p.opts[0], values[p.name]]
+        if p.name in values:
+            argv += [values[p.name]] if isinstance(p, click.Argument) else [p.opts[0], values[p.name]]
     return argv
+
+
+def assert_contract(result, case):
+    """Exit 0, 2, 3 or 4 with no traceback or warning, ending on an error line."""
+    assert result.exit_code in (0, 2, 3, 4), case
+    assert "Traceback" not in result.stderr and "Warning" not in result.stderr, case
+    if result.exit_code:
+        # click's own parse errors follow its usage text; library errors are one line
+        lines = result.stderr.splitlines()
+        assert lines[-1].startswith("Error:") or (len(lines) == 1 and lines[0].startswith("error:")), case
 
 
 class TestExitCodeContract:
@@ -812,10 +866,62 @@ class TestExitCodeContract:
         assert run(["--quiet", *contract_argv(command, values)]).stderr == ""
         for bad in CONTRACT_VALUES:
             result = runner.invoke(main, ["--quiet", *contract_argv(command, dict(values, **{param: bad}))])
-            case = f"{command} {param}={bad!r}: exit {result.exit_code}\n{result.stderr}"
-            assert result.exit_code in (0, 2, 3, 4), case
-            assert "Traceback" not in result.stderr and "Warning" not in result.stderr, case
-            if result.exit_code:
-                # click's own parse errors follow its usage text; library errors are one line
-                lines = result.stderr.splitlines()
-                assert lines[-1].startswith("Error:") or (len(lines) == 1 and lines[0].startswith("error:")), case
+            assert_contract(result, f"{command} {param}={bad!r}: exit {result.exit_code}\n{result.stderr}")
+
+    @pytest.mark.parametrize("command,key", [
+        (name, key) for name, command in sorted(main.commands.items())
+        for key in [*(p.name for p in command.params), "seed"]
+    ])
+    def test_config_literals_exit_with_a_documented_code(self, trained, tmp_path, monkeypatch, command, key):
+        # the same contract for a value that comes from a config file: the
+        # parameter under test is left off the command line
+        monkeypatch.chdir(tmp_path)
+        # read as an int, the huge literal would be 10**400 epochs in this process
+        with pytest.raises(ValueError, match="too large for a float"):
+            evifuse.data.parse_json(HUGE_INT, "literal")
+        values = contract_invocations(trained, tmp_path)[command]
+        values.pop(key, None)
+        cfg = tmp_path / "cfg.json"
+        for literal in [HUGE_INT, "1e999"]:
+            cfg.write_text(f'{{"{command}": {{"{key}": {literal}}}}}')
+            result = runner.invoke(main, ["--quiet", "--config", str(cfg), *contract_argv(command, values)])
+            case = f"{command} {key}={literal[:8]}: exit {result.exit_code}\n{result.stderr}"
+            assert_contract(result, case)
+            if literal == HUGE_INT:
+                assert result.exit_code == 2 and result.stderr.count("\n") == 1, case
+                assert result.stderr.startswith(f"error: {cfg}: "), case
+
+
+def _limit_address_space():
+    # runs in the child alone, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestVeryLargeSizes:
+    """Sizes far past any memory, each run in a child process under a 2 GiB
+    address-space limit: a regression then fails as a MemoryError or a
+    timeout in that child instead of swapping the machine."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "--n-per-class", "100000000000"], "gen: out of memory"),
+        (["gen", "--classes", "100000000"], "gen: out of memory"),
+        (["gen", "--dim", "100000000000"], "gen: out of memory"),
+        (["train", "--dims", "2,2", "--hidden", "100000000000"], "train: out of memory"),
+        (["train", "--dims", "1000000000000,1"], "header does not match"),
+    ], ids=["n-per-class", "classes", "dim", "hidden", "dims"])
+    def test_exits_2_with_one_line(self, trained, tmp_path, argv, message):
+        if argv[0] == "gen":
+            argv = [*argv, "--out", str(tmp_path / "g.csv")]
+        else:
+            argv = [*argv, "--data", str(trained["train"]), "--valid", str(trained["valid"]),
+                    "--classes", "2", "--views", "2", "--out", str(tmp_path / "m.json")]
+        src = os.path.dirname(os.path.dirname(evifuse.data.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, "-m", "evifuse.cli", "--quiet", *argv], cwd=tmp_path, env=env,
+            preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+        assert message in result.stderr
+        assert not os.listdir(tmp_path)

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from evifuse.data import (
     gen_synthetic,
     load_csv,
     load_grid,
+    parse_json,
     parse_proportions,
     resample_class_ratio,
     save_csv,
@@ -523,6 +525,15 @@ class TestCsv:
         back = load_csv(root / "got.csv", k, len(dims), dims)
         assert back.ids == ds.ids
         assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(back.views, ds.views))
+
+
+class TestParseJson:
+    def test_integers_must_fit_a_float(self):
+        largest = int(sys.float_info.max)
+        assert parse_json(f"[{largest}, {-largest}]", "doc") == [largest, -largest]
+        for text in [f"[{2**1024}]", f'{{"w": {-2**1024}}}']:
+            with pytest.raises(ValueError, match=r"^doc: not a valid JSON document: integer of 309 digits"):
+                parse_json(text, "doc")
 
 
 class TestGridIo:

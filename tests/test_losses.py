@@ -251,6 +251,20 @@ class TestOverall:
         assert loss == pytest.approx(2.0 * want_loss, rel=1e-10)
         assert np.allclose(grads[0], 2.0 * want_grad, atol=1e-8)
 
+    @pytest.mark.parametrize("num_views", [1, 2, 3])
+    def test_infinite_global_evidence_is_a_silent_nan_row(self, num_views):
+        # zero local evidence times an infinite global entry is 0 * inf in the
+        # combination; the suite turns any warning on the way into a failure
+        base = BaseRate([0.5, 0.5], weight=2.0)
+        cfg = uniform_cfg(2, 0.5)
+        glob = np.array([[np.inf, 1.0], [1.0, 2.0]])
+        views = [np.zeros((2, 2))] * (num_views - 1) + [glob]
+        losses, grads = overall_loss_and_grad(views, base, np.array([0, 1]), cfg)
+        assert np.isnan(losses[0]) and all(np.all(np.isnan(g[0])) for g in grads)
+        want, want_grads = overall_loss_and_grad([v[1:] for v in views], base, np.array([1]), cfg)
+        assert losses[1] == want[0]
+        assert all(np.array_equal(g[1], w[0]) for g, w in zip(grads, want_grads))
+
     def test_single_view_is_exactly_twice_its_own_dirichlet_terms(self):
         # the view's Dirichlet and the combined one coincide, so the combined
         # route's factor 1 + L/W is exactly 1 and both routes add equal bits

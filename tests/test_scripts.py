@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,23 @@ def test_script_runs_and_reports(capsys, name, argv, expected):
     assert len(lines) == len(expected)
     for line, start in zip(lines, expected):
         assert line.startswith(start), line
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("run_class_shift", ["--train-ratio", "1:"]),
+    ("run_class_shift", ["--bins", "0", "--pool-n", "20", "--valid-n", "5", "--test-n", "20", "--epochs", "1"]),
+    ("run_feature_shift", ["--views", "1"]),
+    ("run_feature_shift", ["--dim", "1"]),
+], ids=["train-ratio", "bins", "views", "dim"])
+def test_bad_input_exits_2_without_traceback(name, argv):
+    env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].startswith(f"{name}.py: error: "), result.stderr
 
 
 def private_evifuse_imports(source):
