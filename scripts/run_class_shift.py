@@ -8,9 +8,9 @@ the numbers asserted by the acceptance suite.
 
 import argparse
 
-from evifuse.data import SyntheticSpec, gen_synthetic, parse_proportions, resample_class_ratio
+from evifuse.data import SyntheticSpec, gen_synthetic, parse_ints, parse_proportions, parse_ratio_list, resample_class_ratio
 from evifuse.dirichlet import BaseRate
-from evifuse.metrics import report_from_arrays
+from evifuse.metrics import check_num_bins, report_from_arrays
 from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, fit, score
 
 
@@ -53,13 +53,15 @@ def main(argv=None):
 
 
 def run(args):
-    pool = gen_synthetic(blob_spec(args, args.pool_n, seed=10))
     train_mix = parse_proportions(args.train_ratio, "train ratio")
+    pools = parse_ratio_list(args.ratios, "ratio")
+    hidden = parse_ints(args.hidden, "hidden")
+    check_num_bins(args.bins)
+    pool = gen_synthetic(blob_spec(args, args.pool_n, seed=10))
     train = resample_class_ratio(pool, train_mix, seed=100)
     valid = gen_synthetic(blob_spec(args, args.valid_n, seed=12))
     test_pool = gen_synthetic(blob_spec(args, args.test_n, seed=11))
 
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h)
     cfg = ModelConfig(
         num_classes=2, num_views=2, view_dims=(2, 2), hidden=hidden,
         learning_rate=args.lr, epochs=args.epochs,
@@ -72,9 +74,7 @@ def run(args):
 
     print(f"{'ratio':<8}{'strategy':<14}{'acc':>8}{'auc':>8}{'ece':>10}")
     wins = 0
-    ratio_texts = [r for r in args.ratios.split(",") if r]
-    for text in ratio_texts:
-        mix = parse_proportions(text, "ratio")
+    for text, mix in pools:
         sub = resample_class_ratio(test_pool, mix, seed=200)
         tp = report(model, sub, args.bins)
         override = BaseRate(mix, model.base_rate.weight)
@@ -84,7 +84,7 @@ def run(args):
             print(f"{text:<8}{name:<14}{rep['acc']:>8.3f}{auc:>8}{rep['ece']:>10.4f}")
         if tt["ece"] <= tp["ece"]:
             wins += 1
-    print(f"test-prior matches or beats train-prior ECE on {wins}/{len(ratio_texts)} ratios")
+    print(f"test-prior matches or beats train-prior ECE on {wins}/{len(pools)} ratios")
     return 0
 
 

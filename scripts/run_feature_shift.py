@@ -9,7 +9,7 @@ numbers asserted by the acceptance suite.
 import argparse
 import time
 
-from evifuse.data import SyntheticSpec, gen_ood, gen_synthetic
+from evifuse.data import SyntheticSpec, gen_ood, gen_synthetic, parse_ints
 from evifuse.metrics import ood_detect
 from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, fit, score
 
@@ -52,11 +52,11 @@ def main(argv=None):
 def run(args):
     t0 = time.perf_counter()
 
+    hidden = parse_ints(args.hidden, "hidden")
     train = gen_synthetic(blob_spec(args, args.train_n, args.seed))
     valid = gen_synthetic(blob_spec(args, args.valid_n, args.seed + 1))
     shifted = gen_ood(blob_spec(args, args.valid_n, args.seed + 2), shift=args.shift)
 
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h)
     cfg = ModelConfig(
         num_classes=args.classes, num_views=args.views,
         view_dims=(args.dim,) * args.views, hidden=hidden,

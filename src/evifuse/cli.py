@@ -81,13 +81,6 @@ def _emit(obj):
     _echo(json.dumps(obj, sort_keys=True))
 
 
-def _parse_ints(text: str, what: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {what} {text!r}: {exc}") from exc
-
-
 def _config_section(ctx: click.Context, config_path: str) -> dict:
     """The invoked subcommand's config section, its values cast by each option's type.
 
@@ -280,8 +273,8 @@ def views(state, grid_file, roi, window, stride, center, cutout, out_dir):
     """Tile a grid file into overlapping local views plus the global ROI."""
     geom = datamod.ViewGeometry(roi, window, stride)
     grid = datamod.load_grid(grid_file)
-    center_xy = None if center is None else _parse_ints(center, "center")
-    cut = None if cutout is None else _parse_ints(cutout, "cutout")
+    center_xy = None if center is None else datamod.parse_ints(center, "center")
+    cut = None if cutout is None else datamod.parse_ints(cutout, "cutout")
     patches, roi_patch = datamod.extract_views(grid, geom, center=center_xy, cutout=cut)
     try:
         os.mkdir(out_dir)
@@ -318,12 +311,12 @@ def views(state, grid_file, roi, window, stride, center, cutout, out_dir):
 def train(state, data_path, valid_path, out_path, classes, n_views, dims, hidden,
           lr, epochs, batch_size, anneal_epochs, prior_weight, base_rate_mode):
     """Train an evidential model and write its checkpoint."""
-    view_dims = _parse_ints(dims, "dims")
+    view_dims = datamod.parse_ints(dims, "dims")
     config = ModelConfig(
         num_classes=classes,
         num_views=n_views,
         view_dims=view_dims,
-        hidden=_parse_ints(hidden, "hidden"),
+        hidden=datamod.parse_ints(hidden, "hidden"),
         prior_weight=prior_weight,
         learning_rate=lr,
         epochs=epochs,
@@ -432,14 +425,13 @@ def adapt_sweep(state, model_path, uniform_path, data_path, ratios, bins):
     (training-frequency model), train_test_prior (training-frequency model
     re-anchored to the true test ratio).
     """
+    pools = datamod.parse_ratio_list(ratios, "ratio")
     model = load_checkpoint(model_path)
     uniform_model = load_checkpoint(uniform_path)
     ds = _load_for_model(model, data_path)
 
     lines = ["ratio,strategy,auc,ece"]
-    for ratio_text in ratios.split(","):
-        ratio_text = ratio_text.strip()
-        proportions = datamod.parse_proportions(ratio_text, "ratio")
+    for ratio_text, proportions in pools:
         sub = datamod.resample_class_ratio(ds, proportions, state.seed)
         test_rate = BaseRate(proportions, model.base_rate.weight)
         runs = (

@@ -254,8 +254,9 @@ class SyntheticSpec:
         """Classes spread along coordinate 0, views mildly unequal in signal."""
         if view_dim < 1 or num_views < 1:
             raise ValueError("need positive view count and dimension")
-        offsets = (np.arange(num_classes) - (num_classes - 1) / 2.0) * float(separation)
+        # means first: a count too large to hold fails there, before offsets
         means = np.zeros((num_classes, num_views, view_dim))
+        offsets = (np.arange(num_classes) - (num_classes - 1) / 2.0) * float(separation)
         view_gain = 1.0 + 0.1 * np.arange(num_views)
         means[:, :, 0] = offsets[:, None] * view_gain[None, :]
         return cls(means, scale, n_per_class, seed)
@@ -319,6 +320,21 @@ def parse_proportions(text: str, what: str) -> np.ndarray:
     if values.size < 2:
         raise ValueError(f"{what} needs at least two strictly positive entries")
     return _proportions(values, what)
+
+
+def parse_ratio_list(text: str, what: str) -> list:
+    """[(entry, proportions), ...] of comma-separated a:b entries, e.g. "2:8, 3:7";
+    each entry is stripped and read by parse_proportions, so an empty one is a ValueError."""
+    return [(entry, parse_proportions(entry, what)) for entry in map(str.strip, text.split(","))]
+
+
+def parse_ints(text: str, what: str) -> tuple:
+    """Integers of "a,b,...", e.g. 4,4,4,4; "" is (), and an empty or
+    non-integer entry is a ValueError naming `what`."""
+    try:
+        return tuple(int(p) for p in text.split(",")) if text else ()
+    except ValueError as exc:
+        raise ValueError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def resample_class_ratio(ds: MultiViewDataset, ratio, seed: int) -> MultiViewDataset:

@@ -58,6 +58,14 @@ class EvalRecord:
         return self.predicted == self.label
 
 
+def check_num_bins(num_bins: int) -> None:
+    """Raise ValueError unless the calibration bin count lies in [1, MAX_BINS]."""
+    if num_bins < 1:
+        raise ValueError("need at least one bin")
+    if num_bins > MAX_BINS:
+        raise ValueError(f"need at most {MAX_BINS} bins, not {num_bins}")
+
+
 def _bin_index(confidences: np.ndarray, num_bins: int) -> np.ndarray:
     # ((m-1)/M, m/M] binning: ceil(conf*M) - 1, with conf == 0 kept in bin 0.
     idx = np.ceil(confidences * num_bins).astype(int) - 1
@@ -94,10 +102,7 @@ def _calibration(confidence: np.ndarray, correct: np.ndarray, num_bins: int):
     sample order; the ECE weighs each nonempty bin's gap by its share.
     A bin count outside [1, MAX_BINS] is a ValueError.
     """
-    if num_bins < 1:
-        raise ValueError("need at least one bin")
-    if num_bins > MAX_BINS:
-        raise ValueError(f"need at most {MAX_BINS} bins, not {num_bins}")
+    check_num_bins(num_bins)
     idx = _bin_index(confidence, num_bins)
     # a stable sort keeps each bin's members in sample order, so a bin's
     # slice holds the values its mask would pick, in the same order
@@ -144,14 +149,9 @@ def auc_binary(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    ranks[order] = np.arange(1, scores.size + 1)
-    # average ranks within tie groups
-    uniq, inverse = np.unique(scores, return_inverse=True)
-    rank_sum = np.bincount(inverse, weights=ranks)
-    group_n = np.bincount(inverse)
-    ranks = (rank_sum / group_n)[inverse]
+    # a tie group of n scores ending at rank e has mean rank e - (n - 1) / 2
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     u_stat = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u_stat / (n_pos * n_neg))
 

@@ -210,16 +210,16 @@ class EvidenceHead:
 class EvidentialModel:
     """V evidence heads plus the training base rate and config.
 
-    The model owns its parameters: the constructor copies the given heads'
-    values into one flat vector, laid out stack by stack (see the module
-    docstring). `heads[v]` is view v's slot in its stack, a 2-D EvidenceHead
-    whose arrays are views into that vector, so an in-place edit through it
-    reaches every pass of the model.
+    The model owns its parameters: the constructor checks the given heads
+    against the config and copies their values into one flat vector, laid
+    out stack by stack (see the module docstring). `heads[v]` is view v's
+    slot in its stack, a 2-D EvidenceHead whose arrays are views into that
+    vector, so an in-place edit through it reaches every pass of the model.
     """
 
     def __init__(self, heads, base_rate: BaseRate, config: ModelConfig):
         if len(heads) != config.num_views:
-            raise ValueError("head count must equal the number of views")
+            raise ValueError(f"head count {len(heads)} is not one head per view ({config.num_views})")
         if base_rate.num_classes != config.num_classes:
             raise ValueError("base rate and config disagree on the number of classes")
         if base_rate.weight != config.prior_weight:
@@ -241,11 +241,18 @@ class EvidentialModel:
             for g, v in enumerate(group):
                 self.heads[v] = EvidenceHead([w[g] for w in stack.weights], [b[g] for b in stack.biases])
         for v, (own, given) in enumerate(zip(self.heads, heads)):
-            values = [np.asarray(p, dtype=float) for p in given.parameters()]
-            if [p.shape for p in values] != [p.shape for p in own.parameters()]:
-                raise ValueError(f"head {v} does not have the layer shapes of the config")
-            for dst, src in zip(own.parameters(), values):
-                dst[...] = src
+            if len(given.weights) != len(own.weights):
+                raise ValueError(f"head {v}: a head needs {len(own.weights)} layers")
+            for i, (w, b, own_w, own_b) in enumerate(zip(given.weights, given.biases, own.weights, own.biases)):
+                if w.shape != own_w.shape or b.shape != own_b.shape:
+                    raise ValueError(
+                        f"head {v}: layer {i} has weights {w.shape} and bias {b.shape},"
+                        f" the config needs {own_w.shape} and {own_b.shape}"
+                    )
+                if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                    raise ValueError(f"head {v}: layer {i} holds non-finite values")
+                own_w[...] = w
+                own_b[...] = b
 
     def _stack_arrays(self, flat: np.ndarray) -> list:
         """Per stack, (weights, biases) lists of views into a vector of the parameters' layout."""
@@ -528,26 +535,12 @@ def save_checkpoint(model: EvidentialModel, path) -> None:
         raise
 
 
-def _head_from_doc(head_doc, layer_sizes) -> EvidenceHead:
+def _head_from_doc(head_doc) -> EvidenceHead:
+    """A checkpoint's JSON head as arrays; the model's constructor checks them."""
     layers = head_doc.get("layers") if isinstance(head_doc, dict) else None
-    if not isinstance(layers, list) or len(layers) != len(layer_sizes):
-        raise ValueError(f"a head needs {len(layer_sizes)} layers")
-    weights, biases = [], []
-    for i, (layer, (fan_in, fan_out)) in enumerate(zip(layers, layer_sizes)):
-        if not isinstance(layer, dict):
-            raise ValueError(f"layer {i} is not an object")
-        w = np.array(layer.get("weights"), dtype=float)
-        b = np.array(layer.get("bias"), dtype=float)
-        if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
-            raise ValueError(
-                f"layer {i} has weights {w.shape} and bias {b.shape},"
-                f" the config needs {(fan_out, fan_in)} and {(fan_out,)}"
-            )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError(f"layer {i} holds non-finite values")
-        weights.append(w)
-        biases.append(b)
-    return EvidenceHead(weights, biases)
+    if not (isinstance(layers, list) and layers and all(isinstance(layer, dict) for layer in layers)):
+        raise ValueError("a head needs a nonempty list of layer objects")
+    return EvidenceHead([layer.get("weights") for layer in layers], [layer.get("bias") for layer in layers])
 
 
 def _model_from_doc(doc: dict) -> EvidentialModel:
@@ -558,13 +551,12 @@ def _model_from_doc(doc: dict) -> EvidentialModel:
         raise ValueError("'config' is not an object")
     config = ModelConfig.from_dict(doc["config"])
     base = BaseRate.from_dict(doc["base_rate"])
-    heads_doc = doc["heads"]
-    if not isinstance(heads_doc, list) or len(heads_doc) != config.num_views:
-        raise ValueError(f"need one head per view ({config.num_views})")
+    if not isinstance(doc["heads"], list):
+        raise ValueError("'heads' is not a list")
     heads = []
-    for v, (head_doc, dim) in enumerate(zip(heads_doc, config.view_dims)):
+    for v, head_doc in enumerate(doc["heads"]):
         try:
-            heads.append(_head_from_doc(head_doc, _layer_sizes(dim, config.hidden, config.num_classes)))
+            heads.append(_head_from_doc(head_doc))
         except ValueError as exc:
             raise ValueError(f"head {v}: {exc}") from exc
     return EvidentialModel(heads, base, config)

@@ -541,8 +541,13 @@ def save_csv_reference(ids, labels, views, path):
             fh.write(",".join(fields) + "\n")
 
 
-def _rank_auc(scores, labels):
-    """Mann-Whitney AUC from tie-averaged ranks, half credit for ties."""
+def rank_auc_reference(scores, labels):
+    """Mann-Whitney AUC from tie-averaged ranks, half credit for ties.
+
+    Ranks come from a stable sort and each tie group's ranks are summed and
+    divided by its size, the formula `auc_binary` used before it read the
+    mean rank of a group off its last rank.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     n_pos = int(labels.sum())
@@ -569,7 +574,7 @@ def metrics_report_reference(records, num_bins):
     auc = None
     if max(max(labels), max(r.predicted for r in records)) + 1 == 2 and len(set(labels)) == 2:
         scores = [r.confidence if r.predicted == 1 else 1.0 - r.confidence for r in records]
-        auc = _rank_auc(scores, labels)
+        auc = rank_auc_reference(scores, labels)
     idx = np.ceil(conf * num_bins).astype(int) - 1
     idx[conf <= 0.0] = 0
     idx = np.clip(idx, 0, num_bins - 1)

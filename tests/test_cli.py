@@ -5,6 +5,8 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
+import time
 import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -368,6 +370,31 @@ class TestTrain:
         assert '"final": {}' in result.stdout
         assert all(curve == [] for curve in out_json(result)["curves"].values())
 
+    def test_empty_hidden_trains_a_model_without_hidden_layers(self, trained, tmp_path):
+        out = tmp_path / "m.json"
+        run([
+            "--seed", "0", "train", "--data", str(trained["train"]),
+            "--valid", str(trained["valid"]), "--classes", "2", "--views", "2",
+            "--dims", "2,2", "--hidden", "", "--lr", "1e-3", "--epochs", "1", "--out", str(out),
+        ])
+        model = load_checkpoint(out)
+        assert model.config.hidden == ()
+        assert [w.shape for w in model.heads[0].weights] == [(2, 2)]
+
+    @pytest.mark.parametrize("option,value", [
+        ("--hidden", "4,"), ("--hidden", ",4"), ("--hidden", "4,,8"), ("--dims", "2,"),
+    ])
+    def test_empty_list_entry_exits_2(self, trained, tmp_path, option, value):
+        options = {"--dims": "2,2", "--hidden": "4", option: value}
+        result = run([
+            "--quiet", "train", "--data", str(trained["train"]), "--valid", str(trained["valid"]),
+            "--classes", "2", "--views", "2", *(x for kv in options.items() for x in kv),
+            "--epochs", "1", "--out", str(tmp_path / "m.json"),
+        ], expect=2)
+        name = option.lstrip("-")
+        assert result.stderr == f"error: cannot parse {name} {value!r}: invalid literal for int() with base 10: ''\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_help_shows_the_model_config_defaults(self):
         defaults = {f.name: f.default for f in fields(ModelConfig)}
         params = {p.name: p for p in main.commands["train"].params}
@@ -630,6 +657,23 @@ class TestAdaptSweep:
             _, _, auc, ece = line.split(",")
             assert auc == "" or 0.0 <= float(auc) <= 1.0
             assert 0.0 <= float(ece) <= 1.0
+
+    def test_ratio_entries_are_stripped(self, trained):
+        argv = ["--seed", "7", "adapt-sweep", "--model", str(trained["model"]),
+                "--uniform-model", str(trained["uniform"]), "--data", str(trained["train"])]
+        spaced = run([*argv, "--ratios", " 3:1 ,  1:3"]).stdout
+        assert spaced == run([*argv, "--ratios", "3:1,1:3"]).stdout
+        assert [line.split(",")[0] for line in spaced.splitlines()[1:]] == ["3:1"] * 3 + ["1:3"] * 3
+
+    @pytest.mark.parametrize("ratios", ["3:1,", "3:1,,1:3", "3:1,x", "3:1, "])
+    def test_bad_ratio_list_exits_2_before_any_load(self, trained, tmp_path, ratios):
+        # the list is refused before the checkpoints are read, so a missing one is never reached
+        result = run([
+            "--quiet", "adapt-sweep", "--model", str(tmp_path / "missing.json"),
+            "--uniform-model", str(trained["uniform"]), "--data", str(trained["train"]),
+            "--ratios", ratios,
+        ], expect=2)
+        assert result.stdout == "" and result.stderr.startswith("error: cannot parse ratio ")
 
     def test_bins_above_the_cap_exit_2(self, trained):
         result = run([
@@ -897,10 +941,34 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def _wait_with_peak_rss(child, timeout):
+    """(exit code, peak RSS in MB) of a child process.
+
+    The child is reaped by os.wait4, which reports that child's own resource
+    usage; one still running after `timeout` seconds is killed. The peak
+    includes the pages the forked child held before its exec, so it is at
+    least about this process's resident size.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        pid, status, usage = os.wait4(child.pid, os.WNOHANG)
+        if pid:
+            child.returncode = os.waitstatus_to_exitcode(status)
+            return child.returncode, usage.ru_maxrss / 1024  # Linux reports KiB
+        if time.monotonic() > deadline:
+            child.kill()
+            os.wait4(child.pid, 0)
+            child.returncode = -9
+            pytest.fail(f"still running after {timeout} s")
+        time.sleep(0.01)
+
+
 class TestVeryLargeSizes:
     """Sizes far past any memory, each run in a child process under a 2 GiB
     address-space limit: a regression then fails as a MemoryError or a
-    timeout in that child instead of swapping the machine."""
+    timeout in that child instead of swapping the machine. The child's peak
+    RSS must stay small too, so a size is refused before large buffers are
+    filled, not when the limit is reached."""
 
     @pytest.mark.parametrize("argv,message", [
         (["gen", "--n-per-class", "100000000000"], "gen: out of memory"),
@@ -917,11 +985,16 @@ class TestVeryLargeSizes:
                     "--classes", "2", "--views", "2", "--out", str(tmp_path / "m.json")]
         src = os.path.dirname(os.path.dirname(evifuse.data.__file__))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        result = subprocess.run(
-            [sys.executable, "-m", "evifuse.cli", "--quiet", *argv], cwd=tmp_path, env=env,
-            preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=30,
-        )
-        assert result.returncode == 2, result.stderr
-        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
-        assert message in result.stderr
+        with tempfile.TemporaryFile("w+") as err:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "evifuse.cli", "--quiet", *argv], cwd=tmp_path, env=env,
+                preexec_fn=_limit_address_space, stdout=subprocess.DEVNULL, stderr=err,
+            )
+            code, peak_mb = _wait_with_peak_rss(child, timeout=30)
+            err.seek(0)
+            stderr = err.read()
+        assert code == 2, stderr
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+        assert message in stderr
         assert not os.listdir(tmp_path)
+        assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB"

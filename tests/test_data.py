@@ -16,8 +16,10 @@ from evifuse.data import (
     gen_synthetic,
     load_csv,
     load_grid,
+    parse_ints,
     parse_json,
     parse_proportions,
+    parse_ratio_list,
     resample_class_ratio,
     save_csv,
     save_grid,
@@ -382,6 +384,36 @@ class TestParseProportions:
     def test_rejects_with_a_message_naming_what(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_proportions(text, "base rate override")
+
+
+class TestParseRatioList:
+    def test_entries_are_stripped_and_read_as_proportions(self):
+        got = parse_ratio_list(" 1:3,0.4:0.6 ", "ratio")
+        assert [text for text, _ in got] == ["1:3", "0.4:0.6"]
+        for (text, mix), want in zip(got, ["1:3", "0.4:0.6"]):
+            assert np.array_equal(mix, parse_proportions(want, "ratio"))
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "cannot parse ratio ''"), ("2:8,", "cannot parse ratio ''"), (",2:8", "cannot parse ratio ''"),
+        ("2:8, ,3:7", "cannot parse ratio ''"), ("2:8,x", "cannot parse ratio 'x'"),
+        ("2:8,1", "ratio needs at least two"), ("2:8,1:0", "ratio entries must be strictly positive"),
+    ])
+    def test_any_bad_entry_rejects_the_whole_list(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_ratio_list(text, "ratio")
+
+
+class TestParseInts:
+    @pytest.mark.parametrize("text,want", [
+        ("", ()), ("4", (4,)), ("4,4,4,4", (4, 4, 4, 4)), (" 3, 5", (3, 5)), ("-1,0", (-1, 0)),
+    ])
+    def test_values(self, text, want):
+        assert parse_ints(text, "dims") == want
+
+    @pytest.mark.parametrize("text", ["4,", ",4", "4,,8", ",", " ", "4.0", "a"])
+    def test_rejects_with_a_message_naming_what(self, text):
+        with pytest.raises(ValueError, match=f"cannot parse hidden {re.escape(repr(text))}"):
+            parse_ints(text, "hidden")
 
 
 EDGE_FLOATS = [

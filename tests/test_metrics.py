@@ -9,13 +9,20 @@ from evifuse.metrics import (
     _calibration,
     accuracy,
     auc_binary,
+    check_num_bins,
     ece,
     metrics_report,
     ood_detect,
     report_from_arrays,
 )
 
-from oracles import auc_reference, calibration_loop_reference, ece_reference, metrics_report_reference
+from oracles import (
+    auc_reference,
+    calibration_loop_reference,
+    ece_reference,
+    metrics_report_reference,
+    rank_auc_reference,
+)
 
 
 def make_records(confs, corrects):
@@ -113,6 +120,20 @@ class TestEce:
             report_from_arrays([0], [0.5], [0], MAX_BINS + 1)
 
 
+class TestCheckNumBins:
+    @pytest.mark.parametrize("num_bins", [1, 10, MAX_BINS])
+    def test_accepts_the_closed_range(self, num_bins):
+        check_num_bins(num_bins)
+
+    @pytest.mark.parametrize("num_bins,match", [
+        (0, "need at least one bin"), (-3, "need at least one bin"),
+        (MAX_BINS + 1, f"need at most {MAX_BINS} bins, not {MAX_BINS + 1}"),
+    ])
+    def test_rejects_outside_it(self, num_bins, match):
+        with pytest.raises(ValueError, match=match):
+            check_num_bins(num_bins)
+
+
 class TestAccuracy:
     def test_simple(self):
         assert accuracy(make_records((0.5, 0.5, 0.5, 0.5), (True, True, True, False))) == 0.75
@@ -153,6 +174,18 @@ class TestAuc:
             rng.shuffle(labels)
             want = auc_reference(scores.tolist(), labels.tolist())
             assert auc_binary(scores, labels) == pytest.approx(want, abs=1e-12)
+
+    def test_bit_identical_to_the_summed_rank_formula(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            n = int(rng.integers(2, 300))
+            grid = int(rng.integers(1, 2 * n))  # a coarse grid makes long tie groups
+            scores = rng.integers(0, grid, n) / grid
+            if rng.uniform() < 0.3:
+                scores = rng.normal(size=n)
+            labels = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(int)
+            labels[rng.choice(n, 2, replace=False)] = [0, 1]
+            assert auc_binary(scores, labels) == rank_auc_reference(scores, labels)
 
     def test_validation(self):
         with pytest.raises(ValueError):

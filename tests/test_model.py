@@ -239,13 +239,29 @@ class TestModelAssembly:
         model = EvidentialModel.initialize(cfg, base)
         with pytest.raises(ValueError, match="head count"):
             EvidentialModel(model.heads[:1], base, cfg)
+        with pytest.raises(ValueError, match=r"head count 3 is not one head per view \(2\)"):
+            EvidentialModel([*model.heads, model.heads[0]], base, cfg)
         with pytest.raises(ValueError, match="number of classes"):
             EvidentialModel(model.heads, BaseRate([0.3, 0.3, 0.4], weight=2.0), cfg)
         with pytest.raises(ValueError, match="prior_weight"):
             EvidentialModel(model.heads, BaseRate([0.5, 0.5], weight=3.0), cfg)
         wider = EvidentialModel.initialize(tiny_config(hidden=(5,)), base)
-        with pytest.raises(ValueError, match="head 0 does not have the layer shapes"):
+        with pytest.raises(ValueError, match=r"head 0: layer 0 has weights \(5, 3\) and bias \(5,\),"
+                                             r" the config needs \(4, 3\) and \(4,\)"):
             EvidentialModel(wider.heads, base, cfg)
+        deeper = EvidentialModel.initialize(tiny_config(hidden=(4, 4)), base)
+        with pytest.raises(ValueError, match="head 0: a head needs 2 layers"):
+            EvidentialModel(deeper.heads, base, cfg)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer,part", [(0, "weights"), (1, "biases")])
+    def test_non_finite_parameter_is_refused_at_construction(self, value, layer, part):
+        cfg = tiny_config()
+        base = BaseRate([0.5, 0.5], weight=2.0)
+        heads = EvidentialModel.initialize(cfg, base).heads
+        getattr(heads[1], part)[layer].flat[0] = value
+        with pytest.raises(ValueError, match=f"head 1: layer {layer} holds non-finite values"):
+            EvidentialModel(heads, base, cfg)
 
     def test_model_owns_its_parameters(self):
         train, valid = blob_data(2, 20), blob_data(3, 10)
@@ -735,6 +751,27 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda doc: doc["heads"][0]["layers"][1]["bias"].__setitem__(0, float("nan")),
+         "head 0: layer 1 holds non-finite values"),
+        (lambda doc: doc["heads"][1]["layers"][0]["weights"][0].__setitem__(1, float("-inf")),
+         "head 1: layer 0 holds non-finite values"),
+        (lambda doc: doc.update(heads={"0": {}, "1": {}}), "'heads' is not a list"),
+        (lambda doc: doc["heads"].append(doc["heads"][0]), r"head count 3 is not one head per view \(2\)"),
+        (lambda doc: doc["heads"][1].update(layers=[]), "head 1: a head needs a nonempty list of layer objects"),
+        (lambda doc: doc["heads"][1]["layers"].__setitem__(0, [1.0]), "head 1: a head needs a nonempty list"),
+        (lambda doc: doc["heads"].__setitem__(0, []), "head 0: a head needs a nonempty list"),
+    ])
+    def test_the_constructor_checks_what_the_loader_reads(self, tmp_path, edit, match):
+        path = tmp_path / "model.json"
+        save_checkpoint(golden_model(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: malformed checkpoint: ")
 
     @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig) if f.default is not MISSING])
     def test_missing_optional_config_key_takes_the_default(self, tmp_path, name):

@@ -41,9 +41,13 @@ def test_script_runs_and_reports(capsys, name, argv, expected):
 @pytest.mark.parametrize("name,argv", [
     ("run_class_shift", ["--train-ratio", "1:"]),
     ("run_class_shift", ["--bins", "0", "--pool-n", "20", "--valid-n", "5", "--test-n", "20", "--epochs", "1"]),
+    ("run_class_shift", ["--ratios", "3:7,x", "--pool-n", "20", "--valid-n", "5", "--test-n", "20", "--epochs", "1"]),
+    ("run_class_shift", ["--ratios", "3:7,", "--pool-n", "20", "--valid-n", "5", "--test-n", "20", "--epochs", "1"]),
+    ("run_class_shift", ["--hidden", "4,", "--pool-n", "20", "--valid-n", "5", "--test-n", "20", "--epochs", "1"]),
     ("run_feature_shift", ["--views", "1"]),
     ("run_feature_shift", ["--dim", "1"]),
-], ids=["train-ratio", "bins", "views", "dim"])
+    ("run_feature_shift", ["--hidden", "4,", "--views", "2", "--train-n", "10", "--valid-n", "5", "--epochs", "1"]),
+], ids=["train-ratio", "bins", "ratios", "ratios-empty-entry", "hidden", "views", "dim", "feature-hidden"])
 def test_bad_input_exits_2_without_traceback(name, argv):
     env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
     result = subprocess.run(
@@ -51,6 +55,7 @@ def test_bad_input_exits_2_without_traceback(name, argv):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert result.stderr.splitlines()[-1].startswith(f"{name}.py: error: "), result.stderr
 
@@ -84,3 +89,27 @@ def test_private_import_finder():
 def test_script_imports_no_private_evifuse_name(path):
     # scripts are written against the library's public API only
     assert private_evifuse_imports(path.read_text()) == []
+
+
+def comma_splits(source):
+    """Line numbers of every `.split` call whose separator is a comma."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "split":
+            seps = node.args[:1] + [k.value for k in node.keywords if k.arg == "sep"]
+            if any(getattr(sep, "value", None) == "," for sep in seps):
+                found.append(node.lineno)
+    return found
+
+
+def test_comma_split_finder():
+    source = 'a.split(",")\nb.split()\nc.split(":")\nd.split(",", 1)\n"x".split(sep=",")\n'
+    assert comma_splits(source) == [1, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [SCRIPTS.parent / "src" / "evifuse" / "cli.py", *sorted(SCRIPTS.glob("*.py"))], ids=lambda p: p.name,
+)
+def test_front_ends_leave_list_syntax_to_the_library(path):
+    # integer and ratio lists are read by evifuse.data.parse_ints and parse_ratio_list
+    assert comma_splits(path.read_text()) == []
