@@ -358,12 +358,13 @@ def _load_for_model(model: EvidentialModel, path):
 @click.option("--bins", type=int, default=10, show_default=True)
 def eval_cmd(state, model_path, data_path, base_rate_override, bins):
     """Evaluate a checkpoint: accuracy, AUC, calibration, per-sample records."""
+    metricsmod.check_num_bins(bins)
+    rates = None if base_rate_override is None else datamod.parse_proportions(
+        base_rate_override, "base rate override"
+    )
     model = load_checkpoint(model_path)
     ds = _load_for_model(model, data_path)
-    override = None
-    if base_rate_override is not None:
-        rates = datamod.parse_proportions(base_rate_override, "base rate override")
-        override = BaseRate(rates, model.base_rate.weight)
+    override = None if rates is None else BaseRate(rates, model.base_rate.weight)
     predicted, confidence, uncertainty = score(model, ds, override)
     labels = ds.labels()
     report = metricsmod.report_from_arrays(predicted, confidence, labels, bins)
@@ -426,6 +427,7 @@ def adapt_sweep(state, model_path, uniform_path, data_path, ratios, bins):
     re-anchored to the true test ratio).
     """
     pools = datamod.parse_ratio_list(ratios, "ratio")
+    metricsmod.check_num_bins(bins)
     model = load_checkpoint(model_path)
     uniform_model = load_checkpoint(uniform_path)
     ds = _load_for_model(model, data_path)

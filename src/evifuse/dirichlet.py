@@ -161,9 +161,8 @@ def rebase(e: EvidenceVector, new_a: BaseRate) -> DirichletParams:
     beliefs and uncertainty are preserved only when the new prior has the
     old weight; then only expected probabilities move toward the new rates.
     A different weight moves the opinion too: e = [4, 1] has uncertainty
-    2/7 = 0.286 at W = 2 and 4/9 = 0.444 at W = 4. `model.evaluate`'s
-    override keeps the opinion instead, scaling evidence by W'/W. `opinions`
-    binds the same function as `dirichlet_from_evidence`.
+    2/7 = 0.286 at W = 2 and 4/9 = 0.444 at W = 4. `opinions` binds the
+    same function as `dirichlet_from_evidence`.
     """
     if e.num_classes != new_a.num_classes:
         raise ValueError("evidence and base rate disagree on the number of classes")

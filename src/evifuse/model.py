@@ -298,10 +298,11 @@ def compute_base_rate(labels, num_classes: int, weight: float | None = None) -> 
 
 
 def _dataset(model: EvidentialModel, data) -> MultiViewDataset:
-    """`data` as a dataset of the model's view shapes.
+    """`data` as a dataset of the model's class count and view shapes.
 
     A plain sequence of samples is stacked into a dataset once, so every
-    scoring path reads the same (N, d) arrays.
+    scoring path reads the same (N, d) arrays. This is the one check of a
+    dataset against a model, for training and scoring alike.
     """
     cfg = model.config
     if not isinstance(data, MultiViewDataset):
@@ -309,8 +310,11 @@ def _dataset(model: EvidentialModel, data) -> MultiViewDataset:
         if not samples:
             raise ValueError("no samples to evaluate")
         data = MultiViewDataset(samples, cfg.num_classes, cfg.view_dims)
-    if data.view_dims != cfg.view_dims:
-        raise ValueError(f"dataset view shapes {data.view_dims} do not match the model's {cfg.view_dims}")
+    if data.num_classes != cfg.num_classes or data.view_dims != cfg.view_dims:
+        raise ValueError(
+            f"dataset of {data.num_classes} classes and view shapes {data.view_dims} does not match"
+            f" the model's {cfg.num_classes} classes and view shapes {cfg.view_dims}"
+        )
     return data
 
 
@@ -353,10 +357,12 @@ def evaluate(model: EvidentialModel, data, override: BaseRate | None = None):
 
     Scores a dataset, or any sequence of samples, in one batched pass and
     returns arrays of shapes (N,), (N,) and (N, K). With an override the
-    combined evidence is re-anchored to the new base rate before reading off
-    probabilities; uncertainty is an evidence-only quantity and keeps the
-    training base rate's weight. Raises NonFiniteEvidence, naming the first
-    such sample, if a sample's combined evidence is not finite.
+    combined evidence is re-anchored to the override's class rates at the
+    model's weight W, alpha = e + a'*W, before reading off probabilities; the
+    override's weight is not read. Uncertainty is an evidence-only quantity
+    and is the same with or without an override. Raises NonFiniteEvidence,
+    naming the first such sample, if a sample's combined evidence is not
+    finite.
     """
     base = model.base_rate
     anchor = base if override is None else override
@@ -365,7 +371,7 @@ def evaluate(model: EvidentialModel, data, override: BaseRate | None = None):
     ds = _dataset(model, data)
     fused = combined_evidence(_view_evidences(model, _stacked(model, ds.views)), base.weight)
     strength = fused.sum(axis=1)
-    alpha = fused * (anchor.weight / base.weight) + anchor.rates * anchor.weight
+    alpha = fused + anchor.rates * base.weight
     total = alpha.sum(axis=1, keepdims=True)
     bad = np.flatnonzero(~(np.isfinite(strength) & np.isfinite(total[:, 0])))
     if bad.size:
@@ -442,9 +448,7 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
     finite.
     """
     cfg = model.config
-    for ds in (train, valid):
-        if ds.num_classes != cfg.num_classes or ds.view_dims != cfg.view_dims:
-            raise ValueError("dataset shape does not match the model config")
+    train, valid = _dataset(model, train), _dataset(model, valid)
     base = model.base_rate
     beta = DirichletParams(base.rates * base.weight)
     train_x, train_labels = _stacked(model, train.views), train.labels()
@@ -557,7 +561,7 @@ def _model_from_doc(doc: dict) -> EvidentialModel:
     for v, head_doc in enumerate(doc["heads"]):
         try:
             heads.append(_head_from_doc(head_doc))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"head {v}: {exc}") from exc
     return EvidentialModel(heads, base, config)
 

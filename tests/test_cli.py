@@ -2,11 +2,10 @@ import gc
 import io
 import json
 import os
-import resource
+import signal
 import subprocess
 import sys
 import tempfile
-import time
 import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -445,6 +444,20 @@ class TestEval:
         assert result.stdout == "" and result.stderr.count("\n") == 1
         assert f"at most {MAX_BINS} bins" in result.stderr
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--bins", "0", "need at least one bin"),
+        ("--bins", str(MAX_BINS + 1), f"at most {MAX_BINS} bins"),
+        ("--base-rate-override", "1:", "cannot parse base rate override"),
+    ], ids=["bins-0", "bins-above-cap", "override"])
+    def test_bad_option_exits_2_before_any_load(self, trained, tmp_path, option, value, message):
+        # the option is refused before the checkpoint is read, so the missing one is never reached
+        result = run([
+            "--quiet", "eval", "--model", str(tmp_path / "missing.json"),
+            "--data", str(trained["valid"]), option, value,
+        ], expect=2)
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+        assert message in result.stderr
+
 
 class TestInProcess:
     def test_captured_streams_are_released(self, trained):
@@ -683,6 +696,18 @@ class TestAdaptSweep:
         ], expect=2)
         assert result.stdout == "" and result.stderr.count("\n") == 1
         assert f"at most {MAX_BINS} bins" in result.stderr
+
+    @pytest.mark.parametrize("bins,message", [
+        ("0", "need at least one bin"), (str(MAX_BINS + 1), f"at most {MAX_BINS} bins"),
+    ], ids=["bins-0", "bins-above-cap"])
+    def test_bad_bins_exit_2_before_any_load(self, trained, tmp_path, bins, message):
+        result = run([
+            "--quiet", "adapt-sweep", "--model", str(tmp_path / "missing.json"),
+            "--uniform-model", str(trained["uniform"]), "--data", str(trained["train"]),
+            "--bins", bins,
+        ], expect=2)
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+        assert message in result.stderr
 
 
 class TestConfigPrecedence:
@@ -936,31 +961,40 @@ class TestExitCodeContract:
                 assert result.stderr.startswith(f"error: {cfg}: "), case
 
 
-def _limit_address_space():
-    # runs in the child alone, between fork and exec
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+# Runs its arguments as a command under a 2 GiB address-space limit and
+# prints the command's exit code and peak RSS in KiB. The command is forked
+# from this small interpreter, not from the test process, so its peak RSS
+# does not include the test process's pages.
+_LAUNCHER = """
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
-def _wait_with_peak_rss(child, timeout):
-    """(exit code, peak RSS in MB) of a child process.
+def _run_limited(argv, timeout, **kwargs):
+    """(exit code, peak RSS in MB) of `argv` run through the launcher.
 
-    The child is reaped by os.wait4, which reports that child's own resource
-    usage; one still running after `timeout` seconds is killed. The peak
-    includes the pages the forked child held before its exec, so it is at
-    least about this process's resident size.
+    The launcher leads its own process group, so a command still running
+    after `timeout` seconds is killed together with it.
     """
-    deadline = time.monotonic() + timeout
-    while True:
-        pid, status, usage = os.wait4(child.pid, os.WNOHANG)
-        if pid:
-            child.returncode = os.waitstatus_to_exitcode(status)
-            return child.returncode, usage.ru_maxrss / 1024  # Linux reports KiB
-        if time.monotonic() > deadline:
-            child.kill()
-            os.wait4(child.pid, 0)
-            child.returncode = -9
-            pytest.fail(f"still running after {timeout} s")
-        time.sleep(0.01)
+    launcher = subprocess.Popen(
+        [sys.executable, "-c", _LAUNCHER, *argv],
+        stdout=subprocess.PIPE, text=True, start_new_session=True, **kwargs,
+    )
+    try:
+        out, _ = launcher.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(launcher.pid, signal.SIGKILL)
+        launcher.communicate()
+        pytest.fail(f"still running after {timeout} s")
+    code, peak_kib = (int(field) for field in out.split())
+    return code, peak_kib / 1024  # Linux reports KiB
 
 
 class TestVeryLargeSizes:
@@ -986,11 +1020,10 @@ class TestVeryLargeSizes:
         src = os.path.dirname(os.path.dirname(evifuse.data.__file__))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         with tempfile.TemporaryFile("w+") as err:
-            child = subprocess.Popen(
-                [sys.executable, "-m", "evifuse.cli", "--quiet", *argv], cwd=tmp_path, env=env,
-                preexec_fn=_limit_address_space, stdout=subprocess.DEVNULL, stderr=err,
+            code, peak_mb = _run_limited(
+                [sys.executable, "-m", "evifuse.cli", "--quiet", *argv],
+                timeout=30, cwd=tmp_path, env=env, stderr=err,
             )
-            code, peak_mb = _wait_with_peak_rss(child, timeout=30)
             err.seek(0)
             stderr = err.read()
         assert code == 2, stderr
@@ -998,3 +1031,11 @@ class TestVeryLargeSizes:
         assert message in stderr
         assert not os.listdir(tmp_path)
         assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB"
+
+    def test_peak_rss_excludes_the_test_process(self):
+        # 200 MB written in this process must not count toward the command's peak
+        ballast = bytearray(200 << 20)
+        ballast[::4096] = b"\x01" * (len(ballast) // 4096)
+        code, peak_mb = _run_limited([sys.executable, "-c", "pass"], timeout=30)
+        del ballast
+        assert code == 0 and peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"

@@ -409,6 +409,21 @@ class TestEvaluate:
             for a, b in zip(evaluate(model, ds, rate), evaluate(model, list(ds), rate)):
                 assert np.array_equal(a, b)
 
+    def test_override_reads_only_its_class_rates(self):
+        # alpha = e + a'W at the model's weight W, so the override's own weight is not read
+        cfg = ModelConfig(num_classes=3, num_views=3, view_dims=(2, 3, 2), hidden=(5,), epochs=1, seed=4)
+        model = EvidentialModel.initialize(cfg, BaseRate([0.2, 0.5, 0.3], weight=3.0))
+        rng = np.random.default_rng(15)
+        samples = [
+            MultiViewSample(tuple(rng.normal(size=d) for d in cfg.view_dims), 0, f"s{i}")
+            for i in range(40)
+        ]
+        rates = [0.6, 0.3, 0.1]
+        want = evaluate(model, samples, BaseRate(rates, weight=3.0))
+        for weight in (1.5, 120.0):
+            got = evaluate(model, samples, BaseRate(rates, weight=weight))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_overflowing_evidence_names_the_first_sample(self):
         # evidence softplus(1e200 * tanh(x0)) overflows L*g/W only where both
         # views have x0 > 0, which is sample "c" alone
@@ -667,6 +682,18 @@ class TestFit:
         with pytest.raises(ValueError, match="does not match"):
             fit(model, train, valid)
 
+    def test_class_count_must_match(self):
+        # a K=3 dataset of the model's view shapes is refused by training and scoring alike
+        two = blob_data(6, 5)
+        three = gen_synthetic(SyntheticSpec.blobs(3, 2, 2, n_per_class=5, seed=7))
+        model = EvidentialModel.initialize(tiny_config(view_dims=(2, 2), epochs=1), BaseRate([0.5, 0.5]))
+        with pytest.raises(ValueError, match="3 classes .* does not match the model's 2 classes"):
+            fit(model, three, two)
+        with pytest.raises(ValueError, match="3 classes .* does not match the model's 2 classes"):
+            fit(model, two, three)
+        with pytest.raises(ValueError, match="3 classes .* does not match the model's 2 classes"):
+            evaluate(model, three)
+
     def test_report_dict_keys_are_its_fields(self):
         train, valid = blob_data(4, 6), blob_data(5, 4)
         model = EvidentialModel.initialize(
@@ -738,6 +765,7 @@ class TestCheckpoint:
         (lambda doc: doc["heads"][1]["layers"].pop(), "head 1: a head needs 2 layers"),
         (lambda doc: doc["heads"][0]["layers"][0].update(weights=[[0.0] * 3] * 5), r"head 0: layer 0"),
         (lambda doc: doc["heads"][1]["layers"][1].update(bias=[0.0]), r"head 1: layer 1"),
+        (lambda doc: doc["heads"][0]["layers"][0].update(weights={"a": 1}), "head 0: "),
         (lambda doc: doc["config"].update(hidden_size=[8]), "unknown config key 'hidden_size'"),
     ])
     def test_rejects_malformed_documents(self, tmp_path, edit, match):

@@ -91,6 +91,17 @@ def test_script_imports_no_private_evifuse_name(path):
     assert private_evifuse_imports(path.read_text()) == []
 
 
+def test_package_root_exports_no_public_name():
+    # every public name is imported from its module, as in `from evifuse.model import fit`
+    env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", "import evifuse; print([n for n in vars(evifuse) if not n.startswith('_')])"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def comma_splits(source):
     """Line numbers of every `.split` call whose separator is a comma."""
     found = []
