@@ -385,6 +385,7 @@ def eval_cmd(state, model_path, data_path, base_rate_override, bins):
 @click.option("--percentile", type=float, default=50.0, show_default=True)
 def ood(state, model_path, id_path, ood_path, percentile):
     """Flag out-of-distribution samples by scaled combined uncertainty."""
+    metricsmod.check_percentile(percentile)
     model = load_checkpoint(model_path)
     id_ds = _load_for_model(model, id_path)
     ood_ds = _load_for_model(model, ood_path)

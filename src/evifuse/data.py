@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dirichlet import _FLOAT_OVERFLOW
+
 
 @dataclass(frozen=True, eq=False)
 class MultiViewSample:
@@ -429,7 +431,7 @@ def load_csv(path, num_classes: int, num_views: int, view_dims) -> MultiViewData
         labels = np.array([int(fields[1]) for fields in rows])
         table = np.array([float(x) for fields in rows for x in fields[2:]]).reshape(len(rows), -1)
         valid = bool(np.all((labels >= 0) & (labels < num_classes)) and np.all(np.isfinite(table)))
-    except (ValueError, OverflowError):
+    except ValueError:
         valid = False
     if not valid:
         _raise_first_bad_line(path, lines, n_fields, num_classes)
@@ -471,7 +473,11 @@ def save_grid(grid, path) -> None:
 
 
 def load_grid(path) -> np.ndarray:
-    """Whitespace-separated 2-d grid, one row per line."""
+    """Whitespace-separated 2-d grid of finite values, one row per line.
+
+    Blank lines are skipped; a bad token, a non-finite value (nan, inf,
+    1e999) or a ragged row is a ValueError naming the file and line.
+    """
     rows = []
     width = None
     # newline=None splits lines as a file opened in text mode would
@@ -482,6 +488,8 @@ def load_grid(path) -> np.ndarray:
             row = [float(x) for x in line.split()]
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: line {lineno}: grid values must be finite")
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -507,11 +515,8 @@ def read_text(path) -> str:
 
 def _json_int(literal: str) -> int:
     value = int(literal)
-    try:
-        float(value)
-    except OverflowError:
-        digits = len(literal.lstrip("-"))
-        raise ValueError(f"integer of {digits} digits is too large for a float") from None
+    if abs(value) >= _FLOAT_OVERFLOW:
+        raise ValueError(f"integer of {len(literal.lstrip('-'))} digits is too large for a float")
     return value
 
 

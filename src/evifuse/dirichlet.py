@@ -4,19 +4,73 @@ Everything downstream circulates the same three immutable values: a Dirichlet
 concentration vector, a base rate (prior class proportions with a prior
 weight), and a nonnegative evidence vector. They are frozen dataclasses over
 read-only numpy arrays; all operations on them are pure.
+
+The value classes of the package read their fields through one cast per kind
+of value: `_real`, `_integer` and `_numeric`. Each takes what is a number of
+its kind, in Python, numpy or parsed JSON, and raises a ValueError naming the
+field for anything else, so `float("0.4")`, `int(True)` and a string array's
+cast to float never decide what a number is.
 """
 
 from __future__ import annotations
 
+import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import gammas
 
+# The least integer magnitude float() refuses: halfway between the largest
+# float, 2**1024 - 2**971, and 2**1024, which the tie rounds up to.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def _is_real(value) -> bool:
+    """True for a number float() reads without overflow; False for a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return not isinstance(value, numbers.Integral) or abs(int(value)) < _FLOAT_OVERFLOW
+
+
+def _real(value, name) -> float:
+    """`value` as a float; None, strings, booleans and containers are a ValueError."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, not {reprlib.repr(value)}")
+    return float(value)
+
+
+def _integer(value, name) -> int:
+    """`value` as an int: any integer, or an integral real such as 3.0.
+
+    2.7, inf, booleans and strings are a ValueError.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if not (_is_real(value) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, not {reprlib.repr(value)}")
+    return int(value)
+
+
+def _numeric(values, name) -> np.ndarray:
+    """`values` as an array of numbers, of numpy's own dtype for them.
+
+    Python integers beyond int64 make an object array, which passes when
+    every element is a real number. Strings, booleans, None, mappings and
+    ragged nesting are a ValueError.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be a regular array of numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf" and not (arr.dtype.kind == "O" and all(map(_is_real, arr.flat))):
+        raise ValueError(f"{name} must hold only numbers, not {reprlib.repr(values)}")
+    return arr
+
 
 def _read_only(values, name, min_size=2):
-    arr = np.asarray(values, dtype=float).copy()
+    arr = np.array(_numeric(values, name), dtype=float)
     if arr.ndim != 1 or arr.size < min_size:
         raise ValueError(f"{name} must be a vector with at least {min_size} components")
     if not np.all(np.isfinite(arr)):
@@ -59,7 +113,7 @@ class BaseRate:
             raise ValueError("base rates must be strictly positive")
         if abs(rates.sum() - 1.0) > 1e-9:
             raise ValueError("base rates must sum to 1")
-        weight = float(self.weight) if self.weight is not None else float(rates.size)
+        weight = _real(self.weight, "base rate weight") if self.weight is not None else float(rates.size)
         if not np.isfinite(weight) or weight <= 0.0:
             raise ValueError("prior weight must be a positive real")
         object.__setattr__(self, "rates", rates)

@@ -66,6 +66,12 @@ def check_num_bins(num_bins: int) -> None:
         raise ValueError(f"need at most {MAX_BINS} bins, not {num_bins}")
 
 
+def check_percentile(percentile: float) -> None:
+    """Raise ValueError unless the OOD threshold percentile lies in [0, 100]."""
+    if not 0.0 <= percentile <= 100.0:
+        raise ValueError("percentile must lie in [0, 100]")
+
+
 def _bin_index(confidences: np.ndarray, num_bins: int) -> np.ndarray:
     # ((m-1)/M, m/M] binning: ceil(conf*M) - 1, with conf == 0 kept in bin 0.
     idx = np.ceil(confidences * num_bins).astype(int) - 1
@@ -181,8 +187,7 @@ def ood_detect(val_uncertainties, test_uncertainties, percentile: float = 50.0) 
     test = np.asarray(test_uncertainties, dtype=float)
     if val.size == 0 or test.size == 0:
         raise ValueError("both uncertainty pools must be nonempty")
-    if not 0.0 <= percentile <= 100.0:
-        raise ValueError("percentile must lie in [0, 100]")
+    check_percentile(percentile)
     pool = np.concatenate([val, test])
     lo, hi = float(pool.min()), float(pool.max())
     if hi - lo <= 0.0:

@@ -22,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .data import MultiViewDataset, MultiViewSample, read_json
-from .dirichlet import BaseRate, DirichletParams, EvidenceVector, combined_evidence
+from .dirichlet import BaseRate, DirichletParams, EvidenceVector, _integer, _numeric, _real, combined_evidence
 from .losses import LossConfig, _one_hot, _overall, annealed_lambda
 from .metrics import check_unit_interval
 from .opinions import dirichlet_from_evidence, opinion_from_dirichlet
@@ -37,6 +37,14 @@ CHECKPOINT_VERSION = 1
 # 400 KB whatever the dataset size. A block's features are views into the
 # stacked (G, N, d) arrays, so blocking copies no input.
 _EVAL_BLOCK = 4096
+
+
+def _integers(values, name) -> tuple:
+    """A list of integers as a tuple of ints, each entry read by `_integer`."""
+    arr = _numeric(values, name)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a list of integers")
+    return tuple(_integer(x, f"{name} entry") for x in arr.tolist())
 
 
 class TrainingDiverged(RuntimeError):
@@ -63,26 +71,27 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        k, v = int(self.num_classes), int(self.num_views)
+        k, v = _integer(self.num_classes, "num_classes"), _integer(self.num_views, "num_views")
         if k < 2:
             raise ValueError("need at least two classes")
         if v < 2:
             raise ValueError("need at least two views")
-        dims = tuple(int(d) for d in self.view_dims)
+        dims = _integers(self.view_dims, "view_dims")
         if len(dims) != v or any(d < 1 for d in dims):
             raise ValueError("view_dims must list one positive dimension per view")
-        hidden = tuple(int(h) for h in self.hidden)
+        hidden = _integers(self.hidden, "hidden")
         if any(h < 1 for h in hidden):
             raise ValueError("hidden layer sizes must be positive")
-        w = float(self.prior_weight) if self.prior_weight is not None else float(k)
+        w = _real(self.prior_weight, "prior_weight") if self.prior_weight is not None else float(k)
         if not np.isfinite(w) or w <= 0.0:
             raise ValueError("prior weight must be positive")
-        lr = float(self.learning_rate)
+        lr = _real(self.learning_rate, "learning_rate")
         if not np.isfinite(lr) or lr < 0.0:
             raise ValueError(f"learning rate must be finite and nonnegative, not {lr}")
-        if int(self.epochs) < 0 or int(self.batch_size) < 1:
+        epochs, batch_size = _integer(self.epochs, "epochs"), _integer(self.batch_size, "batch_size")
+        if epochs < 0 or batch_size < 1:
             raise ValueError("bad epochs/batch_size")
-        anneal = int(self.anneal_epochs) if self.anneal_epochs is not None else max(1, int(self.epochs))
+        anneal = _integer(self.anneal_epochs, "anneal_epochs") if self.anneal_epochs is not None else max(1, epochs)
         if anneal < 1:
             raise ValueError("anneal_epochs must be at least 1")
         object.__setattr__(self, "num_classes", k)
@@ -91,10 +100,10 @@ class ModelConfig:
         object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "prior_weight", w)
         object.__setattr__(self, "learning_rate", lr)
-        object.__setattr__(self, "epochs", int(self.epochs))
-        object.__setattr__(self, "batch_size", int(self.batch_size))
+        object.__setattr__(self, "epochs", epochs)
+        object.__setattr__(self, "batch_size", batch_size)
         object.__setattr__(self, "anneal_epochs", anneal)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -150,8 +159,10 @@ class EvidenceHead:
     """
 
     def __init__(self, weights, biases):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        # np.asarray keeps a float64 array as it is, so a head over views of
+        # a model's parameter vector stays a view
+        self.weights = [np.asarray(_numeric(w, f"layer {i} weights"), float) for i, w in enumerate(weights)]
+        self.biases = [np.asarray(_numeric(b, f"layer {i} bias"), float) for i, b in enumerate(biases)]
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("inconsistent head layers")
 
@@ -561,7 +572,7 @@ def _model_from_doc(doc: dict) -> EvidentialModel:
     for v, head_doc in enumerate(doc["heads"]):
         try:
             heads.append(_head_from_doc(head_doc))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"head {v}: {exc}") from exc
     return EvidentialModel(heads, base, config)
 
@@ -581,6 +592,5 @@ def load_checkpoint(path) -> EvidentialModel:
         return _model_from_doc(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: malformed checkpoint: missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an integer setting given as 1e999, which reads as inf
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc

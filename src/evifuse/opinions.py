@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import BaseRate, DirichletParams, _read_only
+from .dirichlet import BaseRate, DirichletParams, _read_only, _real
 # alpha = e + a*W, zero evidence giving the bare prior, is the map that
 # re-anchors evidence to a new prior, so one body serves both names.
 from .dirichlet import rebase as dirichlet_from_evidence
@@ -42,7 +42,7 @@ class Opinion:
 
     def __post_init__(self):
         beliefs = _read_only(self.beliefs, "beliefs")
-        u = float(self.uncertainty)
+        u = _real(self.uncertainty, "uncertainty")
         if np.any(beliefs < -_CLOSURE_TOL) or np.any(beliefs > 1.0 + _CLOSURE_TOL):
             raise ValueError("belief masses must lie in [0, 1]")
         if not np.isfinite(u) or u < -_CLOSURE_TOL or u > 1.0 + _CLOSURE_TOL:

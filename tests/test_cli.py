@@ -15,6 +15,8 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evifuse.data
 from evifuse.cli import main
@@ -107,6 +109,32 @@ class TestFuse:
         rate3 = '{"rates": [0.4, 0.3, 0.3], "weight": 3.0}'
         result = run(["fuse", "--opinions", str(ops), "--base-rate", rate3], expect=2)
         assert "disagree" in result.stderr
+
+    @pytest.mark.parametrize("field,value", [
+        ("uncertainty", None), ("uncertainty", [0.4]), ("uncertainty", {}),
+        ("uncertainty", "0.4"), ("uncertainty", True),
+        ("beliefs", {"a": 1}), ("beliefs", ["0.2", "0.4"]),
+    ])
+    def test_opinion_field_that_is_no_number_exits_2(self, tmp_path, field, value):
+        ops = tmp_path / "ops.json"
+        doc = [{"beliefs": [0.2, 0.4], "uncertainty": 0.4}, {"beliefs": [0.3, 0.1], "uncertainty": 0.6}]
+        doc[1][field] = value
+        ops.write_text(json.dumps(doc))
+        result = run(["--quiet", "fuse", "--opinions", str(ops), "--base-rate", UNIFORM2], expect=2)
+        assert result.stderr.startswith(f"error: {field} must ") and result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["file", "inline"])
+    @pytest.mark.parametrize("weight", [[1], {}, True])
+    def test_base_rate_weight_that_is_no_number_exits_2(self, tmp_path, source, weight):
+        ops = tmp_path / "ops.json"
+        write_opinions(ops, [((0.2, 0.4), 0.4), ((0.3, 0.1), 0.6)])
+        spec = json.dumps({"rates": [0.5, 0.5], "weight": weight})
+        if source == "file":
+            (tmp_path / "rate.json").write_text(spec)
+            spec = str(tmp_path / "rate.json")
+        result = run(["--quiet", "fuse", "--opinions", str(ops), "--base-rate", spec], expect=2)
+        assert result.stderr.startswith("error: base rate weight must be a real number, not ")
+        assert result.stderr.count("\n") == 1
 
 
 class TestGen:
@@ -223,6 +251,18 @@ class TestViews:
             "--stride", "2", "--out-dir", str(tmp_path / "v"),
         ], expect=2)
         assert "divisible" in result.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "1e999"])
+    def test_non_finite_grid_exits_2(self, tmp_path, value):
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_text("0.0 1.0\n2.0 3.0\n" * 3 + f"0.0 {value}\n")
+        result = run([
+            "--quiet", "views", str(grid_path), "--roi", "2", "--window", "1",
+            "--stride", "1", "--out-dir", str(tmp_path / "v"),
+        ], expect=2)
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+        assert result.stderr.startswith(f"error: {grid_path}: line 7: grid values must be finite")
+        assert not (tmp_path / "v").exists()
 
     def test_missing_grid_exits_4(self, tmp_path):
         run([
@@ -503,6 +543,22 @@ class TestBadCheckpoint:
         assert result.stderr.startswith(f"error: {bad}: malformed checkpoint: ")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("edit,field", [
+        (lambda doc: doc["config"].update(hidden="32"), "hidden must hold only numbers, not '32'"),
+        (lambda doc: doc["config"].update(epochs=1.9), "epochs must be an integer, not 1.9"),
+        (lambda doc: doc["config"].update(epochs=True), "epochs must be an integer, not True"),
+        (lambda doc: doc["heads"][0]["layers"][0].update(bias=[str(b) for b in doc["heads"][0]["layers"][0]["bias"]]),
+         "head 0: layer 0 bias must hold only numbers, not ["),
+    ], ids=["hidden-string", "epochs-fraction", "epochs-boolean", "bias-strings"])
+    def test_setting_of_the_wrong_kind_exits_2_naming_it(self, trained, tmp_path, edit, field):
+        doc = json.loads(trained["model"].read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = run(["--quiet", "eval", "--model", str(bad), "--data", str(trained["valid"])], expect=2)
+        assert result.stderr.startswith(f"error: {bad}: malformed checkpoint: {field}")
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+
     def test_train_to_missing_directory_exits_4(self, trained, tmp_path):
         out = tmp_path / "missing" / "m.json"
         run([
@@ -587,6 +643,73 @@ class TestUnreadableInput:
         self.assert_one_line_naming(result, "inline base rate")
 
 
+# What one field of a valid JSON document is replaced with: the other JSON
+# kinds, a numeric string, a literal that overflows to inf, and a fraction
+# where an integer belongs. OVERFLOW is written out as the bare literal 1e999.
+OVERFLOW = "@1e999"
+REPLACEMENTS = [None, True, "0.4", [0.4], {}, OVERFLOW, 2.7]
+
+
+def json_paths(doc, path=()):
+    """The path of every object member and list entry of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from json_paths(value, (*path, key))
+
+
+def replaced(doc, path, value) -> str:
+    """The JSON text of `doc` with the field at `path` set to `value`."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc).replace(json.dumps(OVERFLOW), "1e999")
+
+
+class TestJsonMutations:
+    """One replaced field of a valid JSON input is held to the exit-code contract."""
+
+    @staticmethod
+    def assert_documented_exit(argv, case):
+        result = runner.invoke(main, ["--quiet", *argv])
+        assert_contract(result, f"{case}: exit {result.exit_code}\n{result.stderr}")
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_fuse_inputs(self, tmp_path_factory, data):
+        ops_doc = [{"beliefs": [0.2, 0.4], "uncertainty": 0.4}, {"beliefs": [0.3, 0.1], "uncertainty": 0.6}]
+        rate_doc = {"rates": [0.5, 0.5], "weight": 2.0}
+        where = data.draw(st.sampled_from(["opinions", "base_rate", "inline_base_rate"]))
+        doc = ops_doc if where == "opinions" else rate_doc
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        text = replaced(doc, path, data.draw(st.sampled_from(REPLACEMENTS)))
+        root = tmp_path_factory.mktemp("fuse")
+        ops, rate = root / "ops.json", root / "rate.json"
+        ops.write_text(text if where == "opinions" else json.dumps(ops_doc))
+        rate.write_text(text if where == "base_rate" else json.dumps(rate_doc))
+        spec = text if where == "inline_base_rate" else str(rate)
+        self.assert_documented_exit(["fuse", "--opinions", str(ops), "--base-rate", spec], f"{where} {text}")
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_checkpoint(self, trained, tmp_path_factory, data):
+        doc = json.loads(trained["model"].read_text())
+        paths = [
+            p for p in json_paths(doc)
+            if p[0] in ("config", "base_rate") or (len(p) > 4 and p[:4] == ("heads", 0, "layers", 0))
+        ]
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(st.sampled_from(REPLACEMENTS))
+        model = tmp_path_factory.mktemp("checkpoint") / "model.json"
+        model.write_text(replaced(doc, path, value))
+        self.assert_documented_exit(
+            ["eval", "--model", str(model), "--data", str(trained["valid"])], f"{path} = {value!r}"
+        )
+
+
 @pytest.fixture
 def overflowing_model(trained, tmp_path):
     """The trained checkpoint with last-layer biases of 1e200: finite, so it loads."""
@@ -637,6 +760,16 @@ class TestOod:
                 assert s["flag"] == (s["scaled"] > doc["threshold"])
         correct = sum(not s["flag"] for s in doc["id"]) + sum(s["flag"] for s in doc["ood"])
         assert doc["detection_accuracy"] == pytest.approx(correct / 90.0, abs=1e-12)
+
+    @pytest.mark.parametrize("percentile", ["-1", "101", "nan"])
+    def test_bad_percentile_exits_2_before_any_load(self, trained, tmp_path, percentile):
+        # the percentile is refused before the checkpoint is read, so the missing one is never reached
+        result = run([
+            "--quiet", "ood", "--model", str(tmp_path / "missing.json"), "--id-data", str(trained["valid"]),
+            "--ood-data", str(trained["ood"]), "--percentile", percentile,
+        ], expect=2)
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+        assert "percentile must lie in [0, 100]" in result.stderr
 
     def test_zero_shift_detection_is_chance(self, trained, tmp_path):
         # an unshifted pool is indistinguishable from the ID data

@@ -562,8 +562,10 @@ class TestCsv:
 class TestParseJson:
     def test_integers_must_fit_a_float(self):
         largest = int(sys.float_info.max)
-        assert parse_json(f"[{largest}, {-largest}]", "doc") == [largest, -largest]
-        for text in [f"[{2**1024}]", f'{{"w": {-2**1024}}}']:
+        # the tie halfway to 2**1024 is the least magnitude float() rounds up to inf
+        edge = 2**1024 - 2**970
+        assert parse_json(f"[{largest}, {-largest}, {edge - 1}]", "doc") == [largest, -largest, edge - 1]
+        for text in [f"[{2**1024}]", f'{{"w": {-2**1024}}}', f"[{edge}]", f"[{-edge}]"]:
             with pytest.raises(ValueError, match=r"^doc: not a valid JSON document: integer of 309 digits"):
                 parse_json(text, "doc")
 
@@ -592,6 +594,14 @@ class TestGridIo:
         path.write_text("1.0 2.0\n3.0 x\n")
         with pytest.raises(ValueError, match="line 2"):
             load_grid(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "g.txt"
+        path.write_text(f"1.0 2.0\n\n3.0 {value}\n")
+        with pytest.raises(ValueError, match="line 3: grid values must be finite") as info:
+            load_grid(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_empty_grid(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evifuse.dirichlet import (
+    _FLOAT_OVERFLOW,
     BaseRate,
     DirichletParams,
     EvidenceVector,
+    _integer,
+    _numeric,
+    _read_only,
+    _real,
     expected_probabilities,
     kl_dirichlet,
     predict_class,
@@ -61,6 +68,69 @@ class TestContainers:
         with pytest.raises(ValueError):
             EvidenceVector([1.0, -1e-9])
         EvidenceVector([0.0, 0.0])
+
+
+class TestCasts:
+    """The one cast per kind of value that the value classes read their fields through."""
+
+    @pytest.mark.parametrize("value", [3, -2.5, np.float32(0.25), np.int8(-4), 10**31, float("inf")])
+    def test_real_takes_a_number(self, value):
+        got = _real(value, "w")
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value", [
+        None, "0.4", True, np.bool_(False), [0.4], {}, (1.0,), np.array(0.4), _FLOAT_OVERFLOW,
+    ])
+    def test_real_refuses_what_is_no_number(self, value):
+        with pytest.raises(ValueError, match="^w must be a real number, not "):
+            _real(value, "w")
+
+    @pytest.mark.parametrize("value,want", [
+        (3, 3), (3.0, 3), (-2, -2), (np.int64(7), 7), (np.uint8(7), 7), (np.float64(4.0), 4),
+        (10**31, 10**31), (1e300, int(1e300)),
+    ])
+    def test_integer_takes_an_integral_value(self, value, want):
+        got = _integer(value, "n")
+        assert type(got) is int and got == want
+
+    @pytest.mark.parametrize("value", [2.7, float("inf"), float("nan"), True, "3", None, [3], np.bool_(True)])
+    def test_integer_refuses_anything_else(self, value):
+        with pytest.raises(ValueError, match="^n must be an integer, not "):
+            _integer(value, "n")
+
+    @pytest.mark.parametrize("values", [[1, 2.5], [[1, 2], [3, 4]], (), [10**30, 1], np.zeros(3, np.float32)])
+    def test_numeric_takes_numbers(self, values):
+        assert np.array_equal(np.asarray(_numeric(values, "x"), dtype=float), np.asarray(values, dtype=float))
+
+    @pytest.mark.parametrize("values", [
+        "32", ["0.1", "0.2"], [True, False], True, None, {"a": 1}, [None, 1.0], [1.0, {}], [1j, 2.0],
+    ])
+    def test_numeric_refuses_what_is_not_all_numbers(self, values):
+        with pytest.raises(ValueError, match="^x must hold only numbers, not "):
+            _numeric(values, "x")
+
+    def test_numeric_names_the_field_of_a_ragged_array(self):
+        with pytest.raises(ValueError, match="^x must be a regular array of numbers: "):
+            _numeric([[1.0], [2.0, 3.0]], "x")
+
+    @given(st.lists(
+        st.one_of(st.integers(-(10**40), 10**40), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=2, max_size=6,
+    ))
+    def test_read_only_keeps_the_bits_of_the_plain_float_cast(self, values):
+        # the cast before the helpers, np.asarray(values, dtype=float), is the reference
+        got, want = _read_only(values, "x"), np.asarray(values, dtype=float)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: DirichletParams(["1", "2"]), "alpha must hold only numbers"),
+        (lambda: EvidenceVector({"a": 1}), "evidence must hold only numbers"),
+        (lambda: BaseRate([0.5, 0.5], weight="2"), "base rate weight must be a real number, not '2'"),
+        (lambda: BaseRate([True, False]), "base rates must hold only numbers"),
+    ])
+    def test_value_classes_name_the_field(self, make, match):
+        with pytest.raises(ValueError, match=f"^{match}"):
+            make()
 
 
 class TestMeasures:

@@ -10,6 +10,7 @@ from evifuse.metrics import (
     accuracy,
     auc_binary,
     check_num_bins,
+    check_percentile,
     ece,
     metrics_report,
     ood_detect,
@@ -132,6 +133,17 @@ class TestCheckNumBins:
     def test_rejects_outside_it(self, num_bins, match):
         with pytest.raises(ValueError, match=match):
             check_num_bins(num_bins)
+
+
+class TestCheckPercentile:
+    @pytest.mark.parametrize("percentile", [0.0, 50.0, 100.0])
+    def test_accepts_the_closed_range(self, percentile):
+        check_percentile(percentile)
+
+    @pytest.mark.parametrize("percentile", [-1e-9, 100.5, float("nan"), float("inf")])
+    def test_rejects_outside_it(self, percentile):
+        with pytest.raises(ValueError, match=r"percentile must lie in \[0, 100\]"):
+            check_percentile(percentile)
 
 
 class TestAccuracy:

@@ -83,6 +83,32 @@ class TestModelConfig:
         cfg = tiny_config(prior_weight=3.5, anneal_epochs=7)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("hidden", "32", "hidden must hold only numbers, not '32'"),
+        ("hidden", 32, "hidden must be a list of integers"),
+        ("hidden", [2.7], "hidden entry must be an integer, not 2.7"),
+        ("view_dims", [3, "2"], "view_dims must hold only numbers"),
+        ("epochs", 1.9, "epochs must be an integer, not 1.9"),
+        ("epochs", True, "epochs must be an integer, not True"),
+        ("batch_size", None, "batch_size must be an integer, not None"),
+        ("num_classes", float("inf"), "num_classes must be an integer, not inf"),
+        ("anneal_epochs", 2.5, "anneal_epochs must be an integer, not 2.5"),
+        ("seed", "3", "seed must be an integer, not '3'"),
+        ("learning_rate", "1e-3", "learning_rate must be a real number, not '1e-3'"),
+        ("prior_weight", [2.0], r"prior_weight must be a real number, not \[2.0\]"),
+    ])
+    def test_each_setting_is_read_by_the_cast_of_its_kind(self, field, value, match):
+        with pytest.raises(ValueError, match=f"^{match}"):
+            tiny_config(**{field: value})
+
+    def test_integral_settings_of_any_numeric_type_read_as_ints(self):
+        cfg = tiny_config(
+            num_classes=2.0, num_views=np.int64(2), view_dims=[3.0, np.int32(2)], hidden=np.array([4]),
+            epochs=np.float64(1.0), seed=10**31,
+        )
+        assert cfg == tiny_config(seed=10**31)
+        assert all(type(n) is int for n in (cfg.num_classes, cfg.num_views, *cfg.view_dims, *cfg.hidden, cfg.epochs))
+
 
 # A value other than the field default for every ModelConfig field that has one.
 NON_DEFAULTS = dict(
@@ -174,6 +200,20 @@ class TestEvidenceHead:
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
+
+    def test_float64_layers_are_kept_as_views(self):
+        w, b = np.zeros((2, 3)), np.zeros(2)
+        head = EvidenceHead([w], [b])
+        assert head.weights[0] is w and head.biases[0] is b
+
+    @pytest.mark.parametrize("weights,biases,match", [
+        ([[["0.1"] * 3] * 2], [[0.0] * 2], "layer 0 weights must hold only numbers"),
+        ([[[0.1] * 3] * 2], [None], "layer 0 bias must hold only numbers, not None"),
+        ([[[0.1] * 3] * 2], [[True, False]], "layer 0 bias must hold only numbers"),
+    ])
+    def test_layers_of_non_numbers_are_refused(self, weights, biases, match):
+        with pytest.raises(ValueError, match=f"^{match}"):
+            EvidenceHead(weights, biases)
 
     def test_stack_equals_each_head_bit_for_bit(self):
         rng = np.random.default_rng(7)

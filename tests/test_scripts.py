@@ -124,3 +124,33 @@ def test_comma_split_finder():
 def test_front_ends_leave_list_syntax_to_the_library(path):
     # integer and ratio lists are read by evifuse.data.parse_ints and parse_ratio_list
     assert comma_splits(path.read_text()) == []
+
+
+def cast_error_catches(source):
+    """Line numbers of every `except` clause that names TypeError or OverflowError."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {getattr(t, "id", getattr(t, "attr", None)) for t in types}
+            if names & {"TypeError", "OverflowError"}:
+                found.append(node.lineno)
+    return found
+
+
+def test_cast_error_catch_finder():
+    source = (
+        "try:\n    f()\nexcept TypeError:\n    pass\nexcept (ValueError, OverflowError) as exc:\n    pass\n"
+        "except builtins.TypeError:\n    pass\nexcept ValueError:\n    pass\nexcept:\n    raise\n"
+    )
+    assert cast_error_catches(source) == [3, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((SCRIPTS.parent / "src" / "evifuse").glob("*.py")), ids=lambda p: p.name,
+)
+def test_library_catches_no_cast_error(path):
+    # the value classes cast through evifuse.dirichlet's _real, _integer and
+    # _numeric, which raise ValueError; a loader that catches TypeError or
+    # OverflowError would be deciding again what a number is
+    assert cast_error_catches(path.read_text()) == []
