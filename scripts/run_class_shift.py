@@ -8,6 +8,7 @@ the numbers asserted by the acceptance suite.
 
 import argparse
 
+from evifuse.cli import exit_codes
 from evifuse.data import SyntheticSpec, gen_synthetic, parse_ints, parse_proportions, parse_ratio_list, resample_class_ratio
 from evifuse.dirichlet import BaseRate
 from evifuse.metrics import check_num_bins, report_from_arrays
@@ -43,13 +44,11 @@ def report(model, ds, bins, override=None):
 
 
 def main(argv=None):
-    """Run the experiment; a ValueError from bad input exits 2 through argparse."""
+    """Run the experiment; a failure exits with the CLI's code and one `error:` line."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
+    with exit_codes(prog=parser.prog):
         return run(args)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def run(args):

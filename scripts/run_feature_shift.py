@@ -9,6 +9,7 @@ numbers asserted by the acceptance suite.
 import argparse
 import time
 
+from evifuse.cli import exit_codes
 from evifuse.data import SyntheticSpec, gen_ood, gen_synthetic, parse_ints
 from evifuse.metrics import ood_detect
 from evifuse.model import EvidentialModel, ModelConfig, compute_base_rate, fit, score
@@ -40,13 +41,11 @@ def blob_spec(args, n_per_class, seed):
 
 
 def main(argv=None):
-    """Run the experiment; a ValueError from bad input exits 2 through argparse."""
+    """Run the experiment; a failure exits with the CLI's code and one `error:` line."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
+    with exit_codes(prog=parser.prog):
         return run(args)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def run(args):

@@ -8,8 +8,9 @@ is byte-reproducible given the same inputs and seed. A config file holds one
 object per subcommand, keyed by parameter name; click checks its values with
 each option's own type and choices.
 
-Exit codes: 0 success, 2 usage or validation (also a request too large to
-fit in memory, and a calibration bin count above `metrics.MAX_BINS`), 3
+Exit codes, mapped by `exit_codes` for every subcommand and the experiment
+scripts alike: 0 success, 2 usage or validation (also a request too large
+to fit in memory, and a calibration bin count above `metrics.MAX_BINS`), 3
 numeric failure (total fusion conflict, a diverged training run,
 overflowing evidence at evaluation), 4 file IO. No subcommand creates a
 missing parent directory: an output path whose directory does not exist
@@ -19,6 +20,7 @@ directory's parent.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -44,10 +46,6 @@ from .model import (
 )
 from .opinions import FusionConflictError, Opinion, _fold, bcf_fuse, cbf_fuse, combine_multiview, dirichlet_from_opinion
 
-EXIT_VALIDATION = 2
-EXIT_NUMERIC = 3
-EXIT_IO = 4
-
 # `train` defaults to the model's own field defaults.
 _MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelConfig)}
 
@@ -67,8 +65,28 @@ def _echo(text: str, err: bool = False):
     click.echo(text, file=sys.stderr if err else sys.stdout)
 
 
-def _fail(code: int, message: str):
-    _echo(f"error: {message}", err=True)
+@contextlib.contextmanager
+def exit_codes(command: str | None = None, prog: str | None = None):
+    """Exit with the documented code and one stderr line, `[<prog>: ]error:
+    <message>`, for a failure in the block; any other exception is a bug and
+    keeps its traceback. Running out of memory names `command` when given.
+    """
+    try:
+        yield
+    except (FusionConflictError, TrainingDiverged, NonFiniteEvidence) as exc:
+        code, message = 3, str(exc)
+    except OSError as exc:
+        code, message = 4, str(exc)
+    except ValueError as exc:
+        code, message = 2, str(exc)
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split()) or "no detail"
+        code, message = 2, f"out of memory; ask for smaller sizes ({detail})"
+        if command:
+            message = f"{command}: {message}"
+    else:
+        return
+    _echo(f"{prog}: error: {message}" if prog else f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -91,38 +109,33 @@ def _config_section(ctx: click.Context, config_path: str) -> dict:
     truncate. `seed` is allowed in every section and cast by the group's own
     `--seed`.
     """
-    try:
-        config = datamod.read_json(config_path)
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    config = datamod.read_json(config_path)
     if not isinstance(config, dict):
-        _fail(EXIT_VALIDATION, f"{config_path}: config root must be an object")
+        raise ValueError(f"{config_path}: config root must be an object")
     for key in config:
         if key not in ctx.command.commands:
-            _fail(EXIT_VALIDATION, f"{config_path}: config section {key!r} names no subcommand")
+            raise ValueError(f"{config_path}: config section {key!r} names no subcommand")
     name = ctx.invoked_subcommand
     section = config.get(name, {})
     if not isinstance(section, dict):
-        _fail(EXIT_VALIDATION, f"config section {name!r} must be an object")
+        raise ValueError(f"config section {name!r} must be an object")
     params = {p.name: p for p in ctx.command.commands[name].params}
     params["seed"] = next(p for p in ctx.command.params if p.name == "seed")
     values = {}
     for key, value in section.items():
         if key not in params:
-            _fail(EXIT_VALIDATION, f"config section {name!r} has unknown key {key!r}")
+            raise ValueError(f"config section {name!r} has unknown key {key!r}")
         where = f"config section {name!r} key {key!r}"
         if isinstance(value, (list, dict, bool)):
-            _fail(EXIT_VALIDATION, f"{where}: expected a number or a string, got {json.dumps(value)}")
+            raise ValueError(f"{where}: expected a number or a string, got {json.dumps(value)}")
         integer = isinstance(params[key].type, click.types.IntParamType)
         if integer and isinstance(value, float) and not value.is_integer():
-            _fail(EXIT_VALIDATION, f"{where}: expected an integer, got {json.dumps(value)}")
+            raise ValueError(f"{where}: expected an integer, got {json.dumps(value)}")
         if value is not None:
             try:
                 values[key] = params[key].type_cast_value(ctx, value)
             except click.BadParameter as exc:
-                _fail(EXIT_VALIDATION, f"{where}: {exc.message}")
+                raise ValueError(f"{where}: {exc.message}") from None
     return values
 
 
@@ -134,7 +147,8 @@ def _config_section(ctx: click.Context, config_path: str) -> dict:
 @click.pass_context
 def main(ctx, seed, config_path, quiet):
     """Evidential multi-view classification toolkit."""
-    section = {} if config_path is None else _config_section(ctx, config_path)
+    with exit_codes(ctx.invoked_subcommand):
+        section = {} if config_path is None else _config_section(ctx, config_path)
     config_seed = section.pop("seed", 0)
     ctx.default_map = {ctx.invoked_subcommand: section}
     ctx.obj = CliState(seed=config_seed if seed is None else seed, quiet=quiet)
@@ -144,8 +158,7 @@ def subcommand(name: str | None = None, seeded: bool = False):
     """Register a subcommand of `main`; its body takes the CliState first.
 
     The body gets each parameter as click resolved it, logged to stderr
-    together with the seed when `seeded`. Library errors, and running out
-    of memory, become the documented exit codes with one stderr line.
+    together with the seed when `seeded`, and runs under `exit_codes`.
     """
 
     def decorate(fn):
@@ -155,17 +168,8 @@ def subcommand(name: str | None = None, seeded: bool = False):
             state: CliState = ctx.obj
             shown = dict(params, seed=state.seed) if seeded else params
             _log(state, f"{ctx.info_name} config: {json.dumps(shown, sort_keys=True)}")
-            try:
+            with exit_codes(ctx.info_name):
                 return fn(state, **params)
-            except (FusionConflictError, TrainingDiverged, NonFiniteEvidence) as exc:
-                _fail(EXIT_NUMERIC, str(exc))
-            except OSError as exc:
-                _fail(EXIT_IO, str(exc))
-            except ValueError as exc:
-                _fail(EXIT_VALIDATION, str(exc))
-            except MemoryError as exc:
-                detail = " ".join(str(exc).split()) or "no detail"
-                _fail(EXIT_VALIDATION, f"{ctx.info_name}: out of memory; ask for smaller sizes ({detail})")
 
         return main.command(name)(callback)
 

@@ -14,6 +14,7 @@ cast to float never decide what a number is.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import reprlib
 from dataclasses import dataclass
@@ -64,7 +65,14 @@ def _numeric(values, name) -> np.ndarray:
         arr = np.asarray(values)
     except ValueError as exc:
         raise ValueError(f"{name} must be a regular array of numbers: {exc}") from None
-    if arr.dtype.kind not in "iuf" and not (arr.dtype.kind == "O" and all(map(_is_real, arr.flat))):
+    # numpy casts a boolean among numbers to a number, so the elements of a
+    # list are checked by type too; an array's dtype tells
+    flat = values if isinstance(values, list) else ()
+    for _ in range(arr.ndim - 1):
+        flat = itertools.chain.from_iterable(flat)
+    kind = arr.dtype.kind
+    all_real = kind in "iuf" or (kind == "O" and all(map(_is_real, arr.flat)))
+    if not all_real or {bool, np.bool_} & set(map(type, flat)):
         raise ValueError(f"{name} must hold only numbers, not {reprlib.repr(values)}")
     return arr
 

@@ -112,8 +112,8 @@ class ModelConfig:
     def from_dict(cls, obj: dict) -> "ModelConfig":
         """The config a `to_dict` record describes; an absent optional key takes its default.
 
-        A key that names no field is a ValueError; a missing key of a field
-        without a default is a KeyError naming it.
+        A key that names no field, or a missing key of a field without a
+        default, is a ValueError naming it.
         """
         declared = {f.name: f for f in fields(cls)}
         for key in obj:
@@ -121,7 +121,7 @@ class ModelConfig:
                 raise ValueError(f"unknown config key {key!r}")
         for name, f in declared.items():
             if name not in obj and f.default is MISSING:
-                raise KeyError(name)
+                raise ValueError(f"missing key {name!r}")
         return cls(**obj)
 
 
@@ -586,11 +586,9 @@ def load_checkpoint(path) -> EvidentialModel:
     doc = read_json(path, "checkpoint")
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not an evidential model checkpoint")
-    if doc.get("version") != CHECKPOINT_VERSION:
+    if _integer(doc.get("version"), f"{path}: checkpoint version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
     try:
         return _model_from_doc(doc)
-    except KeyError as exc:
-        raise ValueError(f"{path}: malformed checkpoint: missing key {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc

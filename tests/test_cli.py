@@ -1,3 +1,4 @@
+import ast
 import gc
 import io
 import json
@@ -10,6 +11,7 @@ import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import click
 import numpy as np
@@ -19,10 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evifuse.data
-from evifuse.cli import main
+import evifuse.cli
+from evifuse.cli import exit_codes, main
 from evifuse.data import load_csv, load_grid, save_grid
 from evifuse.metrics import MAX_BINS
-from evifuse.model import ModelConfig, load_checkpoint
+from evifuse.model import ModelConfig, NonFiniteEvidence, TrainingDiverged, load_checkpoint
+from evifuse.opinions import FusionConflictError
 
 runner = CliRunner()
 
@@ -94,6 +98,13 @@ class TestFuse:
         write_opinions(ops, [((0.5, 0.5), 0.5), ((0.3, 0.1), 0.6)])
         result = run(["fuse", "--opinions", str(ops), "--base-rate", UNIFORM2], expect=2)
         assert "sum to 1" in result.stderr
+
+    @pytest.mark.parametrize("doc", [[], {}, 0.4])
+    def test_opinions_file_of_no_nonempty_list_exits_2(self, tmp_path, doc):
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps(doc))
+        result = run(["--quiet", "fuse", "--opinions", str(ops), "--base-rate", UNIFORM2], expect=2)
+        assert result.stderr == "error: opinions file must hold a nonempty JSON list\n"
 
     def test_missing_file_exits_4(self, tmp_path):
         run(["fuse", "--opinions", str(tmp_path / "nope.json"), "--base-rate", UNIFORM2], expect=4)
@@ -874,6 +885,12 @@ class TestConfigPrecedence:
         result = run(["--config", str(cfg), "gen", "--out", str(tmp_path / "a.csv")], expect=2)
         assert "must be an object" in result.stderr
 
+    def test_config_section_must_be_object(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": [1, 2]}))
+        result = run(["--quiet", "--config", str(cfg), "gen", "--out", str(tmp_path / "a.csv")], expect=2)
+        assert result.stderr == "error: config section 'gen' must be an object\n"
+
     def test_missing_config_exits_4(self, tmp_path):
         run(["--config", str(tmp_path / "nope.json"), "gen", "--out", str(tmp_path / "a.csv")], expect=4)
 
@@ -1057,6 +1074,35 @@ def assert_contract(result, case):
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("exc,command,prog,code,line", [
+        (FusionConflictError("total belief conflict"), "fuse", None, 3, "error: total belief conflict"),
+        (TrainingDiverged("non-finite loss"), None, "run.py", 3, "run.py: error: non-finite loss"),
+        (NonFiniteEvidence("sample c"), "eval", None, 3, "error: sample c"),
+        (FileNotFoundError(2, "No such file or directory", "x.json"), "eval", None, 4,
+         "error: [Errno 2] No such file or directory: 'x.json'"),
+        (ValueError("bad"), "gen", None, 2, "error: bad"),
+        (MemoryError("Unable to\n allocate"), "gen", None, 2,
+         "error: gen: out of memory; ask for smaller sizes (Unable to allocate)"),
+        (MemoryError(), None, "run.py", 2, "run.py: error: out of memory; ask for smaller sizes (no detail)"),
+    ])
+    def test_exit_codes_table(self, capsys, exc, command, prog, code, line):
+        with pytest.raises(SystemExit) as info, exit_codes(command, prog):
+            raise exc
+        assert info.value.code == code
+        assert capsys.readouterr().err == line + "\n"
+
+    @pytest.mark.parametrize("exc", [KeyError("x"), RuntimeError("bug"), click.UsageError("no such option")])
+    def test_exit_codes_keeps_anything_else_raised(self, capsys, exc):
+        with pytest.raises(type(exc)), exit_codes("gen"):
+            raise exc
+        assert capsys.readouterr().err == ""
+
+    def test_each_failure_type_is_named_once(self):
+        source = Path(evifuse.cli.__file__).read_text()
+        names = [n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)]
+        for name in ("FusionConflictError", "TrainingDiverged", "NonFiniteEvidence", "OSError", "MemoryError"):
+            assert names.count(name) == 1, name
+
     @pytest.mark.parametrize("command,param", [
         (name, p.name) for name, command in sorted(main.commands.items()) for p in command.params
     ])

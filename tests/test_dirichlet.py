@@ -104,6 +104,7 @@ class TestCasts:
 
     @pytest.mark.parametrize("values", [
         "32", ["0.1", "0.2"], [True, False], True, None, {"a": 1}, [None, 1.0], [1.0, {}], [1j, 2.0],
+        [0.1, True], [[1.0, 2.0], [3.0, np.False_]],
     ])
     def test_numeric_refuses_what_is_not_all_numbers(self, values):
         with pytest.raises(ValueError, match="^x must hold only numbers, not "):

@@ -4,6 +4,8 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evifuse.model as model_module
 
@@ -493,6 +495,27 @@ class TestEvaluate:
             with pytest.raises(NonFiniteEvidence, match="sample golden"):
                 evaluate(model, [GOLDEN_SAMPLE], BaseRate([0.5, 0.5], weight=2.0))
 
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_a_row_scores_alike_in_any_subset(self, seed, data):
+        # rows never mix, but a batch of another size may sum in another
+        # order, so a row is equal up to rounding, not bit for bit
+        cfg = ModelConfig(num_classes=3, num_views=3, view_dims=(2, 3, 2), hidden=(6,), epochs=1, seed=seed)
+        model = EvidentialModel.initialize(cfg, BaseRate([0.2, 0.5, 0.3], weight=3.0))
+        rng = np.random.default_rng(seed)
+        samples = [
+            MultiViewSample(tuple(rng.normal(scale=3.0, size=d) for d in cfg.view_dims), 0, f"s{i}")
+            for i in range(40)
+        ]
+        rate = data.draw(st.sampled_from([None, BaseRate([0.6, 0.3, 0.1], weight=3.0)]))
+        rows = data.draw(st.lists(st.integers(0, 39), min_size=1, max_size=40, unique=True))
+        full = evaluate(model, samples, rate)
+        for subset in (rows, rows[:1]):
+            part = evaluate(model, [samples[i] for i in subset], rate)
+            assert np.array_equal(part[0], full[0][subset])
+            for got, want in zip(part[1:], full[1:]):
+                assert np.allclose(got, want[subset], rtol=0.0, atol=1e-14)
+
     def test_rejects_mismatched_inputs(self):
         model = golden_model()
         bad = MultiViewSample((np.array([1.0]), np.array([1.0, 2.0])), 0, "bad")
@@ -807,6 +830,7 @@ class TestCheckpoint:
         (lambda doc: doc["heads"][1]["layers"][1].update(bias=[0.0]), r"head 1: layer 1"),
         (lambda doc: doc["heads"][0]["layers"][0].update(weights={"a": 1}), "head 0: "),
         (lambda doc: doc["config"].update(hidden_size=[8]), "unknown config key 'hidden_size'"),
+        (lambda doc: doc.update(version=True), "checkpoint version must be an integer, not True"),
     ])
     def test_rejects_malformed_documents(self, tmp_path, edit, match):
         import json
@@ -830,6 +854,7 @@ class TestCheckpoint:
         (lambda doc: doc["heads"][1].update(layers=[]), "head 1: a head needs a nonempty list of layer objects"),
         (lambda doc: doc["heads"][1]["layers"].__setitem__(0, [1.0]), "head 1: a head needs a nonempty list"),
         (lambda doc: doc["heads"].__setitem__(0, []), "head 0: a head needs a nonempty list"),
+        (lambda doc: doc.update(config=[2, 2]), "'config' is not an object"),
     ])
     def test_the_constructor_checks_what_the_loader_reads(self, tmp_path, edit, match):
         path = tmp_path / "model.json"

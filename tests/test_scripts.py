@@ -60,6 +60,27 @@ def test_bad_input_exits_2_without_traceback(name, argv):
     assert result.stderr.splitlines()[-1].startswith(f"{name}.py: error: "), result.stderr
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("run_feature_shift", ["--views", "2", "--train-n", "10", "--valid-n", "5", "--hidden", "4"]),
+    ("run_class_shift", ["--pool-n", "20", "--valid-n", "5", "--test-n", "20", "--hidden", "4"]),
+])
+def test_diverged_training_exits_3_without_traceback(name, argv):
+    env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *argv, "--lr", "1e300", "--epochs", "1", "--batch-size", "4"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].startswith(f"{name}.py: error: non-finite loss at epoch 0, sample ")
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+def test_scripts_leave_failures_to_the_cli_contract(path):
+    # evifuse.cli.exit_codes maps every failure; a script of its own would map a second time
+    assert not [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.ExceptHandler)]
+
+
 def private_evifuse_imports(source):
     """Dotted names of every import from evifuse with an underscore-prefixed part."""
     found = []
