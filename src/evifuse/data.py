@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirichlet import _FLOAT_OVERFLOW
+from .dirichlet import _FLOAT_OVERFLOW, _integer, _integers, _numeric, _real
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,14 +33,14 @@ class MultiViewSample:
     def __post_init__(self):
         views = []
         for v in self.views:
-            arr = np.asarray(v, dtype=float).copy()
+            arr = np.array(_numeric(v, f"sample {self.id}: view"), dtype=float)
             if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
                 raise ValueError(f"sample {self.id}: views must be finite 1-d vectors")
             arr.flags.writeable = False
             views.append(arr)
         if not views:
             raise ValueError(f"sample {self.id}: needs at least one view")
-        label = int(self.label)
+        label = _integer(self.label, f"sample {self.id}: label")
         if label < 0:
             raise ValueError(f"sample {self.id}: negative label")
         object.__setattr__(self, "views", tuple(views))
@@ -69,7 +69,7 @@ class MultiViewDataset:
         samples = tuple(samples)
         if not samples:
             raise ValueError("dataset must not be empty")
-        dims = tuple(int(d) for d in view_dims)
+        dims = tuple(_integers(view_dims, "view_dims").tolist())
         if len(dims) == 0 or any(d < 1 for d in dims):
             raise ValueError("view_dims must be positive")
         for s in samples:
@@ -89,10 +89,10 @@ class MultiViewDataset:
         return ds
 
     def _assign(self, views, labels, ids, num_classes):
-        k = int(num_classes)
+        k = _integer(num_classes, "num_classes")
         if k < 2:
             raise ValueError("need at least two classes")
-        views = [np.array(v, dtype=np.float64, order="C") for v in views]
+        views = [np.array(_numeric(v, f"view {i}"), dtype=np.float64, order="C") for i, v in enumerate(views)]
         if not views or any(v.ndim != 2 or v.shape[1] < 1 for v in views):
             raise ValueError("views must be one or more (N, d) arrays with d >= 1")
         n = views[0].shape[0]
@@ -101,15 +101,13 @@ class MultiViewDataset:
         if any(v.shape[0] != n for v in views):
             raise ValueError("views disagree on the number of samples")
         ids = tuple(map(str, ids))
-        labels = np.array(labels)
+        labels = _integers(labels, "labels")
         if labels.shape != (n,) or len(ids) != n:
             raise ValueError(f"need {n} labels and {n} ids, one per row of the views")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("labels must be integers")
-        labels = labels.astype(int)
         bad = np.flatnonzero((labels < 0) | (labels >= k))
         if bad.size:
             raise ValueError(f"sample {ids[bad[0]]}: label {labels[bad[0]]} outside [0, {k})")
+        labels = labels.astype(int)
         finite = np.logical_and.reduce([np.isfinite(v).all(axis=1) for v in views])
         if not finite.all():
             raise ValueError(f"sample {ids[np.argmin(finite)]}: features must be finite")
@@ -140,6 +138,12 @@ class MultiViewDataset:
         return self._labels
 
 
+# Most local patches a tiling may cut. Each patch is one file that `views`
+# writes and one view of a model; a 1-cell window at stride 1 over the default
+# 160-cell ROI would make 25,600 of them, a count no layout needs.
+MAX_PATCHES = 10_000
+
+
 @dataclass(frozen=True)
 class ViewGeometry:
     """Square ROI tiled by a sliding window: roi, window, stride in cells."""
@@ -149,7 +153,8 @@ class ViewGeometry:
     stride: int
 
     def __post_init__(self):
-        roi, win, stride = int(self.roi_size), int(self.window_size), int(self.stride)
+        roi = _integer(self.roi_size, "roi_size")
+        win, stride = _integer(self.window_size, "window_size"), _integer(self.stride, "stride")
         if win < 1 or stride < 1 or roi < 1:
             raise ValueError("geometry values must be positive")
         if win > roi:
@@ -161,6 +166,8 @@ class ViewGeometry:
         object.__setattr__(self, "roi_size", roi)
         object.__setattr__(self, "window_size", win)
         object.__setattr__(self, "stride", stride)
+        if self.patches_per_side**2 > MAX_PATCHES:
+            raise ValueError(f"the tiling makes {self.patches_per_side**2} local patches, more than {MAX_PATCHES}")
 
     @property
     def patches_per_side(self) -> int:
@@ -174,17 +181,17 @@ def extract_views(grid, geom: ViewGeometry, center=None, cutout=None):
     defaults to the grid center. `cutout`, if given, is (row, col, size) in
     ROI-local coordinates; that square is zeroed before extraction.
     """
+    center = None if center is None else _integers(center, "center").tolist()
     if center is not None and len(center) != 2:
         raise ValueError("center must be row,col")
+    cutout = None if cutout is None else _integers(cutout, "cutout").tolist()
     if cutout is not None and len(cutout) != 3:
         raise ValueError("cutout must be row,col,size")
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(_numeric(grid, "grid"), dtype=float)
     if grid.ndim != 2:
         raise ValueError("grid must be 2-d")
     rows, cols = grid.shape
-    if center is None:
-        center = (rows // 2, cols // 2)
-    cr, cc = int(center[0]), int(center[1])
+    cr, cc = (rows // 2, cols // 2) if center is None else center
     half = geom.roi_size // 2
     top, left = cr - half, cc - half
     if top < 0 or left < 0 or top + geom.roi_size > rows or left + geom.roi_size > cols:
@@ -193,7 +200,7 @@ def extract_views(grid, geom: ViewGeometry, center=None, cutout=None):
         )
     roi = grid[top : top + geom.roi_size, left : left + geom.roi_size].copy()
     if cutout is not None:
-        r, c, size = (int(x) for x in cutout)
+        r, c, size = cutout
         if size < 1 or r < 0 or c < 0 or r + size > geom.roi_size or c + size > geom.roi_size:
             raise ValueError("cutout square leaves the ROI")
         roi[r : r + size, c : c + size] = 0.0
@@ -215,20 +222,22 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float).copy()
+        means = np.array(_numeric(self.means, "means"), dtype=float)
         if means.ndim != 3 or means.shape[0] < 2:
             raise ValueError("means must have shape (classes >= 2, views, dim)")
         if not np.all(np.isfinite(means)):
             raise ValueError("means must be finite")
-        if not np.isfinite(self.scale) or self.scale <= 0.0:
+        scale = _real(self.scale, "scale")
+        if not np.isfinite(scale) or scale <= 0.0:
             raise ValueError("scale must be positive")
-        if int(self.n_per_class) < 1:
+        n_per_class = _integer(self.n_per_class, "n_per_class")
+        if n_per_class < 1:
             raise ValueError("n_per_class must be positive")
         means.flags.writeable = False
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "n_per_class", int(self.n_per_class))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "n_per_class", n_per_class)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
     @property
     def num_classes(self) -> int:
@@ -254,11 +263,13 @@ class SyntheticSpec:
         seed: int = 0,
     ) -> "SyntheticSpec":
         """Classes spread along coordinate 0, views mildly unequal in signal."""
+        num_classes, num_views = _integer(num_classes, "num_classes"), _integer(num_views, "num_views")
+        view_dim, separation = _integer(view_dim, "view_dim"), _real(separation, "separation")
         if view_dim < 1 or num_views < 1:
             raise ValueError("need positive view count and dimension")
         # means first: a count too large to hold fails there, before offsets
         means = np.zeros((num_classes, num_views, view_dim))
-        offsets = (np.arange(num_classes) - (num_classes - 1) / 2.0) * float(separation)
+        offsets = (np.arange(num_classes) - (num_classes - 1) / 2.0) * separation
         view_gain = 1.0 + 0.1 * np.arange(num_views)
         means[:, :, 0] = offsets[:, None] * view_gain[None, :]
         return cls(means, scale, n_per_class, seed)
@@ -290,6 +301,7 @@ def gen_ood(spec: SyntheticSpec, shift: float) -> MultiViewDataset:
     is a pure feature shift: labels keep their meaning, the inputs move.
     `shift` is in feature units (the cluster sd is `spec.scale`).
     """
+    shift = _real(shift, "shift")
     if not np.isfinite(shift) or shift < 0.0:
         raise ValueError("shift must be a nonnegative real")
     if spec.view_dim < 2:
@@ -345,7 +357,7 @@ def resample_class_ratio(ds: MultiViewDataset, ratio, seed: int) -> MultiViewDat
     The subset is as large as the per-class supplies allow; counts match the
     ratio to within rounding and the original sample order is preserved.
     """
-    ratio = np.asarray(ratio, dtype=float)
+    ratio, seed = np.asarray(_numeric(ratio, "ratio"), dtype=float), _integer(seed, "seed")
     if ratio.size != ds.num_classes:
         raise ValueError("ratio length must equal the number of classes")
     ratio = _proportions(ratio, "ratio")
@@ -412,7 +424,8 @@ def load_csv(path, num_classes: int, num_views: int, view_dims) -> MultiViewData
     array and split per view; only a file that fails a check is scanned
     line by line, to name the first bad line.
     """
-    dims = tuple(int(d) for d in view_dims)
+    num_classes, num_views = _integer(num_classes, "num_classes"), _integer(num_views, "num_views")
+    dims = tuple(_integers(view_dims, "view_dims").tolist())
     if len(dims) != num_views:
         raise ValueError("view_dims length must equal num_views")
     n_fields = 2 + sum(dims)
@@ -464,7 +477,7 @@ def _raise_first_bad_line(path, lines, n_fields: int, num_classes: int):
 
 
 def save_grid(grid, path) -> None:
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(_numeric(grid, "grid"), dtype=float)
     if grid.ndim != 2:
         raise ValueError("grid must be 2-d")
     with open(path, "w", encoding="utf-8") as fh:

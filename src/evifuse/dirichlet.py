@@ -5,11 +5,12 @@ concentration vector, a base rate (prior class proportions with a prior
 weight), and a nonnegative evidence vector. They are frozen dataclasses over
 read-only numpy arrays; all operations on them are pure.
 
-The value classes of the package read their fields through one cast per kind
-of value: `_real`, `_integer` and `_numeric`. Each takes what is a number of
-its kind, in Python, numpy or parsed JSON, and raises a ValueError naming the
-field for anything else, so `float("0.4")`, `int(True)` and a string array's
-cast to float never decide what a number is.
+Every number the package takes from a caller, a value class's field or a
+public function's argument, is read through one cast per kind of value:
+`_real`, `_integer`, `_numeric` and `_integers`. Each takes what is a number
+of its kind, in Python, numpy or parsed JSON, and raises a ValueError naming
+the field for anything else, so `float("0.4")`, `int(True)`, `int(2.7)` and a
+string array's cast to float never decide what a number is.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def _numeric(values, name) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"{name} must be a regular array of numbers: {exc}") from None
     # numpy casts a boolean among numbers to a number, so the elements of a
-    # list are checked by type too; an array's dtype tells
-    flat = values if isinstance(values, list) else ()
+    # list or tuple are checked by type too; an array's dtype tells
+    flat = values if isinstance(values, (list, tuple)) else ()
     for _ in range(arr.ndim - 1):
         flat = itertools.chain.from_iterable(flat)
     kind = arr.dtype.kind
@@ -75,6 +76,22 @@ def _numeric(values, name) -> np.ndarray:
     if not all_real or {bool, np.bool_} & set(map(type, flat)):
         raise ValueError(f"{name} must hold only numbers, not {reprlib.repr(values)}")
     return arr
+
+
+def _integers(values, name) -> np.ndarray:
+    """`values` as a vector of integers, each entry read by the `_integer` rule.
+
+    An integer array passes on its dtype alone; any other vector is read
+    entry by entry, so [3.0] is [3] and [2.7], [inf] or [True] is a
+    ValueError. Entries beyond int64 make an object array of Python ints.
+    """
+    arr = _numeric(values, name)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a list of integers")
+    if arr.dtype.kind in "iu":
+        return arr
+    ints = [_integer(x, f"{name} entry") for x in arr.tolist()]
+    return np.array(ints) if ints else arr.astype(np.int64)
 
 
 def _read_only(values, name, min_size=2):

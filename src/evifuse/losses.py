@@ -34,6 +34,10 @@ from .dirichlet import (
     BaseRate,
     DirichletParams,
     EvidenceVector,
+    _integer,
+    _integers,
+    _numeric,
+    _real,
     combined_evidence,
     kl_from_gammas,
 )
@@ -55,7 +59,7 @@ class LossConfig:
     beta: DirichletParams
 
     def __post_init__(self):
-        lam = float(self.lam)
+        lam = _real(self.lam, "lam")
         if not np.isfinite(lam) or lam < 0.0 or lam > 1.0:
             raise ValueError("balance factor must lie in [0, 1]")
         object.__setattr__(self, "lam", lam)
@@ -63,6 +67,7 @@ class LossConfig:
 
 def annealed_lambda(epoch: int, annealing_epochs: int) -> float:
     """Linear 0 to 1 schedule: min(1, epoch / annealing_epochs)."""
+    epoch, annealing_epochs = _integer(epoch, "epoch"), _integer(annealing_epochs, "annealing_epochs")
     if annealing_epochs < 1:
         raise ValueError("annealing_epochs must be at least 1")
     if epoch < 0:
@@ -71,12 +76,12 @@ def annealed_lambda(epoch: int, annealing_epochs: int) -> float:
 
 
 def _checked_labels(labels, num_rows: int, num_classes: int) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.shape != (num_rows,) or not np.issubdtype(arr.dtype, np.integer):
+    arr = _integers(labels, "labels")
+    if arr.shape != (num_rows,):
         raise ValueError(f"need {num_rows} integer labels")
     bad = (arr < 0) | (arr >= num_classes)
     if bad.any():
-        raise ValueError(f"label {int(arr[bad][0])} outside [0, {num_classes})")
+        raise ValueError(f"label {arr[bad][0]} outside [0, {num_classes})")
     return arr
 
 
@@ -122,7 +127,7 @@ def _one(alpha: DirichletParams, label: int, beta: DirichletParams | None = None
     k = alpha.num_classes
     if beta is not None and beta.num_classes != k:
         raise ValueError("alpha and beta disagree on the number of classes")
-    hot = _one_hot(_checked_labels([int(label)], 1, k), k)
+    hot = _one_hot(_checked_labels([_integer(label, "label")], 1, k), k)
     args, triples = _special(alpha.alpha[None, :], hot, np.ones(k) if beta is None else beta.alpha)
     (ice, kl), (ice_g, kl_g) = _values(args, triples), _grads(hot, args, triples)
     return float(ice[0]), float(kl[0]), ice_g[0], kl_g[0]
@@ -165,7 +170,7 @@ def overall_loss(view_alphas, combined_alpha: DirichletParams, label: int, cfg: 
 
 
 def _evidence_array(e) -> np.ndarray:
-    return e.evidence if isinstance(e, EvidenceVector) else np.asarray(e, dtype=float)
+    return e.evidence if isinstance(e, EvidenceVector) else np.asarray(_numeric(e, "evidence"), dtype=float)
 
 
 def _checked_inputs(view_evidences, base_rate: BaseRate, labels):

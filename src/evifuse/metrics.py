@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dirichlet import _integer, _integers, _numeric, _real
 
 _UNIT_TOL = 1e-9
 
@@ -28,7 +29,7 @@ MAX_BINS = 10_000
 
 def check_unit_interval(name: str, values) -> None:
     """Raise ValueError unless every value lies in [0, 1], up to 1e-9."""
-    values = np.asarray(values, dtype=float)
+    values = _numeric(values, name)
     if not np.all((values >= -_UNIT_TOL) & (values <= 1.0 + _UNIT_TOL)):
         raise ValueError(f"{name} must lie in [0, 1]")
 
@@ -44,13 +45,13 @@ class EvalRecord:
     id: str
 
     def __post_init__(self):
-        conf, u = float(self.confidence), float(self.uncertainty)
+        conf, u = _real(self.confidence, "confidence"), _real(self.uncertainty, "uncertainty")
         check_unit_interval("confidence", conf)
         check_unit_interval("uncertainty", u)
-        object.__setattr__(self, "predicted", int(self.predicted))
+        object.__setattr__(self, "predicted", _integer(self.predicted, "predicted"))
         object.__setattr__(self, "confidence", conf)
         object.__setattr__(self, "uncertainty", u)
-        object.__setattr__(self, "label", int(self.label))
+        object.__setattr__(self, "label", _integer(self.label, "label"))
         object.__setattr__(self, "id", str(self.id))
 
     @property
@@ -58,18 +59,22 @@ class EvalRecord:
         return self.predicted == self.label
 
 
-def check_num_bins(num_bins: int) -> None:
-    """Raise ValueError unless the calibration bin count lies in [1, MAX_BINS]."""
+def check_num_bins(num_bins: int) -> int:
+    """The calibration bin count as an int; a ValueError unless it lies in [1, MAX_BINS]."""
+    num_bins = _integer(num_bins, "num_bins")
     if num_bins < 1:
         raise ValueError("need at least one bin")
     if num_bins > MAX_BINS:
         raise ValueError(f"need at most {MAX_BINS} bins, not {num_bins}")
+    return num_bins
 
 
-def check_percentile(percentile: float) -> None:
-    """Raise ValueError unless the OOD threshold percentile lies in [0, 100]."""
+def check_percentile(percentile: float) -> float:
+    """The OOD threshold percentile as a float; a ValueError unless it lies in [0, 100]."""
+    percentile = _real(percentile, "percentile")
     if not 0.0 <= percentile <= 100.0:
         raise ValueError("percentile must lie in [0, 100]")
+    return percentile
 
 
 def _bin_index(confidences: np.ndarray, num_bins: int) -> np.ndarray:
@@ -81,12 +86,11 @@ def _bin_index(confidences: np.ndarray, num_bins: int) -> np.ndarray:
 
 def _columns(predicted, confidence, labels):
     """Checked (N,) columns: integer predictions, confidences in [0, 1], labels."""
-    predicted = np.asarray(predicted, dtype=int)
-    confidence = np.asarray(confidence, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    predicted, labels = _integers(predicted, "predicted"), _integers(labels, "labels")
+    confidence = np.asarray(_numeric(confidence, "confidence"), dtype=float)
     if predicted.size == 0:
         raise ValueError("no records")
-    if predicted.ndim != 1 or confidence.shape != predicted.shape or labels.shape != predicted.shape:
+    if confidence.shape != predicted.shape or labels.shape != predicted.shape:
         raise ValueError("predicted, confidence and labels must be matching vectors")
     check_unit_interval("confidence", confidence)
     return predicted, confidence, labels
@@ -108,7 +112,7 @@ def _calibration(confidence: np.ndarray, correct: np.ndarray, num_bins: int):
     sample order; the ECE weighs each nonempty bin's gap by its share.
     A bin count outside [1, MAX_BINS] is a ValueError.
     """
-    check_num_bins(num_bins)
+    num_bins = check_num_bins(num_bins)
     idx = _bin_index(confidence, num_bins)
     # a stable sort keeps each bin's members in sample order, so a bin's
     # slice holds the values its mask would pick, in the same order
@@ -144,11 +148,13 @@ def accuracy(records) -> float:
 
 
 def auc_binary(scores, labels) -> float:
-    """Rank-statistic AUC for binary labels, ties getting half credit."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if scores.shape != labels.shape or scores.ndim != 1 or scores.size == 0:
+    """Rank-statistic AUC for binary labels, ties getting half credit; scores must be finite."""
+    scores = np.asarray(_numeric(scores, "scores"), dtype=float)
+    labels = _integers(labels, "labels")
+    if scores.shape != labels.shape or scores.size == 0:
         raise ValueError("scores and labels must be matching nonempty vectors")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     if not set(np.unique(labels)) <= {0, 1}:
         raise ValueError("labels must be 0/1")
     n_pos = int(labels.sum())
@@ -181,13 +187,17 @@ def ood_detect(val_uncertainties, test_uncertainties, percentile: float = 50.0) 
 
     Validation and test uncertainties are pooled, scaled together to [0, 1],
     and the threshold is the given percentile of the pooled scaled values.
-    Samples of either pool strictly above the threshold are flagged.
+    Samples of either pool strictly above the threshold are flagged. A
+    non-finite uncertainty is a ValueError naming its pool.
     """
-    val = np.asarray(val_uncertainties, dtype=float)
-    test = np.asarray(test_uncertainties, dtype=float)
+    val = np.asarray(_numeric(val_uncertainties, "validation uncertainties"), dtype=float)
+    test = np.asarray(_numeric(test_uncertainties, "test uncertainties"), dtype=float)
     if val.size == 0 or test.size == 0:
         raise ValueError("both uncertainty pools must be nonempty")
-    check_percentile(percentile)
+    for values, name in ((val, "validation"), (test, "test")):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} uncertainties must be finite")
+    percentile = check_percentile(percentile)
     pool = np.concatenate([val, test])
     lo, hi = float(pool.min()), float(pool.max())
     if hi - lo <= 0.0:

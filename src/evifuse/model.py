@@ -22,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .data import MultiViewDataset, MultiViewSample, read_json
-from .dirichlet import BaseRate, DirichletParams, EvidenceVector, _integer, _numeric, _real, combined_evidence
+from .dirichlet import BaseRate, DirichletParams, EvidenceVector, _integer, _integers, _numeric, _real, combined_evidence
 from .losses import LossConfig, _one_hot, _overall, annealed_lambda
 from .metrics import check_unit_interval
 from .opinions import dirichlet_from_evidence, opinion_from_dirichlet
@@ -37,14 +37,6 @@ CHECKPOINT_VERSION = 1
 # 400 KB whatever the dataset size. A block's features are views into the
 # stacked (G, N, d) arrays, so blocking copies no input.
 _EVAL_BLOCK = 4096
-
-
-def _integers(values, name) -> tuple:
-    """A list of integers as a tuple of ints, each entry read by `_integer`."""
-    arr = _numeric(values, name)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a list of integers")
-    return tuple(_integer(x, f"{name} entry") for x in arr.tolist())
 
 
 class TrainingDiverged(RuntimeError):
@@ -76,10 +68,10 @@ class ModelConfig:
             raise ValueError("need at least two classes")
         if v < 2:
             raise ValueError("need at least two views")
-        dims = _integers(self.view_dims, "view_dims")
+        dims = tuple(_integers(self.view_dims, "view_dims").tolist())
         if len(dims) != v or any(d < 1 for d in dims):
             raise ValueError("view_dims must list one positive dimension per view")
-        hidden = _integers(self.hidden, "hidden")
+        hidden = tuple(_integers(self.hidden, "hidden").tolist())
         if any(h < 1 for h in hidden):
             raise ValueError("hidden layer sizes must be positive")
         w = _real(self.prior_weight, "prior_weight") if self.prior_weight is not None else float(k)
@@ -139,7 +131,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _layer_sizes(in_dim: int, hidden, num_classes: int) -> list:
     """(fan_in, fan_out) of each layer of a head."""
-    sizes = [int(in_dim), *(int(h) for h in hidden), int(num_classes)]
+    sizes = [in_dim, *hidden, num_classes]
     return list(zip(sizes[:-1], sizes[1:]))
 
 
@@ -169,7 +161,8 @@ class EvidenceHead:
     @classmethod
     def initialize(cls, in_dim: int, hidden, num_classes: int, rng) -> "EvidenceHead":
         weights, biases = [], []
-        for fan_in, fan_out in _layer_sizes(in_dim, hidden, num_classes):
+        in_dim, num_classes = _integer(in_dim, "in_dim"), _integer(num_classes, "num_classes")
+        for fan_in, fan_out in _layer_sizes(in_dim, _integers(hidden, "hidden").tolist(), num_classes):
             r = 1.0 / np.sqrt(fan_in)
             weights.append(rng.uniform(-r, r, size=(fan_out, fan_in)))
             biases.append(rng.uniform(-r, r, size=fan_out))
@@ -296,7 +289,7 @@ class EvidentialModel:
 
 def compute_base_rate(labels, num_classes: int, weight: float | None = None) -> BaseRate:
     """Class frequencies of the training labels; weight defaults to K."""
-    labels = np.asarray(labels, dtype=int)
+    labels, num_classes = _integers(labels, "labels"), _integer(num_classes, "num_classes")
     if labels.size == 0:
         raise ValueError("no labels")
     if labels.min() < 0 or labels.max() >= num_classes:

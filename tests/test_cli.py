@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import evifuse.data
 import evifuse.cli
 from evifuse.cli import exit_codes, main
-from evifuse.data import load_csv, load_grid, save_grid
+from evifuse.data import MAX_PATCHES, load_csv, load_grid, save_grid
 from evifuse.metrics import MAX_BINS
 from evifuse.model import ModelConfig, NonFiniteEvidence, TrainingDiverged, load_checkpoint
 from evifuse.opinions import FusionConflictError
@@ -273,6 +273,16 @@ class TestViews:
         ], expect=2)
         assert result.stdout == "" and result.stderr.count("\n") == 1
         assert result.stderr.startswith(f"error: {grid_path}: line 7: grid values must be finite")
+        assert not (tmp_path / "v").exists()
+
+    def test_tiling_past_max_patches_exits_2_before_any_write(self, tmp_path):
+        # a million 1-cell patches; the geometry is refused before the grid is read
+        result = run([
+            "--quiet", "views", str(tmp_path / "nope.txt"), "--roi", "1000", "--window", "1",
+            "--stride", "1", "--out-dir", str(tmp_path / "v"),
+        ], expect=2)
+        assert result.stdout == ""
+        assert result.stderr == f"error: the tiling makes 1000000 local patches, more than {MAX_PATCHES}\n"
         assert not (tmp_path / "v").exists()
 
     def test_missing_grid_exits_4(self, tmp_path):
@@ -658,7 +668,10 @@ class TestUnreadableInput:
 # kinds, a numeric string, a literal that overflows to inf, and a fraction
 # where an integer belongs. OVERFLOW is written out as the bare literal 1e999.
 OVERFLOW = "@1e999"
-REPLACEMENTS = [None, True, "0.4", [0.4], {}, OVERFLOW, 2.7]
+DELETED = "@deleted"
+# json.dumps writes the three non-finite floats as the NaN, Infinity and
+# -Infinity tokens, which json.loads reads back
+REPLACEMENTS = [None, True, "0.4", [0.4], {}, OVERFLOW, 2.7, float("nan"), float("inf"), float("-inf"), DELETED]
 
 
 def json_paths(doc, path=()):
@@ -670,18 +683,22 @@ def json_paths(doc, path=()):
 
 
 def replaced(doc, path, value) -> str:
-    """The JSON text of `doc` with the field at `path` set to `value`."""
+    """The JSON text of `doc` with the field at `path` set to `value`, or removed for DELETED."""
     doc = json.loads(json.dumps(doc))
     *parents, last = path
     target = doc
     for key in parents:
         target = target[key]
-    target[last] = value
+    if value == DELETED:
+        del target[last]
+    else:
+        target[last] = value
     return json.dumps(doc).replace(json.dumps(OVERFLOW), "1e999")
 
 
 class TestJsonMutations:
-    """One replaced field of a valid JSON input is held to the exit-code contract."""
+    """One replaced or deleted field of a valid JSON input (a `fuse` opinion list or base
+    rate, a checkpoint, a `--config` file) is held to the exit-code contract."""
 
     @staticmethod
     def assert_documented_exit(argv, case):
@@ -719,6 +736,41 @@ class TestJsonMutations:
         self.assert_documented_exit(
             ["eval", "--model", str(model), "--data", str(trained["valid"])], f"{path} = {value!r}"
         )
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_config_file(self, trained, tmp_path_factory, data):
+        doc = {
+            "gen": {"classes": 2, "views": 2, "dim": 2, "n_per_class": 5, "separation": 3.0, "scale": 1.0,
+                    "ood_shift": 1.0, "ratio": "3:7", "seed": 4},
+            "train": {"classes": 2, "n_views": 2, "dims": "2,2", "hidden": "4", "lr": 0.01, "epochs": 1,
+                      "batch_size": 16, "anneal_epochs": 1, "prior_weight": 2.0, "base_rate_mode": "train"},
+            "eval": {"bins": 10, "base_rate_override": "3:7"},
+            "ood": {"percentile": 50.0},
+            "adapt-sweep": {"ratios": "3:7,7:3", "bins": 10},
+            "views": {"roi": 4, "window": 2, "stride": 2, "center": "4,4", "cutout": "0,0,1"},
+            "fuse": {"chain": "cbf"},
+        }
+        command = data.draw(st.sampled_from(list(doc)))
+        path = data.draw(st.sampled_from([p for p in json_paths(doc) if p[0] == command]))
+        value = data.draw(st.sampled_from(REPLACEMENTS))
+        root = tmp_path_factory.mktemp("config")
+        config, grid, ops = root / "config.json", root / "grid.txt", root / "ops.json"
+        config.write_text(replaced(doc, path, value))
+        save_grid(np.arange(64.0).reshape(8, 8), grid)
+        write_opinions(ops, [((0.2, 0.4), 0.4), ((0.3, 0.1), 0.6)])
+        model, valid = str(trained["model"]), str(trained["valid"])
+        argv = {
+            "gen": ["--out", str(root / "a.csv"), "--ood-out", str(root / "b.csv"),
+                    "--imbalanced-out", str(root / "c.csv")],
+            "train": ["--data", str(trained["train"]), "--valid", valid, "--out", str(root / "m.json")],
+            "eval": ["--model", model, "--data", valid],
+            "ood": ["--model", model, "--id-data", valid, "--ood-data", str(trained["ood"])],
+            "adapt-sweep": ["--model", model, "--uniform-model", str(trained["uniform"]), "--data", valid],
+            "views": [str(grid), "--out-dir", str(root / "views")],
+            "fuse": ["--opinions", str(ops), "--base-rate", UNIFORM2],
+        }[command]
+        self.assert_documented_exit(["--config", str(config), command, *argv], f"{path} = {value!r}")
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evifuse.data import (
+    MAX_PATCHES,
     MultiViewDataset,
     MultiViewSample,
     SyntheticSpec,
@@ -126,8 +127,11 @@ class TestColumnar:
             MultiViewDataset.from_arrays([x], [0, 1], "abc", 2)
         with pytest.raises(ValueError, match="3 labels and 3 ids"):
             MultiViewDataset.from_arrays([x], [0, 1, 0], "ab", 2)
-        with pytest.raises(ValueError, match="integers"):
-            MultiViewDataset.from_arrays([x], [0.0, 1.0, 0.0], "abc", 2)
+        with pytest.raises(ValueError, match="labels entry must be an integer, not 0.5"):
+            MultiViewDataset.from_arrays([x], [0.0, 0.5, 0.0], "abc", 2)
+        # an integral float is an integer, as it is for every integer the library reads
+        labels = MultiViewDataset.from_arrays([x], [0.0, 1.0, 0.0], "abc", 2).labels()
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 1, 0]
         with pytest.raises(ValueError, match="sample b: label 2 outside"):
             MultiViewDataset.from_arrays([x], [0, 2, 3], "abc", 2)
         with pytest.raises(ValueError, match="sample a: label -1 outside"):
@@ -149,6 +153,14 @@ class TestGeometry:
     def test_patch_count_formula(self, win, stride, n):
         geom = ViewGeometry(win + stride * (n - 1), win, stride)
         assert geom.patches_per_side == n
+
+    def test_patch_count_is_bounded(self):
+        assert MAX_PATCHES == 100**2
+        assert ViewGeometry(100, 1, 1).patches_per_side == 100
+        with pytest.raises(ValueError, match=f"^the tiling makes 10201 local patches, more than {MAX_PATCHES}$"):
+            ViewGeometry(101, 1, 1)
+        with pytest.raises(ValueError, match="more than"):
+            ViewGeometry(10**9, 1, 1)
 
     def test_reference_geometry(self):
         geom = ViewGeometry(160, 96, 32)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from evifuse.dirichlet import (
     DirichletParams,
     EvidenceVector,
     _integer,
+    _integers,
     _numeric,
     _read_only,
     _real,
@@ -20,6 +22,18 @@ from evifuse.dirichlet import (
     rebase,
     strength,
 )
+from evifuse.data import (
+    MultiViewSample,
+    SyntheticSpec,
+    ViewGeometry,
+    extract_views,
+    gen_ood,
+    gen_synthetic,
+    resample_class_ratio,
+)
+from evifuse.losses import LossConfig, annealed_lambda, ice_loss
+from evifuse.metrics import EvalRecord, auc_binary, check_percentile, ood_detect, report_from_arrays
+from evifuse.model import EvidenceHead, compute_base_rate
 from evifuse.opinions import dirichlet_from_evidence, opinion_from_dirichlet
 
 from oracles import kl_dirichlet_quadrature
@@ -104,7 +118,7 @@ class TestCasts:
 
     @pytest.mark.parametrize("values", [
         "32", ["0.1", "0.2"], [True, False], True, None, {"a": 1}, [None, 1.0], [1.0, {}], [1j, 2.0],
-        [0.1, True], [[1.0, 2.0], [3.0, np.False_]],
+        [0.1, True], [[1.0, 2.0], [3.0, np.False_]], (0.1, True), ((1, 2), (3, False)),
     ])
     def test_numeric_refuses_what_is_not_all_numbers(self, values):
         with pytest.raises(ValueError, match="^x must hold only numbers, not "):
@@ -132,6 +146,82 @@ class TestCasts:
     def test_value_classes_name_the_field(self, make, match):
         with pytest.raises(ValueError, match=f"^{match}"):
             make()
+
+    @pytest.mark.parametrize("values,want", [
+        ([3, 3.0, np.int64(4)], [3, 3, 4]), ((1, 2), [1, 2]), (np.array([2.0, -1.0]), [2, -1]), ([], []),
+        ([10**30, 1], [10**30, 1]), (np.array([7], np.uint8), [7]),
+    ])
+    def test_integers_reads_each_entry_as_an_integer(self, values, want):
+        got = _integers(values, "n")
+        assert got.ndim == 1 and got.dtype.kind in "iuO" and got.tolist() == want
+
+    def test_integers_judges_an_integer_array_by_its_dtype(self):
+        labels = np.arange(5)
+        assert _integers(labels, "n") is labels
+
+    @pytest.mark.parametrize("values,match", [
+        ([2.7], "n entry must be an integer, not 2.7"),
+        (np.array([0.5, 1.0]), "n entry must be an integer, not 0.5"),
+        ([float("inf")], "n entry must be an integer, not inf"),
+        ([1, True], "n must hold only numbers"),
+        (np.array([True]), "n must hold only numbers"),
+        (["1"], "n must hold only numbers"),
+        (3, "n must be a list of integers"),
+        ([[1, 2]], "n must be a list of integers"),
+    ])
+    def test_integers_refuses_what_is_not_a_list_of_integers(self, values, match):
+        with pytest.raises(ValueError, match=f"^{match}"):
+            _integers(values, "n")
+
+
+def small_dataset():
+    return gen_synthetic(SyntheticSpec.blobs(2, 2, 2, n_per_class=10))
+
+
+ALPHA = DirichletParams([2.0, 3.0])
+
+
+class TestEveryReaderCasts:
+    """Each number a public function or value class takes goes through the cast
+    set, so a bad one is a ValueError naming its field: not a TypeError, and
+    not a truncation."""
+
+    @pytest.mark.parametrize("make,match", [
+        # truncated before
+        (lambda: ViewGeometry(4.7, 2, 1), "roi_size must be an integer, not 4.7"),
+        (lambda: report_from_arrays([0.9, 1.2], [0.6, 0.7], [0, 1]), "predicted entry must be an integer, not 0.9"),
+        (lambda: compute_base_rate([0.5, 1.7], 2), "labels entry must be an integer, not 0.5"),
+        (lambda: ice_loss(ALPHA, True), "label must be an integer, not True"),
+        # a TypeError before
+        (lambda: MultiViewSample([np.zeros(2)], None, "a"), "sample a: label must be an integer, not None"),
+        (lambda: ViewGeometry(None, 2, 2), "roi_size must be an integer, not None"),
+        (lambda: SyntheticSpec(np.zeros((2, 2, 2)), None, 3, 0), "scale must be a real number, not None"),
+        (lambda: EvalRecord(0, None, 0.5, 0, "a"), "confidence must be a real number, not None"),
+        (lambda: report_from_arrays([0], [0.5], [0], 2.5), "num_bins must be an integer, not 2.5"),
+        (lambda: ood_detect([0.1, 0.2], [0.3, 0.4], None), "percentile must be a real number, not None"),
+        # a numeric string read as its number before
+        (lambda: LossConfig("0.5", ALPHA), "lam must be a real number, not '0.5'"),
+        (lambda: resample_class_ratio(small_dataset(), ["0.2", "0.8"], 0), "ratio must hold only numbers"),
+        # and the rest of the readers
+        (lambda: SyntheticSpec.blobs(2, 2, None), "view_dim must be an integer, not None"),
+        (lambda: resample_class_ratio(small_dataset(), [0.2, 0.8], 1.5), "seed must be an integer, not 1.5"),
+        (lambda: annealed_lambda(1, 2.5), "annealing_epochs must be an integer, not 2.5"),
+        (lambda: extract_views(np.zeros((8, 8)), ViewGeometry(4, 2, 2), center=(5.7, 5)),
+         "center entry must be an integer, not 5.7"),
+        (lambda: gen_ood(SyntheticSpec.blobs(2, 2, 2), "1"), "shift must be a real number, not '1'"),
+        (lambda: check_percentile("50"), "percentile must be a real number, not '50'"),
+        (lambda: auc_binary([0.1, 0.9], [0.0, 0.5]), "labels entry must be an integer, not 0.5"),
+        (lambda: EvidenceHead.initialize(2.5, (3,), 2, np.random.default_rng(0)), "in_dim must be an integer, not 2.5"),
+    ])
+    def test_a_bad_number_is_a_value_error_naming_its_field(self, make, match):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}"):
+            make()
+
+    def test_an_integral_float_is_an_integer(self):
+        assert ViewGeometry(4.0, 2.0, np.int64(2)) == ViewGeometry(4, 2, 2)
+        assert compute_base_rate(np.array([0.0, 1.0, 1.0]), 2.0).rates.tolist() == [1 / 3, 2 / 3]
+        assert ice_loss(ALPHA, 1.0) == ice_loss(ALPHA, 1)
+        assert report_from_arrays([1.0, 0.0], [0.6, 0.7], [1, 1.0]) == report_from_arrays([1, 0], [0.6, 0.7], [1, 1])
 
 
 class TestMeasures:

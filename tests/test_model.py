@@ -772,6 +772,82 @@ class TestFit:
         assert issubclass(TrainingDiverged, RuntimeError)
 
 
+def copied_head(head, last_rows=slice(None)):
+    """A head of copies of `head`'s arrays, its last layer's rows taken in `last_rows` order."""
+    weights, biases = [w.copy() for w in head.weights], [b.copy() for b in head.biases]
+    weights[-1], biases[-1] = weights[-1][last_rows], biases[-1][last_rows]
+    return EvidenceHead(weights, biases)
+
+
+class TestMetamorphic:
+    """fit + evaluate respect the model's symmetries, so no golden output is needed
+    (Chen et al., "Metamorphic testing", 1998): a view, class or row mix-up errs
+    by O(1), far above the rounding a relabelling may bring."""
+
+    @staticmethod
+    def problem(seed, num_classes, dims):
+        """(config, base rate, initial heads, views, labels) of a 90-row problem."""
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.arange(90) % num_classes)
+        views = [rng.normal(size=(90, d)) + 1.5 * labels[:, None] for d in dims]
+        cfg = ModelConfig(num_classes=num_classes, num_views=len(dims), view_dims=dims, hidden=(5,),
+                          learning_rate=0.05, epochs=4, batch_size=16, seed=seed)
+        base = BaseRate(rng.dirichlet(np.ones(num_classes)), weight=float(num_classes))
+        heads = [copied_head(h) for h in EvidentialModel.initialize(cfg, base).heads]
+        return cfg, base, heads, views, labels
+
+    @staticmethod
+    def fit_and_score(heads, base, cfg, views, labels):
+        """The training report on rows 0-59 and `evaluate` of rows 60-89."""
+        def rows(lo, hi):
+            return MultiViewDataset.from_arrays(
+                [v[lo:hi] for v in views], labels[lo:hi], [f"r{i}" for i in range(lo, hi)], cfg.num_classes
+            )
+        model = EvidentialModel(heads, base, cfg)
+        return fit(model, rows(0, 40), rows(40, 60)), evaluate(model, rows(60, 90))
+
+    problems = dict(
+        seed=st.integers(0, 2**16),
+        num_classes=st.integers(2, 3),
+        dims=st.lists(st.integers(1, 3), min_size=3, max_size=4).map(tuple),
+    )
+
+    @settings(max_examples=10)
+    @given(**problems)
+    def test_swapping_two_local_views_with_their_heads_changes_no_bit(self, seed, num_classes, dims):
+        # the local views sum in view order, and a + b == b + a, so the first two may swap
+        cfg, base, heads, views, labels = self.problem(seed, num_classes, dims)
+        order = [1, 0, *range(2, len(dims))]
+        swapped = ModelConfig(**{**cfg.to_dict(), "view_dims": tuple(dims[v] for v in order)})
+        report, scores = self.fit_and_score(heads, base, cfg, views, labels)
+        report2, scores2 = self.fit_and_score(
+            [heads[v] for v in order], base, swapped, [views[v] for v in order], labels
+        )
+        assert report2 == report
+        for got, want in zip(scores2, scores):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=10)
+    @given(**problems, data=st.data())
+    def test_relabelling_the_classes_permutes_the_outputs(self, seed, num_classes, dims, data):
+        # new class i is old class order[i]: last-layer rows, base rates and
+        # labels move alike; sums over classes change order, so values agree
+        # up to rounding (6.7e-16 relative at most over 40 seeds), not bit for bit
+        cfg, base, heads, views, labels = self.problem(seed, num_classes, dims)
+        order = np.array(data.draw(st.permutations(range(num_classes))))
+        new_label = np.argsort(order)
+        report, (predicted, uncertainty, probs) = self.fit_and_score(heads, base, cfg, views, labels)
+        report2, (predicted2, uncertainty2, probs2) = self.fit_and_score(
+            [copied_head(h, order) for h in heads], BaseRate(base.rates[order], base.weight), cfg, views,
+            new_label[labels],
+        )
+        assert np.array_equal(predicted2, new_label[predicted])
+        assert (report2.train_acc, report2.valid_acc) == (report.train_acc, report.valid_acc)
+        for got, want in [(report2.train_loss, report.train_loss), (report2.valid_loss, report.valid_loss),
+                          (uncertainty2, uncertainty), (probs2, probs[:, order])]:
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         train, valid = blob_data(8, 20), blob_data(9, 10)

@@ -175,3 +175,73 @@ def test_library_catches_no_cast_error(path):
     # _numeric, which raise ValueError; a loader that catches TypeError or
     # OverflowError would be deciding again what a number is
     assert cast_error_catches(path.read_text()) == []
+
+
+# The casts of evifuse.dirichlet; what one of them returns is already decided.
+CAST_SET = {"_real", "_integer", "_numeric", "_integers", "_read_only"}
+
+
+def reads_a_field(node):
+    """True if `node` reads an attribute of `self` other than through the cast set."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in CAST_SET:
+        return False
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+        return True
+    return any(reads_a_field(child) for child in ast.iter_child_nodes(node))
+
+
+def bare_field_casts(source):
+    """Line numbers of every `int`, `float`, `.astype` or `dtype=` call inside a
+    `__post_init__` that is applied to a field."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            operands = [*node.args, *(k.value for k in node.keywords if k.arg != "dtype")]
+            if getattr(node.func, "id", None) in ("int", "float") or any(k.arg == "dtype" for k in node.keywords):
+                hit = any(map(reads_a_field, operands))
+            else:
+                hit = getattr(node.func, "attr", None) == "astype" and reads_a_field(node.func.value)
+            if hit:
+                found.append(node.lineno)
+    return found
+
+
+def test_bare_field_cast_finder():
+    source = (
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        a = int(self.n)\n"
+        "        b = float(_real(self.x, 'x'))\n"
+        "        c = np.asarray(self.v, dtype=float)\n"
+        "        d = np.array(_numeric(self.v, 'v'), dtype=float)\n"
+        "        e = self.v.astype(int)\n"
+        "        f = float(len(self.v) + 1)\n"
+        "        g = float(a)\n"
+        "    def other(self):\n"
+        "        return int(self.n)\n"
+    )
+    assert bare_field_casts(source) == [3, 5, 7, 8]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((SCRIPTS.parent / "src" / "evifuse").glob("*.py")), ids=lambda p: p.name,
+)
+def test_value_classes_cast_fields_only_through_the_cast_set(path):
+    # int(2.7) truncates and float(None) is a TypeError; the cast set refuses both
+    assert bare_field_casts(path.read_text()) == []
+
+
+def test_integer_lists_have_one_cast():
+    # dirichlet._integers reads every integer list and label vector; no module
+    # keeps a dtype check of its own that would disagree with it
+    sources = {p.name: p.read_text() for p in (SCRIPTS.parent / "src" / "evifuse").glob("*.py")}
+    homes = [
+        name for name, source in sources.items() for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "_integers"
+    ]
+    assert homes == ["dirichlet.py"]
+    assert [name for name, source in sources.items() if "issubdtype" in source] == []
