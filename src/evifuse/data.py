@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirichlet import _FLOAT_OVERFLOW, _integer, _integers, _numeric, _real
+from ._casts import _FLOAT_OVERFLOW, _cast_fields, _integer, _integers, _numeric, _real
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,24 +148,20 @@ MAX_PATCHES = 10_000
 class ViewGeometry:
     """Square ROI tiled by a sliding window: roi, window, stride in cells."""
 
-    roi_size: int
-    window_size: int
-    stride: int
+    roi_size: int = field(metadata={"cast": _integer})
+    window_size: int = field(metadata={"cast": _integer})
+    stride: int = field(metadata={"cast": _integer})
 
     def __post_init__(self):
-        roi = _integer(self.roi_size, "roi_size")
-        win, stride = _integer(self.window_size, "window_size"), _integer(self.stride, "stride")
-        if win < 1 or stride < 1 or roi < 1:
+        _cast_fields(self)
+        if self.window_size < 1 or self.stride < 1 or self.roi_size < 1:
             raise ValueError("geometry values must be positive")
-        if win > roi:
+        if self.window_size > self.roi_size:
             raise ValueError("window must not exceed the ROI")
-        if (roi - win) % stride != 0:
+        if (self.roi_size - self.window_size) % self.stride != 0:
             # Exact tiling only; silently cropping a ragged edge would move
             # the patch grid off the stated geometry.
             raise ValueError("(roi - window) must be divisible by stride")
-        object.__setattr__(self, "roi_size", roi)
-        object.__setattr__(self, "window_size", win)
-        object.__setattr__(self, "stride", stride)
         if self.patches_per_side**2 > MAX_PATCHES:
             raise ValueError(f"the tiling makes {self.patches_per_side**2} local patches, more than {MAX_PATCHES}")
 
@@ -217,9 +213,9 @@ class SyntheticSpec:
     """Gaussian cluster layout: one mean per (class, view), one shared scale."""
 
     means: np.ndarray  # shape (classes, views, dim)
-    scale: float
-    n_per_class: int
-    seed: int
+    scale: float = field(metadata={"cast": _real})
+    n_per_class: int = field(metadata={"cast": _integer})
+    seed: int = field(metadata={"cast": _integer})
 
     def __post_init__(self):
         means = np.array(_numeric(self.means, "means"), dtype=float)
@@ -227,17 +223,13 @@ class SyntheticSpec:
             raise ValueError("means must have shape (classes >= 2, views, dim)")
         if not np.all(np.isfinite(means)):
             raise ValueError("means must be finite")
-        scale = _real(self.scale, "scale")
-        if not np.isfinite(scale) or scale <= 0.0:
-            raise ValueError("scale must be positive")
-        n_per_class = _integer(self.n_per_class, "n_per_class")
-        if n_per_class < 1:
-            raise ValueError("n_per_class must be positive")
         means.flags.writeable = False
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "n_per_class", n_per_class)
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        _cast_fields(self)
+        if not np.isfinite(self.scale) or self.scale <= 0.0:
+            raise ValueError("scale must be positive")
+        if self.n_per_class < 1:
+            raise ValueError("n_per_class must be positive")
 
     @property
     def num_classes(self) -> int:

@@ -4,117 +4,28 @@ Everything downstream circulates the same three immutable values: a Dirichlet
 concentration vector, a base rate (prior class proportions with a prior
 weight), and a nonnegative evidence vector. They are frozen dataclasses over
 read-only numpy arrays; all operations on them are pure.
-
-Every number the package takes from a caller, a value class's field or a
-public function's argument, is read through one cast per kind of value:
-`_real`, `_integer`, `_numeric` and `_integers`. Each takes what is a number
-of its kind, in Python, numpy or parsed JSON, and raises a ValueError naming
-the field for anything else, so `float("0.4")`, `int(True)`, `int(2.7)` and a
-string array's cast to float never decide what a number is.
 """
 
 from __future__ import annotations
 
-import itertools
-import numbers
-import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import gammas
-
-# The least integer magnitude float() refuses: halfway between the largest
-# float, 2**1024 - 2**971, and 2**1024, which the tie rounds up to.
-_FLOAT_OVERFLOW = 2**1024 - 2**970
-
-
-def _is_real(value) -> bool:
-    """True for a number float() reads without overflow; False for a boolean."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    return not isinstance(value, numbers.Integral) or abs(int(value)) < _FLOAT_OVERFLOW
-
-
-def _real(value, name) -> float:
-    """`value` as a float; None, strings, booleans and containers are a ValueError."""
-    if not _is_real(value):
-        raise ValueError(f"{name} must be a real number, not {reprlib.repr(value)}")
-    return float(value)
-
-
-def _integer(value, name) -> int:
-    """`value` as an int: any integer, or an integral real such as 3.0.
-
-    2.7, inf, booleans and strings are a ValueError.
-    """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if not (_is_real(value) and float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer, not {reprlib.repr(value)}")
-    return int(value)
-
-
-def _numeric(values, name) -> np.ndarray:
-    """`values` as an array of numbers, of numpy's own dtype for them.
-
-    Python integers beyond int64 make an object array, which passes when
-    every element is a real number. Strings, booleans, None, mappings and
-    ragged nesting are a ValueError.
-    """
-    try:
-        arr = np.asarray(values)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be a regular array of numbers: {exc}") from None
-    # numpy casts a boolean among numbers to a number, so the elements of a
-    # list or tuple are checked by type too; an array's dtype tells
-    flat = values if isinstance(values, (list, tuple)) else ()
-    for _ in range(arr.ndim - 1):
-        flat = itertools.chain.from_iterable(flat)
-    kind = arr.dtype.kind
-    all_real = kind in "iuf" or (kind == "O" and all(map(_is_real, arr.flat)))
-    if not all_real or {bool, np.bool_} & set(map(type, flat)):
-        raise ValueError(f"{name} must hold only numbers, not {reprlib.repr(values)}")
-    return arr
-
-
-def _integers(values, name) -> np.ndarray:
-    """`values` as a vector of integers, each entry read by the `_integer` rule.
-
-    An integer array passes on its dtype alone; any other vector is read
-    entry by entry, so [3.0] is [3] and [2.7], [inf] or [True] is a
-    ValueError. Entries beyond int64 make an object array of Python ints.
-    """
-    arr = _numeric(values, name)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a list of integers")
-    if arr.dtype.kind in "iu":
-        return arr
-    ints = [_integer(x, f"{name} entry") for x in arr.tolist()]
-    return np.array(ints) if ints else arr.astype(np.int64)
-
-
-def _read_only(values, name, min_size=2):
-    arr = np.array(_numeric(values, name), dtype=float)
-    if arr.ndim != 1 or arr.size < min_size:
-        raise ValueError(f"{name} must be a vector with at least {min_size} components")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.flags.writeable = False
-    return arr
+from ._casts import _cast_fields, _numeric, _read_only, _real
+from .specfun import _triples
 
 
 @dataclass(frozen=True, eq=False)
 class DirichletParams:
     """Concentration vector of a Dirichlet distribution over class probabilities."""
 
-    alpha: np.ndarray
+    alpha: np.ndarray = field(metadata={"cast": _read_only})
 
     def __post_init__(self):
-        alpha = _read_only(self.alpha, "alpha")
-        if np.any(alpha <= 0.0):
+        _cast_fields(self)
+        if np.any(self.alpha <= 0.0):
             raise ValueError("alpha components must be strictly positive")
-        object.__setattr__(self, "alpha", alpha)
 
     @property
     def num_classes(self) -> int:
@@ -129,20 +40,20 @@ class BaseRate:
     correspond to the uniform unit prior alpha = a*W = 1.
     """
 
-    rates: np.ndarray
-    weight: float | None = None
+    rates: np.ndarray = field(metadata={"cast": _read_only, "name": "base rates"})
+    weight: float | None = field(default=None, metadata={"cast": _real, "name": "base rate weight"})
 
     def __post_init__(self):
-        rates = _read_only(self.rates, "base rates")
+        _cast_fields(self)
+        rates = self.rates
         if np.any(rates <= 0.0):
             raise ValueError("base rates must be strictly positive")
         if abs(rates.sum() - 1.0) > 1e-9:
             raise ValueError("base rates must sum to 1")
-        weight = _real(self.weight, "base rate weight") if self.weight is not None else float(rates.size)
-        if not np.isfinite(weight) or weight <= 0.0:
+        if self.weight is None:
+            object.__setattr__(self, "weight", float(rates.size))
+        if not np.isfinite(self.weight) or self.weight <= 0.0:
             raise ValueError("prior weight must be a positive real")
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "weight", weight)
 
     @property
     def num_classes(self) -> int:
@@ -162,13 +73,12 @@ class BaseRate:
 class EvidenceVector:
     """Nonnegative per-class evidence produced by a network head."""
 
-    evidence: np.ndarray
+    evidence: np.ndarray = field(metadata={"cast": _read_only})
 
     def __post_init__(self):
-        evidence = _read_only(self.evidence, "evidence")
-        if np.any(evidence < 0.0):
+        _cast_fields(self)
+        if np.any(self.evidence < 0.0):
             raise ValueError("evidence must be nonnegative")
-        object.__setattr__(self, "evidence", evidence)
 
     @property
     def num_classes(self) -> int:
@@ -199,7 +109,7 @@ def kl_dirichlet(p: DirichletParams, q: DirichletParams) -> float:
     if p.num_classes != q.num_classes:
         raise ValueError("KL divergence needs equal numbers of classes")
     a, b = p.alpha, q.alpha
-    return float(kl_from_gammas(a, b, *gammas(a, a.sum(axis=-1), b, b.sum(axis=-1))))
+    return float(kl_from_gammas(a, b, *_triples([a, a.sum(axis=-1), b, b.sum(axis=-1)], "gammas")))
 
 
 def kl_from_gammas(a, b, g_a, g_sa, g_b, g_sb) -> np.ndarray:
@@ -224,8 +134,19 @@ def combined_evidence(view_evidences, weight: float) -> np.ndarray:
     Folding cumulative fusion over the local views adds their evidence, L;
     the constraint step with the global view g then yields L + g + L*g/W,
     with W the prior weight (derived in `evifuse.losses`). A single view is
-    its own combination. Views are (..., K) arrays; the last one is global.
+    its own combination. Views are (..., K) arrays of one shape, the last one
+    global; other views, or a weight not finite and positive, are a ValueError.
     """
+    views, weight = _numeric(view_evidences, "view_evidences"), _real(weight, "weight")
+    if views.ndim < 2 or len(views) == 0:
+        raise ValueError("view_evidences must be one or more (..., K) arrays")
+    if not (np.isfinite(weight) and weight > 0.0):
+        raise ValueError(f"weight must be a finite positive number, not {weight}")
+    return _combined_evidence(np.asarray(views, dtype=float), weight)
+
+
+def _combined_evidence(view_evidences, weight: float) -> np.ndarray:
+    """`combined_evidence` of views and a weight that the caller checked."""
     *local, glob = view_evidences
     if not local:
         return np.asarray(glob, dtype=float)

@@ -26,22 +26,13 @@ differences, and the opinion-space chain kept in the tests, are the referees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirichlet import (
-    BaseRate,
-    DirichletParams,
-    EvidenceVector,
-    _integer,
-    _integers,
-    _numeric,
-    _real,
-    combined_evidence,
-    kl_from_gammas,
-)
-from .specfun import gammas
+from ._casts import _cast_fields, _integer, _integers, _numeric, _real
+from .dirichlet import BaseRate, DirichletParams, EvidenceVector, _combined_evidence, kl_from_gammas
+from .specfun import _triples
 
 # Floor for alpha, applied once before any loss argument is formed: the ICE
 # arguments (S, alpha_label) and the masked alpha all come from the floored
@@ -55,14 +46,13 @@ _ALPHA_FLOOR = 1e-8
 class LossConfig:
     """Balance factor lam in [0, 1] and the non-evidence prior beta = a*W."""
 
-    lam: float
+    lam: float = field(metadata={"cast": _real})
     beta: DirichletParams
 
     def __post_init__(self):
-        lam = _real(self.lam, "lam")
-        if not np.isfinite(lam) or lam < 0.0 or lam > 1.0:
+        _cast_fields(self)
+        if not np.isfinite(self.lam) or self.lam < 0.0 or self.lam > 1.0:
             raise ValueError("balance factor must lie in [0, 1]")
-        object.__setattr__(self, "lam", lam)
 
 
 def annealed_lambda(epoch: int, annealing_epochs: int) -> float:
@@ -90,7 +80,7 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _special(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray, grad: bool = True):
-    """The loss arguments of alpha (..., K) and their `gammas`, from one call.
+    """The loss arguments of alpha (..., K) and their `gammas`, from one `_triples` call.
 
     The arguments are S, alpha_label, the masked alpha (the floored alpha
     with its label entry replaced by beta's), its sum, beta and sum(beta).
@@ -100,7 +90,7 @@ def _special(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray, grad: bool = 
     masked = np.where(hot, beta, a)
     args = (a.sum(axis=-1), np.where(hot, a, 0.0).sum(axis=-1),
             masked, masked.sum(axis=-1), beta, beta.sum())
-    return args, gammas(*args, with_trigamma=grad)
+    return args, _triples(args, "gammas", grad)
 
 
 def _values(args, g):
@@ -208,7 +198,7 @@ def _overall(stacked: np.ndarray, hot: np.ndarray, base_rate: BaseRate, cfg: Los
     the same bits, so its losses equal the gradient pass's bit for bit.
     """
     w = base_rate.weight
-    alphas = np.concatenate([stacked, combined_evidence(stacked, w)[None]]) + base_rate.rates * w
+    alphas = np.concatenate([stacked, _combined_evidence(stacked, w)[None]]) + base_rate.rates * w
     diverged = np.flatnonzero(~np.isfinite(alphas.sum(axis=(0, 2))))
     alphas[:, diverged] = 1.0
     stacked[:, diverged] = 0.0

@@ -13,11 +13,11 @@ are flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirichlet import _integer, _integers, _numeric, _real
+from ._casts import _cast_fields, _integer, _integers, _numeric, _real
 
 _UNIT_TOL = 1e-9
 
@@ -38,20 +38,16 @@ def check_unit_interval(name: str, values) -> None:
 class EvalRecord:
     """One evaluated sample: prediction, its confidence, uncertainty, truth."""
 
-    predicted: int
-    confidence: float
-    uncertainty: float
-    label: int
+    predicted: int = field(metadata={"cast": _integer})
+    confidence: float = field(metadata={"cast": _real})
+    uncertainty: float = field(metadata={"cast": _real})
+    label: int = field(metadata={"cast": _integer})
     id: str
 
     def __post_init__(self):
-        conf, u = _real(self.confidence, "confidence"), _real(self.uncertainty, "uncertainty")
-        check_unit_interval("confidence", conf)
-        check_unit_interval("uncertainty", u)
-        object.__setattr__(self, "predicted", _integer(self.predicted, "predicted"))
-        object.__setattr__(self, "confidence", conf)
-        object.__setattr__(self, "uncertainty", u)
-        object.__setattr__(self, "label", _integer(self.label, "label"))
+        _cast_fields(self)
+        check_unit_interval("confidence", self.confidence)
+        check_unit_interval("uncertainty", self.uncertainty)
         object.__setattr__(self, "id", str(self.id))
 
     @property

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
+from ._casts import _cast_fields, _integer, _integers, _numeric, _real
 from .data import MultiViewDataset, MultiViewSample, read_json
-from .dirichlet import BaseRate, DirichletParams, EvidenceVector, _integer, _integers, _numeric, _real, combined_evidence
+from .dirichlet import BaseRate, DirichletParams, EvidenceVector, _combined_evidence
 from .losses import LossConfig, _one_hot, _overall, annealed_lambda
 from .metrics import check_unit_interval
 from .opinions import dirichlet_from_evidence, opinion_from_dirichlet
@@ -51,51 +52,39 @@ class NonFiniteEvidence(RuntimeError):
 class ModelConfig:
     """Shape and optimization settings for an evidential model."""
 
-    num_classes: int
-    num_views: int
-    view_dims: tuple
-    hidden: tuple = (32,)
-    prior_weight: float | None = None  # W; defaults to num_classes
-    learning_rate: float = 1e-4
-    epochs: int = 200
-    batch_size: int = 32
-    anneal_epochs: int | None = None  # defaults to epochs
-    seed: int = 0
+    num_classes: int = field(metadata={"cast": _integer})
+    num_views: int = field(metadata={"cast": _integer})
+    view_dims: tuple = field(metadata={"cast": _integers, "tuple": True})
+    hidden: tuple = field(default=(32,), metadata={"cast": _integers, "tuple": True})
+    prior_weight: float | None = field(default=None, metadata={"cast": _real})  # W; defaults to num_classes
+    learning_rate: float = field(default=1e-4, metadata={"cast": _real})
+    epochs: int = field(default=200, metadata={"cast": _integer})
+    batch_size: int = field(default=32, metadata={"cast": _integer})
+    anneal_epochs: int | None = field(default=None, metadata={"cast": _integer})  # defaults to epochs
+    seed: int = field(default=0, metadata={"cast": _integer})
 
     def __post_init__(self):
-        k, v = _integer(self.num_classes, "num_classes"), _integer(self.num_views, "num_views")
-        if k < 2:
+        _cast_fields(self)
+        if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        if v < 2:
+        if self.num_views < 2:
             raise ValueError("need at least two views")
-        dims = tuple(_integers(self.view_dims, "view_dims").tolist())
-        if len(dims) != v or any(d < 1 for d in dims):
+        if len(self.view_dims) != self.num_views or any(d < 1 for d in self.view_dims):
             raise ValueError("view_dims must list one positive dimension per view")
-        hidden = tuple(_integers(self.hidden, "hidden").tolist())
-        if any(h < 1 for h in hidden):
+        if any(h < 1 for h in self.hidden):
             raise ValueError("hidden layer sizes must be positive")
-        w = _real(self.prior_weight, "prior_weight") if self.prior_weight is not None else float(k)
-        if not np.isfinite(w) or w <= 0.0:
+        if self.prior_weight is None:
+            object.__setattr__(self, "prior_weight", _real(self.num_classes, "num_classes"))
+        if not np.isfinite(self.prior_weight) or self.prior_weight <= 0.0:
             raise ValueError("prior weight must be positive")
-        lr = _real(self.learning_rate, "learning_rate")
-        if not np.isfinite(lr) or lr < 0.0:
-            raise ValueError(f"learning rate must be finite and nonnegative, not {lr}")
-        epochs, batch_size = _integer(self.epochs, "epochs"), _integer(self.batch_size, "batch_size")
-        if epochs < 0 or batch_size < 1:
+        if not np.isfinite(self.learning_rate) or self.learning_rate < 0.0:
+            raise ValueError(f"learning rate must be finite and nonnegative, not {self.learning_rate}")
+        if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epochs/batch_size")
-        anneal = _integer(self.anneal_epochs, "anneal_epochs") if self.anneal_epochs is not None else max(1, epochs)
-        if anneal < 1:
+        if self.anneal_epochs is None:
+            object.__setattr__(self, "anneal_epochs", max(1, self.epochs))
+        if self.anneal_epochs < 1:
             raise ValueError("anneal_epochs must be at least 1")
-        object.__setattr__(self, "num_classes", k)
-        object.__setattr__(self, "num_views", v)
-        object.__setattr__(self, "view_dims", dims)
-        object.__setattr__(self, "hidden", hidden)
-        object.__setattr__(self, "prior_weight", w)
-        object.__setattr__(self, "learning_rate", lr)
-        object.__setattr__(self, "epochs", epochs)
-        object.__setattr__(self, "batch_size", batch_size)
-        object.__setattr__(self, "anneal_epochs", anneal)
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -168,13 +157,12 @@ class EvidenceHead:
             biases.append(rng.uniform(-r, r, size=fan_out))
         return cls(weights, biases)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evidence for (N, d) features as (N, K); a 1-d input gives (K,)."""
-        return self.forward_cached(x)[0]
+    def forward(self, x) -> np.ndarray:
+        """Evidence for (N, d) features as (N, K), (K,) for a 1-d input; non-numbers are a ValueError."""
+        return self.forward_cached(np.asarray(_numeric(x, "features"), dtype=float))[0]
 
     def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping activations for backward()."""
-        x = np.asarray(x, dtype=float)
+        """Forward pass keeping activations for backward(), on a float array the caller checked."""
         acts = [x]
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -337,7 +325,7 @@ def _by_view(model: EvidentialModel, outputs) -> np.ndarray:
 
 def _view_evidences(model: EvidentialModel, stacked) -> np.ndarray:
     """(V, N, K) evidence from stacked features, one head pass per stack."""
-    return _by_view(model, [stack.forward(x) for stack, x in zip(model._stacks, stacked)])
+    return _by_view(model, [stack.forward_cached(x)[0] for stack, x in zip(model._stacks, stacked)])
 
 
 def forward(model: EvidentialModel, sample: MultiViewSample):
@@ -348,7 +336,7 @@ def forward(model: EvidentialModel, sample: MultiViewSample):
     view_opinions = [
         opinion_from_dirichlet(dirichlet_from_evidence(e, base), base) for e in evidences
     ]
-    fused = EvidenceVector(combined_evidence([e.evidence for e in evidences], base.weight))
+    fused = EvidenceVector(_combined_evidence([e.evidence for e in evidences], base.weight))
     alpha = dirichlet_from_evidence(fused, base)
     return evidences, view_opinions, opinion_from_dirichlet(alpha, base), alpha
 
@@ -373,7 +361,7 @@ def evaluate(model: EvidentialModel, data, override: BaseRate | None = None):
     if anchor.num_classes != base.num_classes:
         raise ValueError("base rate override and model disagree on the number of classes")
     ds = _dataset(model, data)
-    fused = combined_evidence(_view_evidences(model, _stacked(model, ds.views)), base.weight)
+    fused = _combined_evidence(_view_evidences(model, _stacked(model, ds.views)), base.weight)
     strength = fused.sum(axis=1)
     alpha = fused + anchor.rates * base.weight
     total = alpha.sum(axis=1, keepdims=True)

@@ -16,11 +16,12 @@ opinions and applies one constraint fusion with the global view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirichlet import BaseRate, DirichletParams, _read_only, _real
+from ._casts import _cast_fields, _read_only, _real
+from .dirichlet import BaseRate, DirichletParams
 # alpha = e + a*W, zero evidence giving the bare prior, is the map that
 # re-anchors evidence to a new prior, so one body serves both names.
 from .dirichlet import rebase as dirichlet_from_evidence
@@ -37,20 +38,18 @@ class FusionConflictError(ValueError):
 class Opinion:
     """Belief masses per class plus uncertainty mass, summing to 1."""
 
-    beliefs: np.ndarray
-    uncertainty: float
+    beliefs: np.ndarray = field(metadata={"cast": _read_only})
+    uncertainty: float = field(metadata={"cast": _real})
 
     def __post_init__(self):
-        beliefs = _read_only(self.beliefs, "beliefs")
-        u = _real(self.uncertainty, "uncertainty")
+        _cast_fields(self)
+        beliefs, u = self.beliefs, self.uncertainty
         if np.any(beliefs < -_CLOSURE_TOL) or np.any(beliefs > 1.0 + _CLOSURE_TOL):
             raise ValueError("belief masses must lie in [0, 1]")
         if not np.isfinite(u) or u < -_CLOSURE_TOL or u > 1.0 + _CLOSURE_TOL:
             raise ValueError("uncertainty mass must lie in [0, 1]")
         if abs(u + beliefs.sum() - 1.0) > _CLOSURE_TOL:
             raise ValueError("uncertainty and beliefs must sum to 1")
-        object.__setattr__(self, "beliefs", beliefs)
-        object.__setattr__(self, "uncertainty", u)
 
     @property
     def num_classes(self) -> int:

@@ -14,12 +14,15 @@ floors are the caller's policy.
 `gammas` serves callers that need several quantities of several arrays: one
 validated kernel pass over their concatenation, which can leave psi' out.
 `ln_gamma`, `digamma` and `trigamma` are views of it that accept scalars or
-arrays and return matching shapes.
+arrays and return matching shapes. All four cast their arguments through
+`_casts._numeric`; the library's own callers call the unchecked `_triples`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ._casts import _numeric
 
 _LIFT = 10  # arguments below this are lifted by exactly this many steps
 _HALF_LOG_2PI = 0.9189385332046727  # 0.5*ln(2*pi)
@@ -163,10 +166,10 @@ def gammas(*arrays, with_trigamma: bool = True) -> list:
     `with_trigamma=False` each is a (ln Gamma, psi) pair instead, for a
     caller that needs no derivative; the pair's bits equal the triple's
     first two entries, and the pass skips the psi' series and lift terms.
-    Raises ValueError if any element is not finite or not strictly
-    positive.
+    Raises ValueError if an argument is not an array of numbers, or any
+    element is not finite or not strictly positive.
     """
-    return _triples(arrays, "gammas", with_trigamma)
+    return _triples([_numeric(a, "gammas argument") for a in arrays], "gammas", with_trigamma)
 
 
 def ln_gamma(x):
@@ -176,14 +179,14 @@ def ln_gamma(x):
     in the immediate neighborhood of the zeros at x = 1 and x = 2 where the
     error is absolute (~1e-15).
     """
-    return _triples([x], "ln_gamma", False)[0][0]
+    return _triples([_numeric(x, "ln_gamma argument")], "ln_gamma", False)[0][0]
 
 
 def digamma(x):
     """Digamma psi(x), the logarithmic derivative of the gamma function."""
-    return _triples([x], "digamma", False)[0][1]
+    return _triples([_numeric(x, "digamma argument")], "digamma", False)[0][1]
 
 
 def trigamma(x):
     """Trigamma psi'(x), the derivative of digamma."""
-    return _triples([x], "trigamma")[0][2]
+    return _triples([_numeric(x, "trigamma argument")], "trigamma")[0][2]

@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evifuse._casts import _FLOAT_OVERFLOW, _integer, _integers, _numeric, _read_only, _real
 from evifuse.dirichlet import (
-    _FLOAT_OVERFLOW,
     BaseRate,
     DirichletParams,
     EvidenceVector,
-    _integer,
-    _integers,
-    _numeric,
-    _read_only,
-    _real,
+    combined_evidence,
     expected_probabilities,
     kl_dirichlet,
     predict_class,
@@ -35,6 +31,7 @@ from evifuse.losses import LossConfig, annealed_lambda, ice_loss
 from evifuse.metrics import EvalRecord, auc_binary, check_percentile, ood_detect, report_from_arrays
 from evifuse.model import EvidenceHead, compute_base_rate
 from evifuse.opinions import dirichlet_from_evidence, opinion_from_dirichlet
+from evifuse.specfun import ln_gamma, trigamma
 
 from oracles import kl_dirichlet_quadrature
 
@@ -212,6 +209,15 @@ class TestEveryReaderCasts:
         (lambda: check_percentile("50"), "percentile must be a real number, not '50'"),
         (lambda: auc_binary([0.1, 0.9], [0.0, 0.5]), "labels entry must be an integer, not 0.5"),
         (lambda: EvidenceHead.initialize(2.5, (3,), 2, np.random.default_rng(0)), "in_dim must be an integer, not 2.5"),
+        # public functions check, while the private twins the library's loops call trust
+        (lambda: combined_evidence([["1", "2"]], 2.0), "view_evidences must hold only numbers, not [['1', '2']]"),
+        (lambda: combined_evidence([[1.0, 2.0], [3.0, 4.0]], None), "weight must be a real number, not None"),
+        (lambda: combined_evidence([[1.0, 2.0]], 0.0), "weight must be a finite positive number, not 0.0"),
+        (lambda: combined_evidence([], 2.0), "view_evidences must be one or more (..., K) arrays"),
+        (lambda: EvidenceHead([np.ones((2, 2))], [np.ones(2)]).forward(["1", "2"]),
+         "features must hold only numbers, not ['1', '2']"),
+        (lambda: ln_gamma("3"), "ln_gamma argument must hold only numbers, not '3'"),
+        (lambda: trigamma(True), "trigamma argument must hold only numbers, not True"),
     ])
     def test_a_bad_number_is_a_value_error_naming_its_field(self, make, match):
         with pytest.raises(ValueError, match=f"^{re.escape(match)}"):

@@ -340,13 +340,13 @@ class TestOverall:
         import evifuse.losses as losses_module
 
         calls = []
-        real = losses_module.gammas
+        real = losses_module._triples
 
-        def spy(*a, **kw):
-            calls.append((a, kw))
-            return real(*a, **kw)
+        def spy(arrays, name, trig=True):
+            calls.append((arrays, trig))
+            return real(arrays, name, trig)
 
-        monkeypatch.setattr(losses_module, "gammas", spy)
+        monkeypatch.setattr(losses_module, "_triples", spy)
         base, cfg, evidences, labels = _random_batch(np.random.default_rng(3), "dense")
         overall_loss_and_grad(evidences, base, labels, cfg)
         assert len(calls) == 1
@@ -357,7 +357,7 @@ class TestOverall:
         sizes = [sum(np.size(a) for a in args) for args, _ in calls]
         assert sizes == [(v + 1) * n * (k + 3) + k + 1] * 2
         # only the gradient pass reads psi'
-        assert [kw.get("with_trigamma", True) for _, kw in calls] == [True, False]
+        assert [trig for _, trig in calls] == [True, False]
 
     def test_rejects_bad_batches(self):
         base = BaseRate([0.5, 0.5], weight=2.0)

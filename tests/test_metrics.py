@@ -122,13 +122,14 @@ class TestEce:
 
 
 class TestCheckNumBins:
-    @pytest.mark.parametrize("num_bins", [1, 10, MAX_BINS])
+    @pytest.mark.parametrize("num_bins", [1, 10, MAX_BINS, 10_000])
     def test_accepts_the_closed_range(self, num_bins):
-        check_num_bins(num_bins)
+        assert check_num_bins(num_bins) == num_bins
 
     @pytest.mark.parametrize("num_bins,match", [
         (0, "need at least one bin"), (-3, "need at least one bin"),
         (MAX_BINS + 1, f"need at most {MAX_BINS} bins, not {MAX_BINS + 1}"),
+        (10_001, "need at most 10000 bins, not 10001"),
     ])
     def test_rejects_outside_it(self, num_bins, match):
         with pytest.raises(ValueError, match=match):
@@ -233,6 +234,12 @@ class TestOodDetect:
         assert res.threshold == pytest.approx(0.5, abs=1e-12)
         assert not res.flags.any()
 
+    def test_one_row_validation_pool(self):
+        # pooled scaled values 0 | .5, 1; threshold = median .5
+        res = ood_detect([0.1], [0.5, 0.9])
+        assert np.array_equal(res.val_flags, [False]) and np.array_equal(res.flags, [False, True])
+        assert res.detection_accuracy == 2 / 3
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(4)
         val = rng.uniform(0.0, 0.4, 80)
@@ -248,6 +255,8 @@ class TestOodDetect:
             ood_detect([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValueError):
             ood_detect([], [0.5])
+        with pytest.raises(ValueError, match="both uncertainty pools must be nonempty"):
+            ood_detect([], [0.1, 0.5])
         with pytest.raises(ValueError):
             ood_detect([0.1], [0.5], percentile=120.0)
 
@@ -267,6 +276,11 @@ class TestReport:
         assert report["auc"] == pytest.approx(auc_binary(scores, [1, 0, 0, 1]), abs=1e-15)
         assert sum(b["count"] for b in report["bins"]) == 4
         assert report["bins"][0]["lo"] == 0.0 and report["bins"][-1]["hi"] == 1.0
+
+    def test_ten_bins_by_default(self):
+        records = make_records((0.55, 0.95), (True, False))
+        assert metrics_report(records) == metrics_report(records, 10)
+        assert len(metrics_report(records)["bins"]) == 10
 
     def test_empty_bins_report_none(self):
         report = metrics_report(make_records((0.95,), (True,)), 10)

@@ -728,13 +728,15 @@ class TestFit:
         model = EvidentialModel.initialize(cfg, compute_base_rate(train.labels(), 2))
         fit(model, train, valid)
         batches, blocks = -(-20 // 8), -(-20 // 7) + -(-9 // 7)
+        # the library's own passes trust their arrays, so they skip forward's check
+        assert counts["forward"] == 0
         assert counts["backward"] == stacks * cfg.epochs * batches
-        assert counts["forward"] == stacks * cfg.epochs * blocks  # the per-epoch evaluation
-        assert counts["forward_cached"] == counts["backward"] + counts["forward"]
+        # plus the per-epoch evaluation
+        assert counts["forward_cached"] == counts["backward"] + stacks * cfg.epochs * blocks
 
-        counts.update(forward=0, forward_cached=0)
+        counts.update(forward_cached=0)
         evaluate(model, valid)
-        assert counts["forward"] == stacks
+        assert counts == {"forward": 0, "forward_cached": stacks, "backward": stacks * cfg.epochs * batches}
 
     def test_dataset_shape_must_match(self):
         train, valid = blob_data(6, 10), blob_data(7, 5)
@@ -845,6 +847,26 @@ class TestMetamorphic:
         assert (report2.train_acc, report2.valid_acc) == (report.train_acc, report.valid_acc)
         for got, want in [(report2.train_loss, report.train_loss), (report2.valid_loss, report.valid_loss),
                           (uncertainty2, uncertainty), (probs2, probs[:, order])]:
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+    @settings(max_examples=5)
+    @given(seed=problems["seed"], num_classes=problems["num_classes"],
+           dims=st.lists(st.integers(1, 3), min_size=4, max_size=4).map(tuple))
+    def test_a_cyclic_shift_of_three_local_views_with_their_heads(self, seed, num_classes, dims):
+        # the local views sum in view order, and (a + b) + c need not equal
+        # (b + c) + a, so outputs agree up to rounding, within the relabelling bound
+        cfg, base, heads, views, labels = self.problem(seed, num_classes, dims)
+        order = [1, 2, 0, 3]
+        shifted = ModelConfig(**{**cfg.to_dict(), "view_dims": tuple(dims[v] for v in order)})
+        report, (predicted, uncertainty, probs) = self.fit_and_score(heads, base, cfg, views, labels)
+        report2, (predicted2, uncertainty2, probs2) = self.fit_and_score(
+            [heads[v] for v in order], base, shifted, [views[v] for v in order], labels
+        )
+        assert np.array_equal(predicted2, predicted)
+        assert (report2.train_acc, report2.valid_acc) == (report.train_acc, report.valid_acc)
+        for got, want in [(report2.train_loss, report.train_loss), (report2.valid_loss, report.valid_loss),
+                          (uncertainty2, uncertainty), (probs2, probs)]:
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 

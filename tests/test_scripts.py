@@ -171,13 +171,13 @@ def test_cast_error_catch_finder():
     "path", sorted((SCRIPTS.parent / "src" / "evifuse").glob("*.py")), ids=lambda p: p.name,
 )
 def test_library_catches_no_cast_error(path):
-    # the value classes cast through evifuse.dirichlet's _real, _integer and
+    # the value classes cast through evifuse._casts' _real, _integer and
     # _numeric, which raise ValueError; a loader that catches TypeError or
     # OverflowError would be deciding again what a number is
     assert cast_error_catches(path.read_text()) == []
 
 
-# The casts of evifuse.dirichlet; what one of them returns is already decided.
+# The casts of evifuse._casts; what one of them returns is already decided.
 CAST_SET = {"_real", "_integer", "_numeric", "_integers", "_read_only"}
 
 
@@ -236,12 +236,63 @@ def test_value_classes_cast_fields_only_through_the_cast_set(path):
 
 
 def test_integer_lists_have_one_cast():
-    # dirichlet._integers reads every integer list and label vector; no module
+    # _casts._integers reads every integer list and label vector; no module
     # keeps a dtype check of its own that would disagree with it
     sources = {p.name: p.read_text() for p in (SCRIPTS.parent / "src" / "evifuse").glob("*.py")}
     homes = [
         name for name, source in sources.items() for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.FunctionDef) and node.name == "_integers"
     ]
-    assert homes == ["dirichlet.py"]
+    assert homes == ["_casts.py"]
     assert [name for name, source in sources.items() if "issubdtype" in source] == []
+
+
+def imported_modules(source):
+    """(level, module) of every import: level 0 is absolute, 1 is `from .`, and
+    `from . import a` gives (1, "a")."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(0, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.level, node.module)] if node.module else [(node.level, a.name) for a in node.names]
+    return found
+
+
+def declared_casts(source):
+    """(class, field, cast) of every field declared as `field(metadata={"cast": cast, ...})`."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            call = getattr(stmt, "value", None)
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(call, ast.Call)):
+                continue
+            for kw in call.keywords:
+                if kw.arg == "metadata" and isinstance(kw.value, ast.Dict):
+                    casts = [v for k, v in zip(kw.value.keys, kw.value.values) if getattr(k, "value", None) == "cast"]
+                    found += [(cls.name, stmt.target.id, getattr(v, "id", ast.dump(v))) for v in casts]
+    return found
+
+
+def test_one_cast_module_under_everything():
+    assert imported_modules("import a.b\nfrom .c import d\nfrom . import e, f\n") == [
+        (0, "a.b"), (1, "c"), (1, "e"), (1, "f")]
+    assert declared_casts(
+        "class A:\n    x: int = field(metadata={'cast': _integer})\n    y: int = field(default=0)\n"
+        "    z: str = field(metadata={'name': 'z', 'cast': str})\n"
+    ) == [("A", "x", "_integer"), ("A", "z", "str")]
+
+    sources = {p.stem: p.read_text() for p in (SCRIPTS.parent / "src" / "evifuse").glob("*.py")}
+    # _casts sits below every module: the standard library and numpy only
+    assert [m for level, m in imported_modules(sources["_casts"])
+            if level or m.split(".")[0] not in {*sys.stdlib_module_names, "numpy"}] == []
+    for name in ("specfun", "data", "metrics"):
+        assert not {(1, "dirichlet"), (0, "evifuse.dirichlet")} & set(imported_modules(sources[name])), name
+    declared = [d for source in sources.values() for d in declared_casts(source)]
+    assert {cls for cls, _, _ in declared} == {
+        "DirichletParams", "BaseRate", "EvidenceVector", "Opinion", "ViewGeometry", "SyntheticSpec",
+        "LossConfig", "EvalRecord", "ModelConfig",
+    }
+    assert [d for d in declared if d[2] not in CAST_SET] == []
