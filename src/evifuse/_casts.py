@@ -7,7 +7,8 @@ of its kind, in Python, numpy or parsed JSON, and raises a ValueError naming
 the field for anything else, so `float("0.4")`, `int(True)`, `int(2.7)` and a
 string array's cast to float never decide what a number is. A public
 function checks, then calls a private twin that trusts; the library's own
-loops call the twins.
+loops call the twins. Every JSON object the package reads is read by one
+reader, `_object`, which refuses an unknown key and a missing required one.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numbers
 import reprlib
 
 import numpy as np
+
+_MIN_CLASSES = 2  # the fewest components of a class vector
 
 # The least integer magnitude float() refuses: halfway between the largest
 # float, 2**1024 - 2**971, and 2**1024, which the tie rounds up to.
@@ -89,10 +92,10 @@ def _integers(values, name) -> np.ndarray:
     return np.array(ints) if ints else arr.astype(np.int64)
 
 
-def _read_only(values, name, min_size=2):
+def _read_only(values, name):
     arr = np.array(_numeric(values, name), dtype=float)
-    if arr.ndim != 1 or arr.size < min_size:
-        raise ValueError(f"{name} must be a vector with at least {min_size} components")
+    if arr.ndim != 1 or arr.size < _MIN_CLASSES:
+        raise ValueError(f"{name} must be a vector with at least {_MIN_CLASSES} components")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     arr.flags.writeable = False
@@ -108,3 +111,24 @@ def _cast_fields(obj) -> None:
         if cast is not None and (value is not None or f.default is not None):
             value = cast(value, f.metadata.get("name", f.name))
             object.__setattr__(obj, f.name, tuple(value.tolist()) if f.metadata.get("tuple") else value)
+
+
+def _object(value, name, required, optional) -> dict:
+    """`value`, a parsed JSON object that holds every key of `required` and no key outside it and
+    the mapping `optional`, as a new dict in which each absent key of `optional` has its default."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object")
+    for key in value:
+        if key not in optional and key not in required:
+            raise ValueError(f"unknown {name} key {key!r}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{name} is missing {key!r}")
+    return {**optional, **value}
+
+
+def _field_keys(cls) -> tuple:
+    """`_object`'s `required` and `optional` for a record of dataclass `cls`: the fields without a
+    default, and the others with theirs."""
+    optional = {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    return [f.name for f in dataclasses.fields(cls) if f.name not in optional], optional

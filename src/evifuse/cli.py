@@ -32,6 +32,7 @@ import numpy as np
 
 from . import data as datamod
 from . import metrics as metricsmod
+from ._casts import _object
 from .dirichlet import BaseRate, expected_probabilities, predict_class
 from .model import (
     EvidentialModel,
@@ -102,29 +103,19 @@ def _emit(obj):
 def _config_section(ctx: click.Context, config_path: str) -> dict:
     """The invoked subcommand's config section, its values cast by each option's type.
 
-    Every top-level key must name a subcommand. Null values are dropped, so
-    they mean the declared default. Every option takes a number or a string
-    (none is a flag), so a boolean, list or object is rejected, and so is a
-    non-integral number for an integer option, which click's cast would
-    truncate. `seed` is allowed in every section and cast by the group's own
-    `--seed`.
+    Every top-level key must name a subcommand and every section key one of
+    its parameters or `seed`, which is cast by the group's own `--seed`.
+    Null values are dropped, so they mean the declared default. Every option
+    takes a number or a string (none is a flag), so a boolean, list or object
+    is rejected, and so is a non-integral number for an integer option,
+    which click's cast would truncate.
     """
-    config = datamod.read_json(config_path)
-    if not isinstance(config, dict):
-        raise ValueError(f"{config_path}: config root must be an object")
-    for key in config:
-        if key not in ctx.command.commands:
-            raise ValueError(f"{config_path}: config section {key!r} names no subcommand")
+    config = _object(datamod.read_json(config_path), "config file", (), dict.fromkeys(ctx.command.commands, {}))
     name = ctx.invoked_subcommand
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name!r} must be an object")
     params = {p.name: p for p in ctx.command.commands[name].params}
     params["seed"] = next(p for p in ctx.command.params if p.name == "seed")
     values = {}
-    for key, value in section.items():
-        if key not in params:
-            raise ValueError(f"config section {name!r} has unknown key {key!r}")
+    for key, value in _object(config[name], f"config section {name!r}", (), dict.fromkeys(params)).items():
         where = f"config section {name!r} key {key!r}"
         if isinstance(value, (list, dict, bool)):
             raise ValueError(f"{where}: expected a number or a string, got {json.dumps(value)}")

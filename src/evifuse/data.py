@@ -232,14 +232,6 @@ class SyntheticSpec:
             raise ValueError("n_per_class must be positive")
 
     @property
-    def num_classes(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def num_views(self) -> int:
-        return self.means.shape[1]
-
-    @property
     def view_dim(self) -> int:
         return self.means.shape[2]
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._casts import _cast_fields, _numeric, _read_only, _real
+from ._casts import _cast_fields, _field_keys, _numeric, _object, _read_only, _real
 from .specfun import _triples
 
 
@@ -64,9 +64,7 @@ class BaseRate:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BaseRate":
-        if not isinstance(obj, dict) or "rates" not in obj:
-            raise ValueError('base rate object needs a "rates" list')
-        return cls(obj["rates"], obj.get("weight"))
+        return cls(**_object(obj, "base rate", *_field_keys(cls)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,13 +133,16 @@ def combined_evidence(view_evidences, weight: float) -> np.ndarray:
     the constraint step with the global view g then yields L + g + L*g/W,
     with W the prior weight (derived in `evifuse.losses`). A single view is
     its own combination. Views are (..., K) arrays of one shape, the last one
-    global; other views, or a weight not finite and positive, are a ValueError.
+    global; other views, negative evidence, or a weight not finite and
+    positive, are a ValueError.
     """
     views, weight = _numeric(view_evidences, "view_evidences"), _real(weight, "weight")
     if views.ndim < 2 or len(views) == 0:
         raise ValueError("view_evidences must be one or more (..., K) arrays")
     if not (np.isfinite(weight) and weight > 0.0):
         raise ValueError(f"weight must be a finite positive number, not {weight}")
+    if np.any(views < 0.0):
+        raise ValueError("evidence must be nonnegative")
     return _combined_evidence(np.asarray(views, dtype=float), weight)
 
 

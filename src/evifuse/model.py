@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ._casts import _cast_fields, _integer, _integers, _numeric, _real
+from ._casts import _cast_fields, _field_keys, _integer, _integers, _numeric, _object, _real
 from .data import MultiViewDataset, MultiViewSample, read_json
 from .dirichlet import BaseRate, DirichletParams, EvidenceVector, _combined_evidence
 from .losses import LossConfig, _one_hot, _overall, annealed_lambda
@@ -30,6 +30,7 @@ from .opinions import dirichlet_from_evidence, opinion_from_dirichlet
 
 CHECKPOINT_FORMAT = "evifuse-model"
 CHECKPOINT_VERSION = 1
+_DOCUMENT_KEYS = ("format", "version", "config", "base_rate", "heads")
 
 # Row-block size of the per-epoch evaluation, in special-function arguments.
 # A loss-only call over r rows hands specfun's kernel (V+1) * r * (K + 3)
@@ -91,19 +92,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
-        """The config a `to_dict` record describes; an absent optional key takes its default.
-
-        A key that names no field, or a missing key of a field without a
-        default, is a ValueError naming it.
-        """
-        declared = {f.name: f for f in fields(cls)}
-        for key in obj:
-            if key not in declared:
-                raise ValueError(f"unknown config key {key!r}")
-        for name, f in declared.items():
-            if name not in obj and f.default is MISSING:
-                raise ValueError(f"missing key {name!r}")
-        return cls(**obj)
+        """The config a `to_dict` record describes; an absent optional key takes its default."""
+        return cls(**_object(obj, "config", *_field_keys(cls)))
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -533,18 +523,15 @@ def save_checkpoint(model: EvidentialModel, path) -> None:
 
 def _head_from_doc(head_doc) -> EvidenceHead:
     """A checkpoint's JSON head as arrays; the model's constructor checks them."""
-    layers = head_doc.get("layers") if isinstance(head_doc, dict) else None
-    if not (isinstance(layers, list) and layers and all(isinstance(layer, dict) for layer in layers)):
+    layers = _object(head_doc, "head", ("layers",), {})["layers"]
+    if not (isinstance(layers, list) and layers):
         raise ValueError("a head needs a nonempty list of layer objects")
-    return EvidenceHead([layer.get("weights") for layer in layers], [layer.get("bias") for layer in layers])
+    layers = [_object(layer, f"layer {i}", ("weights", "bias"), {}) for i, layer in enumerate(layers)]
+    return EvidenceHead([layer["weights"] for layer in layers], [layer["bias"] for layer in layers])
 
 
-def _model_from_doc(doc: dict) -> EvidentialModel:
-    for key in ("config", "base_rate", "heads"):
-        if key not in doc:
-            raise ValueError(f"missing {key!r}")
-    if not isinstance(doc["config"], dict):
-        raise ValueError("'config' is not an object")
+def _model_from_doc(doc) -> EvidentialModel:
+    doc = _object(doc, "document", _DOCUMENT_KEYS, {})
     config = ModelConfig.from_dict(doc["config"])
     base = BaseRate.from_dict(doc["base_rate"])
     if not isinstance(doc["heads"], list):
@@ -565,10 +552,16 @@ def load_checkpoint(path) -> EvidentialModel:
     well-formed checkpoint of this format and version.
     """
     doc = read_json(path, "checkpoint")
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+    # the format and version before the rest, so that another program's
+    # document, or another version's, is named as such
+    try:
+        stamp = _object(doc, "checkpoint", (), dict.fromkeys(_DOCUMENT_KEYS))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if stamp["format"] != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not an evidential model checkpoint")
-    if _integer(doc.get("version"), f"{path}: checkpoint version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
+    if _integer(stamp["version"], f"{path}: checkpoint version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {stamp['version']}")
     try:
         return _model_from_doc(doc)
     except ValueError as exc:

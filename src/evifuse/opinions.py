@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._casts import _cast_fields, _read_only, _real
+from ._casts import _cast_fields, _field_keys, _object, _read_only, _real
 from .dirichlet import BaseRate, DirichletParams
 # alpha = e + a*W, zero evidence giving the bare prior, is the map that
 # re-anchors evidence to a new prior, so one body serves both names.
@@ -68,9 +68,7 @@ class Opinion:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Opinion":
-        if not isinstance(obj, dict) or "beliefs" not in obj or "uncertainty" not in obj:
-            raise ValueError('opinion object needs "beliefs" and "uncertainty"')
-        return cls(obj["beliefs"], obj["uncertainty"])
+        return cls(**_object(obj, "opinion", *_field_keys(cls)))
 
 
 def _same_classes(dm: Opinion, dn: Opinion):

@@ -134,6 +134,19 @@ class TestFuse:
         result = run(["--quiet", "fuse", "--opinions", str(ops), "--base-rate", UNIFORM2], expect=2)
         assert result.stderr.startswith(f"error: {field} must ") and result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("base_rate,extra,message", [
+        # the misspelled weight was dropped, so W fell back to K = 2 and fuse exited 0
+        ('{"rates":[0.5,0.5],"weigth":4}', {}, "unknown base rate key 'weigth'"),
+        (UNIFORM2, {"weight": 2.0}, "unknown opinion key 'weight'"),
+    ])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, base_rate, extra, message):
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps([
+            {"beliefs": [0.2, 0.4], "uncertainty": 0.4}, {"beliefs": [0.3, 0.1], "uncertainty": 0.6, **extra},
+        ]))
+        result = run(["--quiet", "fuse", "--opinions", str(ops), "--base-rate", base_rate], expect=2)
+        assert result.stdout == "" and result.stderr == f"error: {message}\n"
+
     @pytest.mark.parametrize("source", ["file", "inline"])
     @pytest.mark.parametrize("weight", [[1], {}, True])
     def test_base_rate_weight_that_is_no_number_exits_2(self, tmp_path, source, weight):
@@ -543,15 +556,20 @@ class TestBadCheckpoint:
         (lambda doc: doc["heads"].pop(), "one head per view"),
         (lambda doc: doc["heads"][0]["layers"][0].update(weights=[[1.0, 2.0]]), "head 0: layer 0"),
         (lambda doc: doc["config"].update(hidden_size=[8]), "unknown config key 'hidden_size'"),
+        (lambda doc: doc.update(extra=1), "unknown checkpoint key 'extra'"),
+        (lambda doc: doc["base_rate"].update(weigth=4.0), "malformed checkpoint: unknown base rate key 'weigth'"),
+        (lambda doc: doc["heads"][1].update(extra=1), "malformed checkpoint: head 1: unknown head key 'extra'"),
+        (lambda doc: doc["heads"][0]["layers"][1].update(extra=1),
+         "malformed checkpoint: head 0: unknown layer 1 key 'extra'"),
     ])
     def test_eval_exits_2_with_message(self, trained, tmp_path, edit, match):
         doc = json.loads(trained["model"].read_text())
         edit(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        result = run(["eval", "--model", str(bad), "--data", str(trained["valid"])], expect=2)
+        result = run(["--quiet", "eval", "--model", str(bad), "--data", str(trained["valid"])], expect=2)
         assert match in result.stderr and str(bad) in result.stderr
-        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("key", ["epochs", "num_classes", "batch_size", "hidden", "view_dims"])
     def test_integer_setting_of_1e999_exits_2(self, trained, tmp_path, key):
@@ -929,7 +947,7 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gen": {"n_per_klass": 7}}))
         result = run(["--config", str(cfg), "gen", "--out", str(tmp_path / "a.csv")], expect=2)
-        assert "unknown key" in result.stderr
+        assert "unknown config section 'gen' key 'n_per_klass'" in result.stderr
 
     def test_config_root_must_be_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -997,7 +1015,7 @@ class TestConfigPrecedence:
     def test_section_naming_no_subcommand_exits_2(self, tmp_path):
         cfg = self.config(tmp_path, {"gne": {"n_per_class": 3}})
         result = run([*cfg, "gen", "--out", str(tmp_path / "a.csv")], expect=2)
-        self.assert_one_line_error(result, "config section 'gne'", "names no subcommand")
+        self.assert_one_line_error(result, "unknown config file key 'gne'")
         assert not (tmp_path / "a.csv").exists()
 
     def test_null_means_the_declared_default(self, tmp_path):

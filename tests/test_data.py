@@ -60,6 +60,8 @@ class TestContainers:
             )
         with pytest.raises(ValueError, match="empty"):
             MultiViewDataset((), num_classes=2, view_dims=(2,))
+        with pytest.raises(ValueError, match="^view_dims must be positive$"):
+            MultiViewDataset((MultiViewSample((np.array([1.0]),), 0, "d"),), num_classes=2, view_dims=(0,))
 
     def test_labels_vector(self):
         ds = MultiViewDataset(
@@ -480,6 +482,11 @@ class TestCsv:
         with pytest.raises(ValueError, match="empty file"):
             load_csv(path, 2, 1, (2,))
 
+    def test_view_dims_of_another_view_count(self, tmp_path):
+        # refused before the file is read
+        with pytest.raises(ValueError, match="^view_dims length must equal num_views$"):
+            load_csv(tmp_path / "absent.csv", 2, 2, (1,))
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("id,label,v0_0,v0_1\n")
@@ -589,6 +596,12 @@ class TestGridIo:
         path = tmp_path / "g.txt"
         save_grid(grid, path)
         assert np.array_equal(load_grid(path), grid)
+
+    def test_grid_of_another_rank_is_refused(self, tmp_path):
+        path = tmp_path / "g.txt"
+        with pytest.raises(ValueError, match="^grid must be 2-d$"):
+            save_grid(np.zeros(4), path)
+        assert not path.exists()
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "g.txt"

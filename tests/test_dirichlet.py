@@ -75,6 +75,16 @@ class TestContainers:
         b = BaseRate.from_dict(a.to_dict())
         assert np.array_equal(a.rates, b.rates) and a.weight == b.weight
 
+    @pytest.mark.parametrize("obj,match", [
+        # a misspelled weight was dropped, so W fell back to K = 2
+        ({"rates": [0.5, 0.5], "weigth": 4}, "unknown base rate key 'weigth'"),
+        ({"weight": 2.0}, "base rate is missing 'rates'"),
+        ([0.5, 0.5], "base rate must be an object"),
+    ])
+    def test_base_rate_dict_holds_its_fields_only(self, obj, match):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            BaseRate.from_dict(obj)
+
     def test_evidence_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             EvidenceVector([1.0, -1e-9])
@@ -214,6 +224,7 @@ class TestEveryReaderCasts:
         (lambda: combined_evidence([[1.0, 2.0], [3.0, 4.0]], None), "weight must be a real number, not None"),
         (lambda: combined_evidence([[1.0, 2.0]], 0.0), "weight must be a finite positive number, not 0.0"),
         (lambda: combined_evidence([], 2.0), "view_evidences must be one or more (..., K) arrays"),
+        (lambda: combined_evidence([[-5.0, 1.0], [1.0, 1.0]], 2.0), "evidence must be nonnegative"),
         (lambda: EvidenceHead([np.ones((2, 2))], [np.ones(2)]).forward(["1", "2"]),
          "features must hold only numbers, not ['1', '2']"),
         (lambda: ln_gamma("3"), "ln_gamma argument must hold only numbers, not '3'"),

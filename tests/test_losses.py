@@ -116,6 +116,10 @@ class TestKlRegularizer:
         hi = kl_reg_loss(DirichletParams([2.0, 40.0, 1.5]), 1, beta)
         assert lo == hi
 
+    def test_beta_of_another_class_count_is_refused(self):
+        with pytest.raises(ValueError, match="^alpha and beta disagree on the number of classes$"):
+            kl_reg_loss(DirichletParams([2.0, 4.0]), 0, DirichletParams([1.0, 1.0, 1.0]))
+
     def test_grad_zero_at_label(self):
         beta = DirichletParams([1.0, 1.0, 1.0])
         g = kl_reg_grad(DirichletParams([2.0, 4.0, 1.5]), 2, beta)
@@ -371,6 +375,8 @@ class TestOverall:
             overall_loss_and_grad([ok, np.ones((2, 2))], base, np.array([0, 1, 1]), cfg)
         with pytest.raises(ValueError, match="nonnegative"):
             overall_loss_and_grad([ok, -ok], base, np.array([0, 1, 1]), cfg)
+        with pytest.raises(ValueError, match="^evidence and base rate disagree on the number of classes$"):
+            overall_loss_and_grad([ok, ok], BaseRate([0.2, 0.3, 0.5]), np.array([0, 1, 1]), cfg)
 
 
 def _random_batch(rng, kind):

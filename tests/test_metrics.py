@@ -165,6 +165,10 @@ class TestAuc:
         assert auc_binary([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
         assert auc_binary([0.9, 0.8, 0.2, 0.1], [0, 0, 1, 1]) == 0.0
 
+    def test_non_finite_scores_are_refused(self):
+        with pytest.raises(ValueError, match="^scores must be finite$"):
+            auc_binary([0.1, float("nan")], [0, 1])
+
     def test_ties_get_half_credit(self):
         assert auc_binary([0.5, 0.5], [0, 1]) == 0.5
         assert auc_binary([0.3, 0.5, 0.5, 0.7], [0, 0, 1, 1]) == pytest.approx(0.875)
@@ -259,6 +263,10 @@ class TestOodDetect:
             ood_detect([], [0.1, 0.5])
         with pytest.raises(ValueError):
             ood_detect([0.1], [0.5], percentile=120.0)
+        with pytest.raises(ValueError, match="^validation uncertainties must be finite$"):
+            ood_detect([0.1, float("inf")], [0.5])
+        with pytest.raises(ValueError, match="^test uncertainties must be finite$"):
+            ood_detect([0.1], [0.5, float("nan")])
 
 
 class TestReport:

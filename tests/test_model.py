@@ -212,6 +212,7 @@ class TestEvidenceHead:
         ([[["0.1"] * 3] * 2], [[0.0] * 2], "layer 0 weights must hold only numbers"),
         ([[[0.1] * 3] * 2], [None], "layer 0 bias must hold only numbers, not None"),
         ([[[0.1] * 3] * 2], [[True, False]], "layer 0 bias must hold only numbers"),
+        ([[[0.1] * 3] * 2], [], "inconsistent head layers"),
     ])
     def test_layers_of_non_numbers_are_refused(self, weights, biases, match):
         with pytest.raises(ValueError, match=f"^{match}"):
@@ -773,6 +774,18 @@ class TestFit:
     def test_diverged_is_a_runtime_error(self):
         assert issubclass(TrainingDiverged, RuntimeError)
 
+    def test_parameters_sent_to_inf_diverge_at_the_epoch_evaluation(self):
+        # one batch per epoch: its loss is taken before the update, so only
+        # the evaluation after the update sees the parameters Adam sent to
+        # about 3e299
+        train = blob_data(4, 4)
+        model = EvidentialModel.initialize(
+            tiny_config(view_dims=(2, 2), learning_rate=1e300, batch_size=len(train)),
+            compute_base_rate(train.labels(), 2),
+        )
+        with pytest.raises(TrainingDiverged, match="^non-finite epoch loss at epoch 0$"):
+            fit(model, train, train)
+
 
 def copied_head(head, last_rows=slice(None)):
     """A head of copies of `head`'s arrays, its last layer's rows taken in `last_rows` order."""
@@ -921,7 +934,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit,match", [
         (lambda doc: doc.pop("config"), "missing 'config'"),
         (lambda doc: doc.pop("heads"), "missing 'heads'"),
-        (lambda doc: doc["config"].pop("num_classes"), "missing key 'num_classes'"),
+        (lambda doc: doc["config"].pop("num_classes"), "config is missing 'num_classes'"),
         (lambda doc: doc["heads"].pop(), "one head per view"),
         (lambda doc: doc["heads"][1]["layers"].pop(), "head 1: a head needs 2 layers"),
         (lambda doc: doc["heads"][0]["layers"][0].update(weights=[[0.0] * 3] * 5), r"head 0: layer 0"),
@@ -929,6 +942,11 @@ class TestCheckpoint:
         (lambda doc: doc["heads"][0]["layers"][0].update(weights={"a": 1}), "head 0: "),
         (lambda doc: doc["config"].update(hidden_size=[8]), "unknown config key 'hidden_size'"),
         (lambda doc: doc.update(version=True), "checkpoint version must be an integer, not True"),
+        (lambda doc: doc.update(extra=1), "unknown checkpoint key 'extra'"),
+        (lambda doc: doc["base_rate"].update(weigth=4.0), "unknown base rate key 'weigth'"),
+        (lambda doc: doc["heads"][1].update(extra=1), "head 1: unknown head key 'extra'"),
+        (lambda doc: doc["heads"][0]["layers"][1].update(extra=1), "head 0: unknown layer 1 key 'extra'"),
+        (lambda doc: doc["heads"][0]["layers"][1].pop("bias"), "head 0: layer 1 is missing 'bias'"),
     ])
     def test_rejects_malformed_documents(self, tmp_path, edit, match):
         import json
@@ -950,9 +968,9 @@ class TestCheckpoint:
         (lambda doc: doc.update(heads={"0": {}, "1": {}}), "'heads' is not a list"),
         (lambda doc: doc["heads"].append(doc["heads"][0]), r"head count 3 is not one head per view \(2\)"),
         (lambda doc: doc["heads"][1].update(layers=[]), "head 1: a head needs a nonempty list of layer objects"),
-        (lambda doc: doc["heads"][1]["layers"].__setitem__(0, [1.0]), "head 1: a head needs a nonempty list"),
-        (lambda doc: doc["heads"].__setitem__(0, []), "head 0: a head needs a nonempty list"),
-        (lambda doc: doc.update(config=[2, 2]), "'config' is not an object"),
+        (lambda doc: doc["heads"][1]["layers"].__setitem__(0, [1.0]), "head 1: layer 0 must be an object"),
+        (lambda doc: doc["heads"].__setitem__(0, []), "head 0: head must be an object"),
+        (lambda doc: doc.update(config=[2, 2]), "config must be an object"),
     ])
     def test_the_constructor_checks_what_the_loader_reads(self, tmp_path, edit, match):
         path = tmp_path / "model.json"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evifuse.dirichlet import BaseRate, EvidenceVector
+from evifuse.dirichlet import BaseRate, DirichletParams, EvidenceVector
 from evifuse.opinions import (
     FusionConflictError,
     Opinion,
@@ -68,9 +68,15 @@ class TestOpinionContainer:
         assert np.array_equal(d.beliefs, back.beliefs)
         assert d.uncertainty == back.uncertainty
 
-    def test_from_dict_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="beliefs"):
-            Opinion.from_dict({"uncertainty": 1.0})
+    @pytest.mark.parametrize("obj,match", [
+        ({"uncertainty": 1.0}, "opinion is missing 'beliefs'"),
+        ({"beliefs": [0.2, 0.4]}, "opinion is missing 'uncertainty'"),
+        ({"beliefs": [0.2, 0.4], "uncertainty": 0.4, "weight": 2.0}, "unknown opinion key 'weight'"),
+        ([[0.2, 0.4], 0.4], "opinion must be an object"),
+    ])
+    def test_from_dict_rejects_wrong_shape(self, obj, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            Opinion.from_dict(obj)
 
 
 class TestConversions:
@@ -118,6 +124,12 @@ class TestConversions:
             dirichlet_from_evidence(EvidenceVector([1.0, 1.0]), a3)
         with pytest.raises(ValueError):
             projected_probability(Opinion([0.5, 0.3], 0.2), a3)
+        with pytest.raises(ValueError, match="^opinions disagree on the number of classes$"):
+            cbf_fuse(Opinion([0.5, 0.3], 0.2), Opinion([0.4, 0.3, 0.1], 0.2))
+        with pytest.raises(ValueError, match="^alpha and base rate disagree on the number of classes$"):
+            opinion_from_dirichlet(DirichletParams([1.0, 2.0]), a3)
+        with pytest.raises(ValueError, match="^opinion and base rate disagree on the number of classes$"):
+            dirichlet_from_opinion(Opinion([0.5, 0.3], 0.2), a3)
 
 
 class TestCumulativeFusion:

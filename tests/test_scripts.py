@@ -296,3 +296,87 @@ def test_one_cast_module_under_everything():
         "LossConfig", "EvalRecord", "ModelConfig",
     }
     assert [d for d in declared if d[2] not in CAST_SET] == []
+
+
+def own_nodes(node):
+    """Every node below `node` in source order, less the functions defined in it and their nodes."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, ast.FunctionDef):
+            yield child
+            yield from own_nodes(child)
+
+
+def key_tests(source):
+    """(function, code) of every test of a JSON object's keys: an `in` or `not in` whose left side
+    is no string constant or a key-like one (not a separator such as ":") and whose right side is
+    no string constant, a `.get` call, and an `isinstance` check against `dict`."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in own_nodes(fn):
+            if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+                left, right = node.left, node.comparators[0]
+                keylike = not isinstance(left, ast.Constant) or str(left.value).isidentifier()
+                hit = keylike and not isinstance(right, ast.Constant)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+                hit = any(getattr(kind, "id", None) == "dict" for kind in kinds)
+            else:
+                hit = isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get"
+            if hit:
+                found.append((fn.name, ast.unparse(node)))
+    return found
+
+
+def unread_from_dicts(source):
+    """Line numbers of every `from_dict` with a `return` whose value is not built on an `_object` call."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "from_dict":
+            returns = [node for node in own_nodes(fn) if isinstance(node, ast.Return)]
+            reads = [
+                node.value is not None and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_object"
+                    for call in ast.walk(node.value)
+                )
+                for node in returns
+            ]
+            if not (reads and all(reads)):
+                found.append(fn.lineno)
+    return found
+
+
+def test_key_test_finders():
+    source = (
+        "def a(doc, text):\n"
+        "    if 'rates' not in doc or key in doc or ':' in text or kind in 'iu':\n"
+        "        return doc.get('weight'), isinstance(doc, dict), isinstance(doc, (list, dict)), isinstance(doc, list)\n"
+        "    def inner(obj):\n"
+        "        return obj.get('x')\n"
+        "class A:\n"
+        "    def from_dict(cls, obj):\n"
+        "        return cls(**_object(obj, 'a', ('x',), {}))\n"
+        "class B:\n"
+        "    def from_dict(cls, obj):\n"
+        "        if obj:\n"
+        "            return cls(**_object(obj, 'b', ('x',), {}))\n"
+        "        return cls(obj['x'])\n"
+    )
+    assert key_tests(source) == [
+        ("a", "'rates' not in doc"), ("a", "key in doc"), ("a", "doc.get('weight')"),
+        ("a", "isinstance(doc, dict)"), ("a", "isinstance(doc, (list, dict))"), ("inner", "obj.get('x')"),
+    ]
+    assert unread_from_dicts(source) == [10]
+
+
+def test_json_objects_have_one_reader():
+    # _casts._object is the one decision of which keys a JSON object may hold;
+    # the config reader's isinstance checks a section's values, not its keys
+    exempt = [("_config_section", "isinstance(value, (list, dict, bool))")]
+    sources = {p.name: p.read_text() for p in (SCRIPTS.parent / "src" / "evifuse").glob("*.py")}
+    assert {name: key_tests(source) for name, source in sources.items() if name != "_casts.py"} == {
+        name: exempt if name == "cli.py" else [] for name in sources if name != "_casts.py"
+    }
+    assert sum(source.count("def from_dict(") for source in sources.values()) == 3
+    assert {name: unread_from_dicts(source) for name, source in sources.items()} == dict.fromkeys(sources, [])
