@@ -182,7 +182,12 @@ def fuse(state, opinions_path, base_rate_spec, chain):
     raw = datamod.read_json(opinions_path)
     if not isinstance(raw, list) or not raw:
         raise ValueError("opinions file must hold a nonempty JSON list")
-    opinions = [Opinion.from_dict(o) for o in raw]
+    opinions = []
+    for i, doc in enumerate(raw):
+        try:
+            opinions.append(Opinion.from_dict(doc))
+        except ValueError as exc:
+            raise ValueError(f"opinion {i}: {exc}") from exc
 
     spec = base_rate_spec.strip()
     if spec.startswith("{"):

@@ -1,13 +1,13 @@
 """Datasets, synthetic generators, grid view extraction, and file formats.
 
 A sample is a tuple of per-view feature vectors with one label; a dataset
-stores its samples as columns, one (N, d) feature matrix per view plus a
-label vector and an id tuple. Synthetic data comes from Gaussian clusters
-whose class separation lives along the first feature coordinate; the
-out-of-distribution generator displaces every cluster along the second
-coordinate, so the shift is orthogonal to anything the classifier can use.
-CSV is the interchange format for datasets, whitespace text for 2-d grids,
-and JSON for checkpoints, config files, opinions and base rates.
+stores its samples as columns, one (G, N, d) stack of the G views of each
+feature dimension plus a label vector and an id tuple. Synthetic data comes
+from Gaussian clusters whose class separation lives along the first feature
+coordinate; the out-of-distribution generator displaces every cluster along
+the second coordinate, so the shift is orthogonal to anything the classifier
+can use. CSV is the interchange format for datasets, whitespace text for 2-d
+grids, and JSON for checkpoints, config files, opinions and base rates.
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._casts import _FLOAT_OVERFLOW, _cast_fields, _integer, _integers, _numeric, _real
+
+
+def view_groups(view_dims) -> list:
+    """The views of each feature dimension, lists of view indices in order of first appearance."""
+    groups = {}
+    for v, dim in enumerate(view_dims):
+        groups.setdefault(dim, []).append(v)
+    return list(groups.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,14 +60,17 @@ class MultiViewSample:
 class MultiViewDataset:
     """Columnar multi-view dataset, validated once when it is built.
 
-    `views` holds one read-only (N, d_v) float64 array per view, row i of
-    every view belonging to sample `ids[i]`; `labels()` is the read-only (N,)
-    label vector. `MultiViewDataset(samples, num_classes, view_dims)` stacks
-    per-sample objects; `from_arrays` takes the columns directly. Iterating,
-    or reading `samples`, builds MultiViewSample rows on demand.
+    `stacks` holds one read-only, C-contiguous (G, N, d) float64 array per
+    feature dimension d, its G views grouped by `view_groups`; `views[v]` is
+    view v's (N, d_v) slot in its stack. Row i of every view belongs to
+    sample `ids[i]`; `labels()` is the read-only (N,) label vector.
+    `MultiViewDataset(samples, num_classes, view_dims)` stacks per-sample
+    objects; `from_arrays` takes the columns directly. Iterating, or reading
+    `samples`, builds MultiViewSample rows on demand.
     """
 
     views: tuple
+    stacks: tuple = field(repr=False)
     ids: tuple
     num_classes: int
     view_dims: tuple
@@ -92,7 +103,7 @@ class MultiViewDataset:
         k = _integer(num_classes, "num_classes")
         if k < 2:
             raise ValueError("need at least two classes")
-        views = [np.array(_numeric(v, f"view {i}"), dtype=np.float64, order="C") for i, v in enumerate(views)]
+        views = [_numeric(v, f"view {i}") for i, v in enumerate(views)]
         if not views or any(v.ndim != 2 or v.shape[1] < 1 for v in views):
             raise ValueError("views must be one or more (N, d) arrays with d >= 1")
         n = views[0].shape[0]
@@ -108,12 +119,17 @@ class MultiViewDataset:
         if bad.size:
             raise ValueError(f"sample {ids[bad[0]]}: label {labels[bad[0]]} outside [0, {k})")
         labels = labels.astype(int)
-        finite = np.logical_and.reduce([np.isfinite(v).all(axis=1) for v in views])
+        groups = view_groups(v.shape[1] for v in views)
+        # the one copy of the features; "unsafe" admits the object arrays of big integers _numeric passed
+        stacks = [np.stack([views[v] for v in group], dtype=np.float64, casting="unsafe") for group in groups]
+        finite = np.logical_and.reduce([np.isfinite(x).all(axis=(0, 2)) for x in stacks])
         if not finite.all():
             raise ValueError(f"sample {ids[np.argmin(finite)]}: features must be finite")
-        for arr in (*views, labels):
+        for arr in (*stacks, labels):
             arr.flags.writeable = False
-        object.__setattr__(self, "views", tuple(views))
+        slots = {v: x[g] for x, group in zip(stacks, groups) for g, v in enumerate(group)}
+        object.__setattr__(self, "views", tuple(slots[v] for v in range(len(views))))
+        object.__setattr__(self, "stacks", tuple(stacks))
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "num_classes", k)
         object.__setattr__(self, "view_dims", tuple(v.shape[1] for v in views))

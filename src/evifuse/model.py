@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ._casts import _cast_fields, _field_keys, _integer, _integers, _numeric, _object, _real
-from .data import MultiViewDataset, MultiViewSample, read_json
+from .data import MultiViewDataset, MultiViewSample, read_json, view_groups
 from .dirichlet import BaseRate, DirichletParams, EvidenceVector, _combined_evidence
 from .losses import LossConfig, _one_hot, _overall, annealed_lambda
 from .metrics import check_unit_interval
@@ -37,7 +37,7 @@ _DOCUMENT_KEYS = ("format", "version", "config", "base_rate", "heads")
 # values (S, alpha_label, the masked alphas and their sum), and the kernel
 # holds about a dozen temporaries of that length, so a block needs about
 # 400 KB whatever the dataset size. A block's features are views into the
-# stacked (G, N, d) arrays, so blocking copies no input.
+# dataset's (G, N, d) stacks, so blocking copies no input.
 _EVAL_BLOCK = 4096
 
 
@@ -208,10 +208,7 @@ class EvidentialModel:
             raise ValueError("base rate weight and config prior_weight disagree")
         self.base_rate = base_rate
         self.config = config
-        groups = {}
-        for v, dim in enumerate(config.view_dims):
-            groups.setdefault(dim, []).append(v)
-        self._groups = list(groups.values())
+        self._groups = view_groups(config.view_dims)
         self._params = np.zeros(sum(
             fan_out * (fan_in + 1)
             for dim in config.view_dims
@@ -283,7 +280,7 @@ def _dataset(model: EvidentialModel, data) -> MultiViewDataset:
     """`data` as a dataset of the model's class count and view shapes.
 
     A plain sequence of samples is stacked into a dataset once, so every
-    scoring path reads the same (N, d) arrays. This is the one check of a
+    scoring path reads the same (G, N, d) stacks. This is the one check of a
     dataset against a model, for training and scoring alike.
     """
     cfg = model.config
@@ -298,11 +295,6 @@ def _dataset(model: EvidentialModel, data) -> MultiViewDataset:
             f" the model's {cfg.num_classes} classes and view shapes {cfg.view_dims}"
         )
     return data
-
-
-def _stacked(model: EvidentialModel, views) -> list:
-    """Per stack, its views' (N, d) features as one (G, N, d) array."""
-    return [np.stack([views[v] for v in group]) for group in model._groups]
 
 
 def _by_view(model: EvidentialModel, outputs) -> np.ndarray:
@@ -320,9 +312,8 @@ def _view_evidences(model: EvidentialModel, stacked) -> np.ndarray:
 
 def forward(model: EvidentialModel, sample: MultiViewSample):
     """Evidence, per-view opinions, combined opinion, combined Dirichlet."""
-    stacked = _stacked(model, _dataset(model, [sample]).views)
     base = model.base_rate
-    evidences = [EvidenceVector(e[0]) for e in _view_evidences(model, stacked)]
+    evidences = [EvidenceVector(e[0]) for e in _view_evidences(model, _dataset(model, [sample]).stacks)]
     view_opinions = [
         opinion_from_dirichlet(dirichlet_from_evidence(e, base), base) for e in evidences
     ]
@@ -351,7 +342,7 @@ def evaluate(model: EvidentialModel, data, override: BaseRate | None = None):
     if anchor.num_classes != base.num_classes:
         raise ValueError("base rate override and model disagree on the number of classes")
     ds = _dataset(model, data)
-    fused = _combined_evidence(_view_evidences(model, _stacked(model, ds.views)), base.weight)
+    fused = _combined_evidence(_view_evidences(model, ds.stacks), base.weight)
     strength = fused.sum(axis=1)
     alpha = fused + anchor.rates * base.weight
     total = alpha.sum(axis=1, keepdims=True)
@@ -433,8 +424,8 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
     train, valid = _dataset(model, train), _dataset(model, valid)
     base = model.base_rate
     beta = DirichletParams(base.rates * base.weight)
-    train_x, train_labels = _stacked(model, train.views), train.labels()
-    valid_x, valid_labels = _stacked(model, valid.views), valid.labels()
+    train_x, train_labels = train.stacks, train.labels()
+    valid_x, valid_labels = valid.stacks, valid.labels()
     train_hot, valid_hot = _one_hot(train_labels, cfg.num_classes), _one_hot(valid_labels, cfg.num_classes)
     rng = np.random.default_rng(cfg.seed + 1)  # decouple batch order from init
     params = model._params

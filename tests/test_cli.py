@@ -132,12 +132,13 @@ class TestFuse:
         doc[1][field] = value
         ops.write_text(json.dumps(doc))
         result = run(["--quiet", "fuse", "--opinions", str(ops), "--base-rate", UNIFORM2], expect=2)
-        assert result.stderr.startswith(f"error: {field} must ") and result.stderr.count("\n") == 1
+        must = "be a real number" if field == "uncertainty" else "hold only numbers"
+        assert result.stderr == f"error: opinion 1: {field} must {must}, not {value!r}\n"
 
     @pytest.mark.parametrize("base_rate,extra,message", [
         # the misspelled weight was dropped, so W fell back to K = 2 and fuse exited 0
         ('{"rates":[0.5,0.5],"weigth":4}', {}, "unknown base rate key 'weigth'"),
-        (UNIFORM2, {"weight": 2.0}, "unknown opinion key 'weight'"),
+        (UNIFORM2, {"weight": 2.0}, "opinion 1: unknown opinion key 'weight'"),
     ])
     def test_unknown_key_exits_2_naming_it(self, tmp_path, base_rate, extra, message):
         ops = tmp_path / "ops.json"
@@ -700,6 +701,26 @@ def json_paths(doc, path=()):
         yield from json_paths(value, (*path, key))
 
 
+def object_paths(doc, path=()):
+    """The path of every object of a JSON document, () for an object at its root."""
+    if isinstance(doc, dict):
+        yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from object_paths(value, (*path, key))
+
+
+INSERTED_KEY = "inserted"
+
+
+def draw_mutation(data, fields, objects):
+    """(path, value, inserted) of one mutation: a path of `fields` with one of REPLACEMENTS, or,
+    as often, INSERTED_KEY added with the value 1.0 to the object at a path of `objects`."""
+    if data.draw(st.booleans()):
+        return (*data.draw(st.sampled_from(objects)), INSERTED_KEY), 1.0, True
+    return data.draw(st.sampled_from(fields)), data.draw(st.sampled_from(REPLACEMENTS)), False
+
+
 def replaced(doc, path, value) -> str:
     """The JSON text of `doc` with the field at `path` set to `value`, or removed for DELETED."""
     doc = json.loads(json.dumps(doc))
@@ -716,12 +737,18 @@ def replaced(doc, path, value) -> str:
 
 class TestJsonMutations:
     """One replaced or deleted field of a valid JSON input (a `fuse` opinion list or base
-    rate, a checkpoint, a `--config` file) is held to the exit-code contract."""
+    rate, a checkpoint, a `--config` file) is held to the exit-code contract, and one
+    unknown key inserted into any of its objects exits 2 with one line naming the key."""
 
     @staticmethod
-    def assert_documented_exit(argv, case):
+    def assert_documented_exit(argv, case, inserted):
         result = runner.invoke(main, ["--quiet", *argv])
-        assert_contract(result, f"{case}: exit {result.exit_code}\n{result.stderr}")
+        case = f"{case}: exit {result.exit_code}\n{result.stderr}"
+        if inserted:
+            assert result.exit_code == 2 and result.stderr.startswith("error: "), case
+            assert result.stderr.endswith(f" key {INSERTED_KEY!r}\n") and result.stderr.count("\n") == 1, case
+        else:
+            assert_contract(result, case)
 
     @settings(max_examples=100)
     @given(data=st.data())
@@ -730,14 +757,14 @@ class TestJsonMutations:
         rate_doc = {"rates": [0.5, 0.5], "weight": 2.0}
         where = data.draw(st.sampled_from(["opinions", "base_rate", "inline_base_rate"]))
         doc = ops_doc if where == "opinions" else rate_doc
-        path = data.draw(st.sampled_from(list(json_paths(doc))))
-        text = replaced(doc, path, data.draw(st.sampled_from(REPLACEMENTS)))
+        path, value, inserted = draw_mutation(data, list(json_paths(doc)), list(object_paths(doc)))
+        text = replaced(doc, path, value)
         root = tmp_path_factory.mktemp("fuse")
         ops, rate = root / "ops.json", root / "rate.json"
         ops.write_text(text if where == "opinions" else json.dumps(ops_doc))
         rate.write_text(text if where == "base_rate" else json.dumps(rate_doc))
         spec = text if where == "inline_base_rate" else str(rate)
-        self.assert_documented_exit(["fuse", "--opinions", str(ops), "--base-rate", spec], f"{where} {text}")
+        self.assert_documented_exit(["fuse", "--opinions", str(ops), "--base-rate", spec], f"{where} {text}", inserted)
 
     @settings(max_examples=100)
     @given(data=st.data())
@@ -747,12 +774,11 @@ class TestJsonMutations:
             p for p in json_paths(doc)
             if p[0] in ("config", "base_rate") or (len(p) > 4 and p[:4] == ("heads", 0, "layers", 0))
         ]
-        path = data.draw(st.sampled_from(paths))
-        value = data.draw(st.sampled_from(REPLACEMENTS))
+        path, value, inserted = draw_mutation(data, paths, list(object_paths(doc)))
         model = tmp_path_factory.mktemp("checkpoint") / "model.json"
         model.write_text(replaced(doc, path, value))
         self.assert_documented_exit(
-            ["eval", "--model", str(model), "--data", str(trained["valid"])], f"{path} = {value!r}"
+            ["eval", "--model", str(model), "--data", str(trained["valid"])], f"{path} = {value!r}", inserted
         )
 
     @settings(max_examples=100)
@@ -770,8 +796,9 @@ class TestJsonMutations:
             "fuse": {"chain": "cbf"},
         }
         command = data.draw(st.sampled_from(list(doc)))
-        path = data.draw(st.sampled_from([p for p in json_paths(doc) if p[0] == command]))
-        value = data.draw(st.sampled_from(REPLACEMENTS))
+        path, value, inserted = draw_mutation(
+            data, [p for p in json_paths(doc) if p[0] == command], [(), (command,)]
+        )
         root = tmp_path_factory.mktemp("config")
         config, grid, ops = root / "config.json", root / "grid.txt", root / "ops.json"
         config.write_text(replaced(doc, path, value))
@@ -788,7 +815,7 @@ class TestJsonMutations:
             "views": [str(grid), "--out-dir", str(root / "views")],
             "fuse": ["--opinions", str(ops), "--base-rate", UNIFORM2],
         }[command]
-        self.assert_documented_exit(["--config", str(config), command, *argv], f"{path} = {value!r}")
+        self.assert_documented_exit(["--config", str(config), command, *argv], f"{path} = {value!r}", inserted)
 
 
 @pytest.fixture

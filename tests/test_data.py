@@ -24,6 +24,7 @@ from evifuse.data import (
     resample_class_ratio,
     save_csv,
     save_grid,
+    view_groups,
 )
 
 from oracles import load_csv_reference, logistic_accuracy, save_csv_reference
@@ -148,6 +149,70 @@ class TestColumnar:
             MultiViewDataset.from_arrays([np.zeros((3, 0))], [0, 1, 0], "abc", 2)
         with pytest.raises(ValueError, match="two classes"):
             MultiViewDataset.from_arrays([x], [0, 0, 0], "abc", 1)
+
+
+def two_stack_columns():
+    """Columns of twelve samples whose views (2, 3, 2) form two stacks."""
+    rng = np.random.default_rng(31)
+    return [rng.normal(size=(12, d)) for d in (2, 3, 2)], np.arange(12) % 2, [f"s{i}" for i in range(12)]
+
+
+def csv_round_trip(tmp_path):
+    save_csv(MultiViewDataset.from_arrays(*two_stack_columns(), 2), tmp_path / "d.csv")
+    return load_csv(tmp_path / "d.csv", 2, 3, (2, 3, 2))
+
+
+# every builder of a dataset, each with the groups of its views;
+# gen_synthetic draws one dimension for all views, so its layout is one stack
+LAYOUT_BUILDERS = {
+    "from_arrays": (lambda tmp_path: MultiViewDataset.from_arrays(*two_stack_columns(), 2), [[0, 2], [1]]),
+    "samples": (
+        lambda tmp_path: MultiViewDataset(MultiViewDataset.from_arrays(*two_stack_columns(), 2), 2, (2, 3, 2)),
+        [[0, 2], [1]],
+    ),
+    "load_csv": (csv_round_trip, [[0, 2], [1]]),
+    "gen_synthetic": (lambda tmp_path: gen_synthetic(SyntheticSpec.blobs(2, 3, 2, n_per_class=6)), [[0, 1, 2]]),
+    "resample_class_ratio": (
+        lambda tmp_path: resample_class_ratio(MultiViewDataset.from_arrays(*two_stack_columns(), 2), [0.4, 0.6], 1),
+        [[0, 2], [1]],
+    ),
+}
+
+
+class TestLayout:
+    def test_view_groups_keep_first_appearance_order(self):
+        assert view_groups((2, 3, 2)) == [[0, 2], [1]]
+        assert view_groups((5, 3, 5, 3, 7)) == [[0, 2], [1, 3], [4]]
+        assert view_groups((8, 8, 8)) == [[0, 1, 2]]
+        assert view_groups(iter((3, 2, 3, 2))) == [[0, 2], [1, 3]]
+        assert view_groups(()) == []
+
+    @pytest.mark.parametrize("builder", list(LAYOUT_BUILDERS))
+    def test_views_are_slots_of_read_only_stacks(self, tmp_path, builder):
+        build, groups = LAYOUT_BUILDERS[builder]
+        ds = build(tmp_path)
+        assert view_groups(ds.view_dims) == groups and len(ds.stacks) == len(groups)
+        for stack, group in zip(ds.stacks, groups):
+            assert stack.dtype == np.float64 and stack.flags.c_contiguous and not stack.flags.writeable
+            assert stack.shape == (len(group), len(ds), ds.view_dims[group[0]])
+            for g, v in enumerate(group):
+                assert np.shares_memory(ds.views[v], stack)
+                assert ds.views[v].base is stack and np.array_equal(bits(ds.views[v]), bits(stack[g]))
+                assert ds.views[v].flags.c_contiguous and not ds.views[v].flags.writeable
+
+    def test_from_arrays_copies_its_inputs(self):
+        views, labels, ids = two_stack_columns()
+        ds = MultiViewDataset.from_arrays(views, labels, ids, 2)
+        before = [bits(v).copy() for v in ds.views]
+        for x in views:
+            assert not any(np.shares_memory(x, stack) for stack in ds.stacks)
+            x[:] = 7.0
+        assert all(np.array_equal(bits(v), b) for v, b in zip(ds.views, before))
+
+    def test_integers_beyond_int64_are_read_as_floats(self):
+        ds = MultiViewDataset.from_arrays([[[2**70, 1]], [[3]], [[-(2**64), 2]]], [1], ["a"], 2)
+        assert [s.dtype for s in ds.stacks] == [np.float64, np.float64]
+        assert np.array_equal(ds.stacks[0], [[[2.0**70, 1.0]], [[-(2.0**64), 2.0]]])
 
 
 class TestGeometry:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from evifuse.data import MultiViewDataset
 from evifuse.dirichlet import BaseRate, DirichletParams, combined_evidence, kl_dirichlet
 from evifuse.losses import (
     _ALPHA_FLOOR,
@@ -21,7 +22,7 @@ from evifuse.losses import (
     overall_loss,
     overall_loss_and_grad,
 )
-from evifuse.model import EvidentialModel, ModelConfig, _stacked, _view_evidences
+from evifuse.model import EvidentialModel, ModelConfig, _view_evidences
 from oracles import (
     fd_grad,
     masked_alpha_reference,
@@ -328,7 +329,8 @@ class TestOverall:
         config = ModelConfig(num_classes=2, num_views=3, view_dims=(2, 3, 2), hidden=(4,))
         model = EvidentialModel.initialize(config, base)
         features = [np.random.default_rng(d).normal(size=(4, d)) for d in config.view_dims]
-        evidence = _view_evidences(model, _stacked(model, features))
+        stacks = MultiViewDataset.from_arrays(features, [0, 1, 1, 0], "abcd", 2).stacks
+        evidence = _view_evidences(model, stacks)
         evidence[0, 1, 0] = np.inf
         evidence[2, 3, 1] = np.nan
         hot = np.arange(2) == np.array([0, 1, 1, 0])[:, None]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import evifuse.model as model_module
 
-from evifuse.data import MultiViewDataset, MultiViewSample, SyntheticSpec, gen_synthetic
+from evifuse.data import MultiViewDataset, MultiViewSample, SyntheticSpec, gen_synthetic, view_groups
 from evifuse.dirichlet import BaseRate, DirichletParams, combined_evidence, predict_class
 from evifuse.losses import LossConfig, annealed_lambda, overall_loss_and_grad
 from evifuse.model import (
@@ -317,6 +317,12 @@ class TestModelAssembly:
         fit(m2, train, valid)
         assert all(np.array_equal(p, q) for p, q in zip(m1.parameters(), before))
         assert not params_equal(m1, m2)
+
+    @pytest.mark.parametrize("view_dims", [(2, 2, 2, 2), (8, 8, 8), (3, 5, 3, 5, 7), (2, 3, 2)])
+    def test_stacks_are_the_data_groups(self, view_dims):
+        cfg = tiny_config(num_views=len(view_dims), view_dims=view_dims)
+        model = EvidentialModel.initialize(cfg, BaseRate([0.5, 0.5], weight=2.0))
+        assert model._groups == view_groups(view_dims)
 
     def test_in_place_head_edit_reaches_every_pass(self):
         # view 2 shares a stack with view 0; silence it through its head alone

@@ -147,6 +147,23 @@ def test_front_ends_leave_list_syntax_to_the_library(path):
     assert comma_splits(path.read_text()) == []
 
 
+def stack_calls(source):
+    """Line numbers of every call of a function named `stack`, such as `np.stack`."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "stack"
+    ]
+
+
+def test_stack_call_finder():
+    assert stack_calls("np.stack(a)\nnumpy.stack(b, axis=1)\nstack(c)\nnp.vstack(d)\nx.stacks\ns.stack\n") == [1, 2, 3]
+
+
+def test_model_makes_no_feature_copy():
+    # a dataset holds its views in per-dimension stacks, so training and scoring never re-stack them
+    assert stack_calls((SCRIPTS.parent / "src" / "evifuse" / "model.py").read_text()) == []
+
+
 def cast_error_catches(source):
     """Line numbers of every `except` clause that names TypeError or OverflowError."""
     found = []
