@@ -103,19 +103,26 @@ def _emit(obj):
 def _config_section(ctx: click.Context, config_path: str) -> dict:
     """The invoked subcommand's config section, its values cast by each option's type.
 
-    Every top-level key must name a subcommand and every section key one of
-    its parameters or `seed`, which is cast by the group's own `--seed`.
-    Null values are dropped, so they mean the declared default. Every option
-    takes a number or a string (none is a flag), so a boolean, list or object
-    is rejected, and so is a non-integral number for an integer option,
-    which click's cast would truncate.
+    Every top-level key must name a subcommand, and every section, whichever
+    subcommand runs, must be an object whose keys are its own subcommand's
+    parameters or `seed`, which is cast by the group's own `--seed`. Only
+    the invoked section's values are cast. Null values are dropped, so they
+    mean the declared default. Every option takes a number or a string (none
+    is a flag), so a boolean, list or object is rejected, and so is a
+    non-integral number for an integer option, which click's cast would
+    truncate.
     """
     config = _object(datamod.read_json(config_path), "config file", (), dict.fromkeys(ctx.command.commands, {}))
+    seed = next(p for p in ctx.command.params if p.name == "seed")
+    sections = {}
+    for name, section in config.items():
+        params = {p.name: p for p in ctx.command.commands[name].params}
+        params["seed"] = seed
+        sections[name] = params, _object(section, f"config section {name!r}", (), dict.fromkeys(params))
     name = ctx.invoked_subcommand
-    params = {p.name: p for p in ctx.command.commands[name].params}
-    params["seed"] = next(p for p in ctx.command.params if p.name == "seed")
+    params, section = sections[name]
     values = {}
-    for key, value in _object(config[name], f"config section {name!r}", (), dict.fromkeys(params)).items():
+    for key, value in section.items():
         where = f"config section {name!r} key {key!r}"
         if isinstance(value, (list, dict, bool)):
             raise ValueError(f"{where}: expected a number or a string, got {json.dumps(value)}")

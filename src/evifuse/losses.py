@@ -79,18 +79,24 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels[..., None] == np.arange(num_classes)
 
 
-def _special(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray, grad: bool = True):
+# The `_kernel` rows each mode of the loss core reads: ln Gamma and psi for
+# the values, psi' for the gradients.
+_ROWS = {"loss": (0, 1), "grad": (2,), "both": (0, 1, 2)}
+
+
+def _special(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray, mode: str = "both"):
     """The loss arguments of alpha (..., K) and their `gammas`, from one `_triples` call.
 
     The arguments are S, alpha_label, the masked alpha (the floored alpha
     with its label entry replaced by beta's), its sum, beta and sum(beta).
-    Without `grad` the call leaves out psi', which only _grads reads.
+    `mode` picks the rows of `_ROWS`; "grad" asks for psi' alone and leaves
+    out beta and its sum, which only _values reads.
     """
     a = np.maximum(alpha, _ALPHA_FLOOR)
     masked = np.where(hot, beta, a)
     args = (a.sum(axis=-1), np.where(hot, a, 0.0).sum(axis=-1),
             masked, masked.sum(axis=-1), beta, beta.sum())
-    return args, _triples(args, "gammas", grad)
+    return args, _triples(args[:4] if mode == "grad" else args, "gammas", _ROWS[mode])
 
 
 def _values(args, g):
@@ -101,11 +107,12 @@ def _values(args, g):
 def _grads(hot: np.ndarray, args, g):
     """Gradients (..., K) of both _values w.r.t. alpha, from the same triples' psi'.
 
-    The KL gradient is zero at the label, whose masked entry is beta's.
+    psi' ends each of _special's tuples in both modes that ask for it. The
+    KL gradient is zero at the label, whose masked entry is beta's.
     """
     _, _, masked, s_masked, beta, s_beta = args
-    ice = np.expand_dims(g[0][2], -1) - hot * np.expand_dims(g[1][2], -1)
-    kl = (masked - beta) * g[2][2] - np.expand_dims((s_masked - s_beta) * g[3][2], -1)
+    ice = g[0][-1][..., None] - hot * g[1][-1][..., None]
+    kl = (masked - beta) * g[2][-1] - ((s_masked - s_beta) * g[3][-1])[..., None]
     return ice, np.where(hot, 0.0, kl)
 
 
@@ -186,29 +193,35 @@ def _checked_inputs(view_evidences, base_rate: BaseRate, labels):
     return single, stacked, _one_hot(_checked_labels(labels, num_rows, num_classes), num_classes)
 
 
-def _overall(stacked: np.ndarray, hot: np.ndarray, base_rate: BaseRate, cfg: LossConfig, grad=True):
-    """Overall losses (N,), combined alpha (N, K) and, with `grad`, the (V, N, K) gradients.
+def _overall(stacked: np.ndarray, hot: np.ndarray, base_rate: BaseRate, cfg: LossConfig, mode="both"):
+    """The loss core on checked evidence stacked as (V, N, K), the global view last.
 
-    Takes checked evidence stacked as (V, N, K), the global view last, and
-    an (N, K) label mask. A row whose concentrations do not sum to a finite
-    value gets a NaN loss, alpha and gradient; its evidence in `stacked`,
-    which the caller owns, is set to 0 and its alphas to 1, placeholders
-    that keep the special functions finite. The loss-only pass makes the
-    same special-function call without psi', whose ln Gamma and psi are
-    the same bits, so its losses equal the gradient pass's bit for bit.
+    Takes an (N, K) label mask. `mode` says what to compute and return:
+    "loss" the overall losses (N,) and the combined alpha (N, K); "grad"
+    the diverged rows and the (V, N, K) gradients; "both" the losses, the
+    combined alpha and the gradients. A diverged row is one whose
+    concentrations do not sum to a finite value; it gets a NaN loss, alpha
+    and gradient. Its evidence in `stacked`, which the caller owns, is set
+    to 0 and its alphas to 1, placeholders that keep the special functions
+    finite. Each mode asks specfun for only the rows it reads, and each row
+    has the same bits in every mode, so "loss" and "grad" return "both"'s
+    values bit for bit. "grad" takes no ln Gamma, so it cannot see a loss
+    that overflows while its alphas do not (an alpha above about 2.6e305):
+    such a row has finite gradients and an infinite loss.
     """
     w = base_rate.weight
     alphas = np.concatenate([stacked, _combined_evidence(stacked, w)[None]]) + base_rate.rates * w
     diverged = np.flatnonzero(~np.isfinite(alphas.sum(axis=(0, 2))))
     alphas[:, diverged] = 1.0
     stacked[:, diverged] = 0.0
-    args, triples = _special(alphas, hot, cfg.beta.alpha, grad)
-    ice, kl = _values(args, triples)
-    loss = (ice + cfg.lam * kl).sum(axis=0)
-    combined = alphas[-1]
-    loss[diverged] = combined[diverged] = np.nan
-    if not grad:
-        return loss, combined
+    args, triples = _special(alphas, hot, cfg.beta.alpha, mode)
+    if mode != "grad":
+        ice, kl = _values(args, triples)
+        loss = (ice + cfg.lam * kl).sum(axis=0)
+        combined = alphas[-1]
+        loss[diverged] = combined[diverged] = np.nan
+        if mode == "loss":
+            return loss, combined
     ice_g, kl_g = _grads(hot, args, triples)
     term_grads = ice_g + cfg.lam * kl_g
     grads, g_combined = term_grads[:-1], term_grads[-1]
@@ -217,6 +230,8 @@ def _overall(stacked: np.ndarray, hot: np.ndarray, base_rate: BaseRate, cfg: Los
     grads[:-1] += g_combined * (1.0 + glob / w)
     grads[-1] += g_combined * (1.0 + local / w)
     grads[:, diverged] = np.nan
+    if mode == "grad":
+        return diverged, grads
     return loss, combined, grads
 
 

@@ -1,21 +1,24 @@
 """Log-gamma, digamma, and trigamma for positive real arguments.
 
-One kernel computes all three at once. Arguments below 10 are lifted by a
-constant 10 steps with the standard recurrences (Abramowitz & Stegun 6.1.15,
-6.3.5), taken in five pairs whose products share one quadratic (see
-`_lift`), then a Bernoulli asymptotic series is evaluated at the lifted
-point; the three series share 1/x, 1/x**2 and log x. With the series
-truncated after the B12 term the truncation error at x = 10 is below 1e-14
-relative, comfortably inside the 1e-12 budget the Dirichlet losses need.
-Every element is computed on its own, so a value's bits do not depend on
-what else is in the same call. Inputs are validated, not clamped; numeric
-floors are the caller's policy.
+One kernel computes any subset of the three in one pass, one row per
+quantity asked for. Arguments below 10 are lifted by a constant 10 steps
+with the standard recurrences (Abramowitz & Stegun 6.1.15, 6.3.5), taken
+in five pairs whose products share one quadratic (see `_lift`), then a
+Bernoulli asymptotic series is evaluated at the lifted point; the three
+series share 1/x and 1/x**2, and only ln Gamma and psi take a log, so a
+psi'-only pass takes none. With the series truncated after the B12 term
+the truncation error at x = 10 is below 1e-14 relative, comfortably inside
+the 1e-12 budget the Dirichlet losses need. Every element and every row is
+computed on its own, so a value's bits do not depend on what else is in
+the same call, nor on which other rows it asks for. Inputs are validated,
+not clamped; numeric floors are the caller's policy.
 
 `gammas` serves callers that need several quantities of several arrays: one
 validated kernel pass over their concatenation, which can leave psi' out.
-`ln_gamma`, `digamma` and `trigamma` are views of it that accept scalars or
-arrays and return matching shapes. All four cast their arguments through
-`_casts._numeric`; the library's own callers call the unchecked `_triples`.
+`ln_gamma`, `digamma` and `trigamma` ask that pass for their one row; they
+accept scalars or arrays and return matching shapes. All four cast their
+arguments through `_casts._numeric`; the library's own callers call the
+unchecked `_triples`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from ._casts import _numeric
 
 _LIFT = 10  # arguments below this are lifted by exactly this many steps
+_ALL = (0, 1, 2)  # `_kernel`'s rows: ln Gamma, psi, psi'
 _HALF_LOG_2PI = 0.9189385332046727  # 0.5*ln(2*pi)
 
 # Bernoulli-number coefficient tails, lowest order first, consumed by a
@@ -69,8 +73,8 @@ def _horner(tail, z):
 _PAIR_OFFSETS = (8.0, 14.0, 18.0, 20.0)
 
 
-def _lift(x0: np.ndarray, trig: bool = True) -> np.ndarray:
-    """Recurrence terms taking x0 < 10 to x0 + 10, one row per quantity.
+def _lift(x0: np.ndarray, rows) -> list:
+    """Recurrence terms taking x0 < 10 to x0 + 10, one array per row asked for.
 
     ln Gamma(x) = ln Gamma(x+10) - ln(x (x+1) ... (x+9)),
     psi(x) = psi(x+10) - sum 1/(x+k), psi'(x) = psi'(x+10) + sum 1/(x+k)**2.
@@ -81,79 +85,92 @@ def _lift(x0: np.ndarray, trig: bool = True) -> np.ndarray:
     least twice the second: five divisions and one log where single steps
     take ten and two. x needs no log of its own: every partial product is
     at least t >= 9x, and the whole at least x*9!, so none underflows where
-    x does not, and below x = 10 it stays under 3.4e11. Without `trig` the
-    psi' row is left out; the other two rows are the same bits either way.
+    x does not, and below x = 10 it stays under 3.4e11. Only ln Gamma reads
+    the product and its log; psi' reads the psi sum before its factor s.
+    Each row is the same bits whatever else is asked for.
     """
+    with_log, with_sum, with_squares = 0 in rows, 1 in rows or 2 in rows, 2 in rows
     t = x0 + 9.0
     t *= x0
-    out = np.empty((3 if trig else 2, x0.size))
-    lg, dg = out[0], out[1]
-    np.divide(1.0, t, out=dg)
-    if trig:
-        tg = out[2]
-        np.multiply(dg, dg, out=tg)
-    prod, step, inv = t.copy(), np.empty_like(t), np.empty_like(t)
+    step = np.empty_like(t)
+    if with_log:
+        prod = t.copy()
+    if with_sum:
+        dg, inv = np.divide(1.0, t), np.empty_like(t)
+    if with_squares:
+        tg = dg * dg
     for c in _PAIR_OFFSETS:
         np.add(t, c, out=step)
-        prod *= step
-        np.divide(1.0, step, out=inv)
-        dg += inv
-        if trig:
+        if with_log:
+            prod *= step
+        if with_sum:
+            np.divide(1.0, step, out=inv)
+            dg += inv
+        if with_squares:
             inv *= inv
             tg += inv
-    neg_s = -2.0 * x0
-    neg_s -= 9.0
-    if trig:
+    terms = {}
+    if with_sum:
+        neg_s = -2.0 * x0
+        neg_s -= 9.0
+    if with_squares:
         tg *= neg_s * neg_s
         # where 1/t overflows (x below about 6e-310) psi' is +inf already,
         # and subtracting the infinite psi sum would make it inf - inf
         np.subtract(tg, dg + dg, out=tg, where=np.isfinite(dg))
-    dg *= neg_s
-    np.log(prod, out=lg)
-    np.negative(lg, out=lg)
-    return out
+        terms[2] = tg
+    if 1 in rows:
+        dg *= neg_s
+        terms[1] = dg
+    if with_log:
+        np.log(prod, out=prod)
+        terms[0] = np.negative(prod, out=prod)
+    return [terms[r] for r in rows]
 
 
-def _kernel(flat: np.ndarray, trig: bool = True) -> np.ndarray:
-    """Rows ln Gamma, psi and, with `trig`, psi' of a flat array of finite x > 0."""
+def _kernel(flat: np.ndarray, rows=_ALL) -> np.ndarray:
+    """Rows `rows` (increasing, of `_ALL`) of (ln Gamma, psi, psi') of a flat array of finite x > 0."""
     low = np.flatnonzero(flat < _LIFT)
     x0 = flat[low]
     x = flat.copy()
     x[low] = x0 + _LIFT
     inv = 1.0 / x
     inv2 = inv * inv
-    log_x = np.log(x)
-    out = np.empty((3 if trig else 2, x.size))
-    lg, dg = out[0], out[1]
-    np.multiply(x - 0.5, log_x, out=lg)
-    lg -= x
-    lg += _HALF_LOG_2PI
-    lg += inv * _horner(_LGAMMA_TAIL, inv2)
-    np.subtract(log_x, 0.5 * inv, out=dg)
-    dg -= inv2 * _horner(_DIGAMMA_TAIL, inv2)
-    if trig:
-        tg = out[2]
-        np.add(inv, 0.5 * inv2, out=tg)
-        tg += inv * inv2 * _horner(_TRIGAMMA_TAIL, inv2)
+    if 0 in rows or 1 in rows:
+        log_x = np.log(x)
+    out = np.empty((len(rows), x.size))
+    for row, r in zip(out, rows):
+        if r == 0:
+            np.multiply(x - 0.5, log_x, out=row)
+            row -= x
+            row += _HALF_LOG_2PI
+            row += inv * _horner(_LGAMMA_TAIL, inv2)
+        elif r == 1:
+            np.subtract(log_x, 0.5 * inv, out=row)
+            row -= inv2 * _horner(_DIGAMMA_TAIL, inv2)
+        else:
+            np.add(inv, 0.5 * inv2, out=row)
+            row += inv * inv2 * _horner(_TRIGAMMA_TAIL, inv2)
     if low.size:
-        for row, term in zip(out, _lift(x0, trig)):
+        for row, term in zip(out, _lift(x0, rows)):
             row[low] += term
     return out
 
 
-def _triples(arrays, name: str, trig: bool = True) -> list:
+def _triples(arrays, name: str, rows=_ALL) -> list:
+    """For each array, a tuple of its `rows` of (ln Gamma, psi, psi'), from one `_kernel` pass."""
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     flat = np.concatenate([a.ravel() for a in arrays])
     if flat.size and not (flat.min() > 0.0 and flat.max() < np.inf):
         raise ValueError(f"{name} is defined for finite x > 0 only")
-    rows = _kernel(flat, trig)
+    out = _kernel(flat, rows)
     triples, start = [], 0
     for a in arrays:
         end = start + a.size
         if a.ndim == 0:
-            triples.append(tuple(float(row[start]) for row in rows))
+            triples.append(tuple(float(row[start]) for row in out))
         else:
-            triples.append(tuple(row[start:end].reshape(a.shape) for row in rows))
+            triples.append(tuple(row[start:end].reshape(a.shape) for row in out))
         start = end
     return triples
 
@@ -169,7 +186,8 @@ def gammas(*arrays, with_trigamma: bool = True) -> list:
     Raises ValueError if an argument is not an array of numbers, or any
     element is not finite or not strictly positive.
     """
-    return _triples([_numeric(a, "gammas argument") for a in arrays], "gammas", with_trigamma)
+    rows = _ALL if with_trigamma else (0, 1)
+    return _triples([_numeric(a, "gammas argument") for a in arrays], "gammas", rows)
 
 
 def ln_gamma(x):
@@ -179,14 +197,14 @@ def ln_gamma(x):
     in the immediate neighborhood of the zeros at x = 1 and x = 2 where the
     error is absolute (~1e-15).
     """
-    return _triples([_numeric(x, "ln_gamma argument")], "ln_gamma", False)[0][0]
+    return _triples([_numeric(x, "ln_gamma argument")], "ln_gamma", (0,))[0][0]
 
 
 def digamma(x):
     """Digamma psi(x), the logarithmic derivative of the gamma function."""
-    return _triples([_numeric(x, "digamma argument")], "digamma", False)[0][1]
+    return _triples([_numeric(x, "digamma argument")], "digamma", (1,))[0][0]
 
 
 def trigamma(x):
     """Trigamma psi'(x), the derivative of digamma."""
-    return _triples([_numeric(x, "trigamma argument")], "trigamma")[0][2]
+    return _triples([_numeric(x, "trigamma argument")], "trigamma", (2,))[0][0]

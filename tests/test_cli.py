@@ -1045,6 +1045,26 @@ class TestConfigPrecedence:
         self.assert_one_line_error(result, "unknown config file key 'gne'")
         assert not (tmp_path / "a.csv").exists()
 
+    def test_unknown_key_in_another_section_exits_2(self, tmp_path):
+        cfg = self.config(tmp_path, {"eval": {"binz": 10}})
+        result = run([*cfg, "fuse", "--opinions", "o.json", "--base-rate", UNIFORM2], expect=2)
+        self.assert_one_line_error(result, "unknown config section 'eval' key 'binz'")
+
+    def test_another_section_must_be_object(self, tmp_path):
+        cfg = self.config(tmp_path, {"eval": [1, 2]})
+        result = run(["--quiet", *cfg, "gen", "--out", str(tmp_path / "a.csv")], expect=2)
+        assert result.stderr == "error: config section 'eval' must be an object\n"
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_another_section_values_are_cast_only_when_it_runs(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg = self.config(tmp_path, {"eval": {"bins": "ten"}, "gen": {"n_per_class": 4}})
+        run([*cfg, "gen", "--out", str(a)])
+        run(["gen", "--n-per-class", "4", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+        result = run([*cfg, "eval", "--model", "m.json", "--data", "d.csv"], expect=2)
+        self.assert_one_line_error(result, "config section 'eval' key 'bins'", "'ten'")
+
     def test_null_means_the_declared_default(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = self.config(tmp_path, {"gen": {"seed": None, "classes": None, "n_per_class": 4}})

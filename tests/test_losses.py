@@ -36,7 +36,7 @@ PI2_6 = math.pi * math.pi / 6.0
 def loss_rows(view_evidences, base, labels, cfg):
     """The loss core's loss-only pass on checked inputs: (losses (N,), combined alpha (N, K))."""
     _, stacked, hot = _checked_inputs(view_evidences, base, labels)
-    return _overall(stacked, hot, base, cfg, grad=False)
+    return _overall(stacked, hot, base, cfg, "loss")
 
 
 def uniform_cfg(k, lam):
@@ -335,7 +335,7 @@ class TestOverall:
         evidence[2, 3, 1] = np.nan
         hot = np.arange(2) == np.array([0, 1, 1, 0])[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            rows, alpha = _overall(evidence.copy(), hot, base, cfg, grad=False)
+            rows, alpha = _overall(evidence.copy(), hot, base, cfg, "loss")
             losses, combined, grads = _overall(evidence.copy(), hot, base, cfg)
         assert np.array_equal(rows, losses, equal_nan=True)
         assert np.array_equal(alpha, combined, equal_nan=True)
@@ -348,9 +348,9 @@ class TestOverall:
         calls = []
         real = losses_module._triples
 
-        def spy(arrays, name, trig=True):
-            calls.append((arrays, trig))
-            return real(arrays, name, trig)
+        def spy(arrays, name, rows=(0, 1, 2)):
+            calls.append((arrays, rows))
+            return real(arrays, name, rows)
 
         monkeypatch.setattr(losses_module, "_triples", spy)
         base, cfg, evidences, labels = _random_batch(np.random.default_rng(3), "dense")
@@ -358,12 +358,16 @@ class TestOverall:
         assert len(calls) == 1
         loss_rows(evidences, base, labels, cfg)
         assert len(calls) == 2
-        # S, alpha_label, masked alpha and its sum per Dirichlet, then beta and its sum
+        _, stacked, hot = _checked_inputs(evidences, base, labels)
+        _overall(stacked, hot, base, cfg, "grad")
+        assert len(calls) == 3
+        # S, alpha_label, masked alpha and its sum per Dirichlet, then beta and
+        # its sum, which only the loss values read
         v, (n, k) = len(evidences), evidences[0].shape
         sizes = [sum(np.size(a) for a in args) for args, _ in calls]
-        assert sizes == [(v + 1) * n * (k + 3) + k + 1] * 2
-        # only the gradient pass reads psi'
-        assert [trig for _, trig in calls] == [True, False]
+        assert sizes == [(v + 1) * n * (k + 3) + k + 1] * 2 + [(v + 1) * n * (k + 3)]
+        # the loss values read ln Gamma and psi, the gradients psi' alone
+        assert [rows for _, rows in calls] == [(0, 1, 2), (0, 1), (2,)]
 
     def test_rejects_bad_batches(self):
         base = BaseRate([0.5, 0.5], weight=2.0)
@@ -479,6 +483,49 @@ class TestLossRows:
         assert loss.shape == (1,) and alpha.shape == (1, 2)
         assert loss[0] == overall_loss_and_grad(evidences, base, 1, cfg)[0]
 
+
+class TestGradientMode:
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_grads_and_diverged_rows_equal_both_modes_bits(self, kind):
+        rng = np.random.default_rng(30 + _KINDS.index(kind))
+        diverged_rows = 0
+        for _ in range(40):
+            base, cfg, evidences, labels = _random_batch(rng, kind)
+            cfg = LossConfig(float(rng.uniform(0.0, 1.0)), cfg.beta)
+            _, stacked, hot = _checked_inputs(evidences, base, labels)
+            v, n, k = stacked.shape
+            # diverge about a third of the rows: infinite evidence in any view,
+            # or infinite global evidence against zero local evidence, which
+            # makes the combination 0 * inf
+            for row in np.flatnonzero(rng.uniform(size=n) < 0.3):
+                c = rng.integers(k)
+                if rng.uniform() < 0.5:
+                    stacked[rng.integers(v), row, c] = np.inf
+                else:
+                    stacked[:-1, row, c] = 0.0
+                    stacked[-1, row, c] = np.inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                losses, _, want = _overall(stacked.copy(), hot, base, cfg)
+                diverged, grads = _overall(stacked.copy(), hot, base, cfg, "grad")
+            assert np.array_equal(grads, want, equal_nan=True)
+            assert np.array_equal(diverged, np.flatnonzero(~np.isfinite(losses)))
+            diverged_rows += diverged.size
+        assert diverged_rows > 0
+
+    def test_loss_past_ln_gamma_overflow_is_no_diverged_row(self):
+        # a global alpha of 1e306 keeps every alpha sum finite, but ln Gamma
+        # of it, and so the masked KL off the label, overflows: "both" scores
+        # the row non-finite, while "grad", which takes no ln Gamma, trains on
+        base = BaseRate([0.5, 0.5], weight=2.0)
+        cfg = uniform_cfg(2, 0.5)
+        stacked = np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 1e306], [0.0, 1e306]]])
+        hot = np.array([[True, False], [False, True]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses, _, want = _overall(stacked.copy(), hot, base, cfg)
+            diverged, grads = _overall(stacked.copy(), hot, base, cfg, "grad")
+        assert not np.isfinite(losses[0]) and np.isfinite(losses[1])
+        assert diverged.size == 0
+        assert np.all(np.isfinite(grads)) and np.array_equal(grads, want)
 
 
 def _softplus(z):

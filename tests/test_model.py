@@ -595,15 +595,14 @@ def fit_reference(model, train, valid):
                 cfg.learning_rate,
             )
         for name, ds in (("train", train), ("valid", valid)):
-            labels, total, correct = ds.labels(), 0.0, 0
+            labels, losses, correct = ds.labels(), [], 0
             for start in range(0, len(ds), rows):
                 block = slice(start, start + rows)
                 evidences = [head_forward_reference(w, b, x[block])[0] for (w, b), x in zip(heads, ds.views)]
-                losses = overall_loss_and_grad(evidences, base, labels[block], loss_cfg)[0]
+                losses.append(overall_loss_and_grad(evidences, base, labels[block], loss_cfg)[0])
                 alpha = combined_evidence(evidences, base.weight) + base.rates * base.weight
-                total += losses.sum()
                 correct += int(np.count_nonzero(np.argmax(alpha, axis=1) == labels[block]))
-            curves[f"{name}_loss"].append(float(total / labels.size))
+            curves[f"{name}_loss"].append(float(np.concatenate(losses).sum() / labels.size))
             curves[f"{name}_acc"].append(correct / labels.size)
     return heads, curves
 
@@ -669,14 +668,40 @@ class TestFit:
         assert report.valid_loss[0] == pytest.approx(np.mean(losses), rel=1e-12)
         assert report.valid_acc[0] == correct / len(valid)
 
+    @pytest.mark.parametrize("block", [7 * 5 * 5, 16384])  # 7 rows, and 655
+    def test_epoch_loss_is_the_once_summed_row_vector(self, monkeypatch, block):
+        # 700 rows of the criterion-07 shape: 100 blocks of 7, or 2 blocks
+        view_dims = (2, 2, 2, 2)
+        data = mixed_data(view_dims, 2, 700, seed=24)
+        cfg = ModelConfig(num_classes=2, num_views=4, view_dims=view_dims, hidden=(8,), seed=8)
+        base = compute_base_rate(data.labels(), 2)
+        model = EvidentialModel.initialize(cfg, base)
+        loss_cfg = LossConfig(0.6, DirichletParams(base.rates * base.weight))
+        hot = np.arange(2) == data.labels()[:, None]
+        blocks, real = [], model_module._overall
+
+        def spy(*args):
+            losses, alpha = real(*args)
+            blocks.append(losses)
+            return losses, alpha
+
+        monkeypatch.setattr(model_module, "_EVAL_BLOCK", block)
+        monkeypatch.setattr(model_module, "_overall", spy)
+        loss, _ = model_module._dataset_eval(model, data.stacks, data.labels(), hot, loss_cfg)
+        assert len(blocks) == -(-700 // (block // 25))
+        # the per-row losses of every block, summed once
+        assert loss == np.concatenate(blocks).sum() / 700
+        # so the mean is that of one pass over all rows, whatever the blocks
+        evidences = model_module._view_evidences(model, data.stacks)
+        want = overall_loss_and_grad(list(evidences), base, data.labels(), loss_cfg)[0].sum() / 700
+        assert loss == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_gradients_only_for_minibatches(self, monkeypatch):
         import evifuse.model as model_module
 
         calls = []
         real = model_module._overall
-        monkeypatch.setattr(
-            model_module, "_overall", lambda *a, grad=True: calls.append(grad) or real(*a, grad=grad)
-        )
+        monkeypatch.setattr(model_module, "_overall", lambda *a: calls.append(a[4]) or real(*a))
         train, valid = blob_data(12, 20), blob_data(13, 9)
         cfg = ModelConfig(
             num_classes=2, num_views=2, view_dims=(2, 2), hidden=(4,),
@@ -684,7 +709,8 @@ class TestFit:
         )
         model = EvidentialModel.initialize(cfg, compute_base_rate(train.labels(), 2))
         fit(model, train, valid)
-        assert calls.count(True) == 3 * -(-len(train) // 16)  # epochs * ceil(N / batch_size)
+        assert calls.count("grad") == 3 * -(-len(train) // 16)  # epochs * ceil(N / batch_size)
+        assert "both" not in calls
 
     @pytest.mark.parametrize("num_classes,view_dims,hidden", [
         (2, (2, 2, 2, 2), (64,)),  # the criterion-07 shape: one stack of four
@@ -791,6 +817,22 @@ class TestFit:
         )
         with pytest.raises(TrainingDiverged, match="^non-finite epoch loss at epoch 0$"):
             fit(model, train, train)
+
+    def test_alpha_past_ln_gamma_overflow_diverges_at_the_epoch_evaluation(self):
+        # the global head gives class 1 evidence 1e306 and the local head
+        # none: every alpha sum stays finite, so the minibatch step trains on
+        # with finite gradients, but ln Gamma in a class-0 row's masked KL
+        # overflows, and the epoch evaluation raises without naming a sample
+        train = blob_data(4, 4)
+        model = EvidentialModel.initialize(
+            tiny_config(view_dims=(2, 2), learning_rate=0.0), compute_base_rate(train.labels(), 2)
+        )
+        model.heads[0].biases[-1][:] = -1000.0
+        model.heads[1].biases[-1][1] = 1e306
+        before = model._params.copy()
+        with pytest.raises(TrainingDiverged, match="^non-finite epoch loss at epoch 0$"):
+            fit(model, train, train)
+        assert np.array_equal(model._params, before)
 
 
 def copied_head(head, last_rows=slice(None)):

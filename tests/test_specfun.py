@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -231,6 +232,20 @@ class TestPairedLift:
 
     def test_psi_at_its_root(self):
         assert abs(digamma(DIGAMMA_ROOT)) < 1e-15
+
+    @pytest.mark.parametrize("rows", [
+        rows for size in (1, 2, 3) for rows in itertools.combinations((0, 1, 2), size)
+    ])
+    def test_every_row_subset_is_the_full_call_bits(self, rows):
+        # the lift grid with subnormals, both sides of 10 and huge x: a row's
+        # bits do not depend on which other rows the call computes
+        x = np.concatenate([
+            _lift_grid(), [np.nextafter(10.0, 11.0), 10.5, 1e3, 1e150, 1e300, np.finfo(float).max],
+        ])
+        with np.errstate(over="ignore"):
+            full, some = _kernel(x), _kernel(x, rows)
+        assert some.shape == (len(rows), x.size)
+        assert np.array_equal(some, full[list(rows)])
 
     def test_pairs_without_trigamma_are_the_triples_bits(self):
         x = _lift_grid()
