@@ -107,14 +107,16 @@ def kl_dirichlet(p: DirichletParams, q: DirichletParams) -> float:
     if p.num_classes != q.num_classes:
         raise ValueError("KL divergence needs equal numbers of classes")
     a, b = p.alpha, q.alpha
-    return float(kl_from_gammas(a, b, *_triples([a, a.sum(axis=-1), b, b.sum(axis=-1)], "gammas")))
+    gammas = _triples([a, a.sum(axis=-1), b, b.sum(axis=-1)], "gammas", (0, 1))
+    return float(kl_from_gammas(a, b, *gammas))
 
 
 def kl_from_gammas(a, b, g_a, g_sa, g_b, g_sb) -> np.ndarray:
     """KL[Dir(a) || Dir(b)] over the last axis, from `gammas` of a, sum(a), b, sum(b).
 
-    Lets a caller that needs more special-function values than the KL fetch
-    all of them in one `gammas` call.
+    Reads only ln Gamma and psi, the first two entries of each tuple. Lets a
+    caller that needs more special-function values than the KL fetch all of
+    them in one `gammas` call.
     """
     value = (
         g_sa[0]
@@ -147,11 +149,15 @@ def combined_evidence(view_evidences, weight: float) -> np.ndarray:
 
 
 def _combined_evidence(view_evidences, weight: float) -> np.ndarray:
-    """`combined_evidence` of views and a weight that the caller checked."""
-    *local, glob = view_evidences
-    if not local:
-        return np.asarray(glob, dtype=float)
-    total = np.sum(local, axis=0)
+    """`combined_evidence` of views and a weight that the caller checked.
+
+    The local views are summed as one slice of the (V, ..., K) array, so an
+    array of views is not copied first.
+    """
+    views = np.asarray(view_evidences, dtype=float)
+    if len(views) == 1:
+        return views[0]
+    total, glob = np.sum(views[:-1], axis=0), views[-1]
     return total + glob + total * glob / weight
 
 

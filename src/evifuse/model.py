@@ -34,13 +34,17 @@ _DOCUMENT_KEYS = ("format", "version", "config", "base_rate", "heads")
 
 # Row-block size of the per-epoch evaluation, in special-function arguments.
 # A loss-only call over r rows hands specfun's kernel (V+1) * r * (K + 3)
-# values (S, alpha_label, the masked alphas and their sum), and the kernel
-# holds about a dozen temporaries of that length, so a block needs about
-# 800 KB whatever the dataset size. That fits a 2 MB per-core L2 cache; on
-# a 2-core Xeon with one, a K=20 fit was slower at 16384 values than at
-# 4096, and fastest at 8192. A block's features are views into the
-# dataset's (G, N, d) stacks, so blocking copies no input, and the epoch
-# loss is one sum over all rows, so the block size moves no loss bit.
+# values (S, alpha_label, the masked alphas and their sum), so a block's
+# memory does not grow with the dataset. A block whose temporaries outgrow
+# what glibc keeps after a free (128 KiB) has the heap trimmed after it and
+# faulted in again by the next: with per-call kernel temporaries a K=20 fit
+# took 2,663 minor faults at 8192 values, 2,831 at 16384 and none at 4096.
+# With the kernel's in a per-thread scratch, 8192 is still faster at K=20
+# than 16384 (20.8 against 22.0 ms per fit, 30 interleaved fits), where the
+# loss core's own temporaries fault about 1,000 times per fit; K=2 is 1 to
+# 4 % faster at 16384. A block's features are views into the dataset's
+# (G, N, d) stacks, so blocking copies no input, and the epoch loss is one
+# sum over all rows, so the block size moves no loss bit.
 _EVAL_BLOCK = 8192
 
 

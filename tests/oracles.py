@@ -110,6 +110,83 @@ def gammas_kernel_reference(flat: np.ndarray) -> np.ndarray:
     return out
 
 
+# (x+k)(x+9-k) - x(x+9) for k = 1..4, the offsets of the paired lift
+_PAIR_OFFSETS = (8.0, 14.0, 18.0, 20.0)
+
+
+def _paired_lift(x0: np.ndarray, rows) -> list:
+    """Paired-lift recurrence terms taking x0 < 10 to x0 + 10, one array per row."""
+    with_log, with_sum, with_squares = 0 in rows, 1 in rows or 2 in rows, 2 in rows
+    t = x0 + 9.0
+    t *= x0
+    step = np.empty_like(t)
+    if with_log:
+        prod = t.copy()
+    if with_sum:
+        dg, inv = np.divide(1.0, t), np.empty_like(t)
+    if with_squares:
+        tg = dg * dg
+    for c in _PAIR_OFFSETS:
+        np.add(t, c, out=step)
+        if with_log:
+            prod *= step
+        if with_sum:
+            np.divide(1.0, step, out=inv)
+            dg += inv
+        if with_squares:
+            inv *= inv
+            tg += inv
+    terms = {}
+    if with_sum:
+        neg_s = -2.0 * x0
+        neg_s -= 9.0
+    if with_squares:
+        tg *= neg_s * neg_s
+        np.subtract(tg, dg + dg, out=tg, where=np.isfinite(dg))
+        terms[2] = tg
+    if 1 in rows:
+        dg *= neg_s
+        terms[1] = dg
+    if with_log:
+        np.log(prod, out=prod)
+        terms[0] = np.negative(prod, out=prod)
+    return [terms[r] for r in rows]
+
+
+def paired_kernel_reference(flat: np.ndarray, rows=(0, 1, 2)) -> np.ndarray:
+    """Rows `rows` of (ln Gamma, psi, psi') of a flat array of finite x > 0.
+
+    The special-function kernel as it was before its temporaries moved into
+    a reused scratch: the lift in five pairs, every temporary a fresh array.
+    The scratch kernel must give these bits exactly.
+    """
+    low = np.flatnonzero(flat < _LIFT)
+    x0 = flat[low]
+    x = flat.copy()
+    x[low] = x0 + _LIFT
+    inv = 1.0 / x
+    inv2 = inv * inv
+    if 0 in rows or 1 in rows:
+        log_x = np.log(x)
+    out = np.empty((len(rows), x.size))
+    for row, r in zip(out, rows):
+        if r == 0:
+            np.multiply(x - 0.5, log_x, out=row)
+            row -= x
+            row += _HALF_LOG_2PI
+            row += inv * _horner(_LGAMMA_TAIL, inv2)
+        elif r == 1:
+            np.subtract(log_x, 0.5 * inv, out=row)
+            row -= inv2 * _horner(_DIGAMMA_TAIL, inv2)
+        else:
+            np.add(inv, 0.5 * inv2, out=row)
+            row += inv * inv2 * _horner(_TRIGAMMA_TAIL, inv2)
+    if low.size:
+        for row, term in zip(out, _paired_lift(x0, rows)):
+            row[low] += term
+    return out
+
+
 def fd_grad(f, x, h=1e-5):
     """Central finite-difference gradient of a scalar function of a vector."""
     x = np.asarray(x, dtype=float)

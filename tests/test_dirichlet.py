@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from evifuse.dirichlet import (
     BaseRate,
     DirichletParams,
     EvidenceVector,
+    _combined_evidence,
     combined_evidence,
     expected_probabilities,
     kl_dirichlet,
+    kl_from_gammas,
     predict_class,
     rebase,
     strength,
@@ -31,7 +34,7 @@ from evifuse.losses import LossConfig, annealed_lambda, ice_loss
 from evifuse.metrics import EvalRecord, auc_binary, check_percentile, ood_detect, report_from_arrays
 from evifuse.model import EvidenceHead, compute_base_rate
 from evifuse.opinions import dirichlet_from_evidence, opinion_from_dirichlet
-from evifuse.specfun import ln_gamma, trigamma
+from evifuse.specfun import gammas, ln_gamma, trigamma
 
 from oracles import kl_dirichlet_quadrature
 
@@ -269,6 +272,32 @@ class TestMeasures:
         assert predict_class(DirichletParams(alpha)) == want
 
 
+class TestCombinedEvidence:
+    @pytest.mark.parametrize("num_views", [1, 2, 3, 5])
+    def test_array_and_list_of_views_give_the_list_sum_bits(self, num_views):
+        rng = np.random.default_rng(num_views)
+        views = rng.exponential(3.0, (num_views, 40, 6))
+        want = views[0]
+        if num_views > 1:
+            total = np.sum(list(views[:-1]), axis=0)
+            want = total + views[-1] + total * views[-1] / 6.0
+        assert np.array_equal(_combined_evidence(views, 6.0), want)
+        assert np.array_equal(_combined_evidence(list(views), 6.0), want)
+
+    def test_an_array_of_views_is_not_copied(self):
+        # the local views are summed in place of a (V-1, N, K) copy; what
+        # is left is the sum and the three temporaries of the combination
+        views = np.random.default_rng(0).exponential(3.0, (9, 200, 20))
+        _combined_evidence(views, 20.0)
+        tracemalloc.start()
+        try:
+            _combined_evidence(views, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * views[0].nbytes
+
+
 class TestKl:
     def test_zero_when_equal(self):
         assert kl_dirichlet(DirichletParams([1.0, 1.0]), DirichletParams([1.0, 1.0])) == 0.0
@@ -306,6 +335,14 @@ class TestKl:
             p = DirichletParams(rng.uniform(0.05, 50.0, k))
             q = DirichletParams(rng.uniform(0.05, 50.0, k))
             assert kl_dirichlet(p, q) >= 0.0
+
+    def test_is_the_kl_of_the_full_triples_bit_for_bit(self):
+        # kl_dirichlet asks specfun for ln Gamma and psi only
+        rng = np.random.default_rng(3)
+        for k in (2, 5, 20):
+            a, b = rng.uniform(0.05, 50.0, k), rng.uniform(0.05, 50.0, k)
+            want = float(kl_from_gammas(a, b, *gammas(a, a.sum(), b, b.sum())))
+            assert kl_dirichlet(DirichletParams(a), DirichletParams(b)) == want
 
 
 class TestRebase:

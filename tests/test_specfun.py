@@ -1,13 +1,16 @@
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from evifuse.specfun import _kernel, digamma, gammas, ln_gamma, trigamma
+from evifuse.specfun import _CAPACITY, _kernel, digamma, gammas, ln_gamma, trigamma
 
-from oracles import gammas_kernel_reference
+from oracles import gammas_kernel_reference, paired_kernel_reference
 
 mpmath.mp.dps = 40
 
@@ -198,6 +201,16 @@ def _hybrid_errs(got, want):
     return np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))
 
 
+ROW_SUBSETS = [rows for size in (1, 2, 3) for rows in itertools.combinations((0, 1, 2), size)]
+
+
+def _edge_grid():
+    # the lift grid, both neighbours of 10 and the top of the float range
+    return np.concatenate([
+        _lift_grid(), [np.nextafter(10.0, 11.0), 10.5, 1e3, 1e150, 1e300, np.finfo(float).max],
+    ])
+
+
 class TestPairedLift:
     def test_matches_the_single_step_kernel(self):
         x = _lift_grid()
@@ -233,15 +246,11 @@ class TestPairedLift:
     def test_psi_at_its_root(self):
         assert abs(digamma(DIGAMMA_ROOT)) < 1e-15
 
-    @pytest.mark.parametrize("rows", [
-        rows for size in (1, 2, 3) for rows in itertools.combinations((0, 1, 2), size)
-    ])
+    @pytest.mark.parametrize("rows", ROW_SUBSETS)
     def test_every_row_subset_is_the_full_call_bits(self, rows):
         # the lift grid with subnormals, both sides of 10 and huge x: a row's
         # bits do not depend on which other rows the call computes
-        x = np.concatenate([
-            _lift_grid(), [np.nextafter(10.0, 11.0), 10.5, 1e3, 1e150, 1e300, np.finfo(float).max],
-        ])
+        x = _edge_grid()
         with np.errstate(over="ignore"):
             full, some = _kernel(x), _kernel(x, rows)
         assert some.shape == (len(rows), x.size)
@@ -257,3 +266,57 @@ class TestPairedLift:
             assert len(pair) == 2
             for a, b in zip(triple[:2], pair):
                 assert np.array_equal(a, b)
+
+
+class TestScratch:
+    """The kernel's temporaries live in a reused per-thread scratch of `_CAPACITY` values."""
+
+    @pytest.mark.parametrize("size", [0, 1, _CAPACITY - 1, _CAPACITY, _CAPACITY + 1, 3 * _CAPACITY + 7])
+    @pytest.mark.parametrize("rows", ROW_SUBSETS)
+    def test_every_size_is_the_fresh_array_kernel_bits(self, rows, size):
+        # sizes around the capacity, where an input is computed in pieces
+        x = np.random.default_rng(size).permutation(np.resize(_edge_grid(), size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _kernel(x, rows), paired_kernel_reference(x, rows)
+        assert got.shape == (len(rows), size)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_threads_keep_their_own_scratch(self):
+        # more threads than cores and a short switch interval, so the calls
+        # interleave; each result must be the bits of a call made alone
+        rng = np.random.default_rng(21)
+        inputs = [rng.uniform(1e-3, 40.0, 8209) for _ in range(4)]
+        want = [gammas(x) for x in inputs]
+        same = [0] * len(inputs)
+
+        def work(i):
+            for _ in range(200):
+                (got,) = gammas(inputs[i])
+                same[i] += all(np.array_equal(g, w) for g, w in zip(got, want[i][0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert same == [200] * len(inputs)
+
+    @pytest.mark.parametrize("rows", ROW_SUBSETS)
+    def test_a_warm_call_allocates_its_output_and_lift_index_only(self, rows):
+        # every value below 10, so the index of lifted elements is as long as
+        # the input; the fresh-array kernel peaked at 14 to 17 times n * 8
+        x = np.random.default_rng(8).uniform(1e-3, 10.0, 8209)
+        _kernel(x, rows)
+        tracemalloc.start()
+        try:
+            _kernel(x, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (len(rows) + 2) * x.size * 8
