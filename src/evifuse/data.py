@@ -13,6 +13,7 @@ grids, and JSON for checkpoints, config files, opinions and base rates.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -86,31 +87,43 @@ class MultiViewDataset:
         for s in samples:
             if tuple(v.size for v in s.views) != dims:
                 raise ValueError(f"sample {s.id}: view shapes do not match {dims}")
-        views = [np.stack([s.views[v] for s in samples]) for v in range(len(dims))]
-        self._assign(views, [s.label for s in samples], [s.id for s in samples], num_classes)
+        stacks = [np.array([[s.views[v] for s in samples] for v in group]) for group in view_groups(dims)]
+        self._assign(stacks, dims, [s.label for s in samples], [s.id for s in samples], num_classes)
 
     @classmethod
     def from_arrays(cls, views, labels, ids, num_classes: int) -> "MultiViewDataset":
         """Dataset from per-view (N, d_v) feature arrays, N integer labels and N ids.
 
-        The arrays are copied, so the dataset owns what it marks read-only.
+        The arrays are copied once, into the stacks, so the dataset owns what it marks read-only.
         """
-        ds = cls.__new__(cls)
-        ds._assign(views, labels, ids, num_classes)
-        return ds
-
-    def _assign(self, views, labels, ids, num_classes):
-        k = _integer(num_classes, "num_classes")
-        if k < 2:
-            raise ValueError("need at least two classes")
         views = [_numeric(v, f"view {i}") for i, v in enumerate(views)]
         if not views or any(v.ndim != 2 or v.shape[1] < 1 for v in views):
             raise ValueError("views must be one or more (N, d) arrays with d >= 1")
-        n = views[0].shape[0]
+        if any(v.shape[0] != views[0].shape[0] for v in views):
+            raise ValueError("views disagree on the number of samples")
+        dims = [v.shape[1] for v in views]
+        # "unsafe" admits the object arrays of big integers _numeric passed
+        stacks = [np.stack([views[v] for v in g], dtype=np.float64, casting="unsafe") for g in view_groups(dims)]
+        return cls._of_stacks(stacks, dims, labels, ids, num_classes)
+
+    @classmethod
+    def _of_stacks(cls, stacks, view_dims, labels, ids, num_classes) -> "MultiViewDataset":
+        ds = cls.__new__(cls)
+        ds._assign(stacks, view_dims, labels, ids, num_classes)
+        return ds
+
+    def _assign(self, stacks, view_dims, labels, ids, num_classes):
+        """Take `stacks`, C-contiguous float64 (G, N, d) arrays of the views grouped by
+        `view_groups(view_dims)` that no caller keeps, as the dataset's own, without a copy."""
+        k = _integer(num_classes, "num_classes")
+        if k < 2:
+            raise ValueError("need at least two classes")
+        view_dims, groups = tuple(view_dims), view_groups(view_dims)
+        n = stacks[0].shape[1]
+        if [x.shape for x in stacks] != [(len(g), n, view_dims[g[0]]) for g in groups]:
+            raise ValueError(f"stacks of shapes {[x.shape for x in stacks]} do not group views of {view_dims}")
         if n == 0:
             raise ValueError("dataset must not be empty")
-        if any(v.shape[0] != n for v in views):
-            raise ValueError("views disagree on the number of samples")
         ids = tuple(map(str, ids))
         labels = _integers(labels, "labels")
         if labels.shape != (n,) or len(ids) != n:
@@ -119,20 +132,18 @@ class MultiViewDataset:
         if bad.size:
             raise ValueError(f"sample {ids[bad[0]]}: label {labels[bad[0]]} outside [0, {k})")
         labels = labels.astype(int)
-        groups = view_groups(v.shape[1] for v in views)
-        # the one copy of the features; "unsafe" admits the object arrays of big integers _numeric passed
-        stacks = [np.stack([views[v] for v in group], dtype=np.float64, casting="unsafe") for group in groups]
-        finite = np.logical_and.reduce([np.isfinite(x).all(axis=(0, 2)) for x in stacks])
-        if not finite.all():
+        # a whole-array test first: the per-sample reduction is ten times slower on small views
+        if not all(np.isfinite(x).all() for x in stacks):
+            finite = np.logical_and.reduce([np.isfinite(x).all(axis=(0, 2)) for x in stacks])
             raise ValueError(f"sample {ids[np.argmin(finite)]}: features must be finite")
         for arr in (*stacks, labels):
             arr.flags.writeable = False
         slots = {v: x[g] for x, group in zip(stacks, groups) for g, v in enumerate(group)}
-        object.__setattr__(self, "views", tuple(slots[v] for v in range(len(views))))
+        object.__setattr__(self, "views", tuple(slots[v] for v in range(len(view_dims))))
         object.__setattr__(self, "stacks", tuple(stacks))
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "num_classes", k)
-        object.__setattr__(self, "view_dims", tuple(v.shape[1] for v in views))
+        object.__setattr__(self, "view_dims", view_dims)
         object.__setattr__(self, "_labels", labels)
 
     @property
@@ -285,12 +296,14 @@ def gen_synthetic(spec: SyntheticSpec) -> MultiViewDataset:
         [spec.means[c] + rng.normal(0.0, spec.scale, size=(n, v, d)) for c in range(k)]
     )
     order = rng.permutation(k * n)
+    # row r of every view is draw order[r], put there through the inverse permutation: no gathered copy
+    where = np.empty_like(order)
+    where[order] = np.arange(k * n)
+    stack = np.empty((v, k * n, d))
+    stack[:, where] = feats.transpose(1, 0, 2)
     ids = [f"c{c}n{i:04d}" for c in range(k) for i in range(n)]
-    return MultiViewDataset.from_arrays(
-        [feats[order, j] for j in range(v)],
-        np.repeat(np.arange(k), n)[order],
-        [ids[i] for i in order.tolist()],
-        num_classes=k,
+    return MultiViewDataset._of_stacks(
+        [stack], (d,) * v, np.repeat(np.arange(k), n)[order], [ids[i] for i in order.tolist()], k
     )
 
 
@@ -381,8 +394,9 @@ def resample_class_ratio(ds: MultiViewDataset, ratio, seed: int) -> MultiViewDat
         rng.choice(np.flatnonzero(labels == c), size=want[c], replace=False)
         for c in range(ds.num_classes)
     ]))
-    return MultiViewDataset.from_arrays(
-        [x[keep] for x in ds.views],
+    return MultiViewDataset._of_stacks(
+        [x.take(keep, axis=1) for x in ds.stacks],
+        ds.view_dims,
         labels[keep],
         [ds.ids[i] for i in keep.tolist()],
         ds.num_classes,
@@ -418,62 +432,68 @@ def save_csv(ds: MultiViewDataset, path) -> None:
 
 
 def load_csv(path, num_classes: int, num_views: int, view_dims) -> MultiViewDataset:
-    """Parse a dataset saved by save_csv; errors name the offending line.
+    """Parse a dataset saved by save_csv; errors name the first bad line.
 
-    Blank lines are skipped. The whole file is parsed into one (N, sum d)
-    array and split per view; only a file that fails a check is scanned
-    line by line, to name the first bad line.
+    One pass: a nonblank line is split once, checked for its field count,
+    its int() label and float() features and the label's range, and written
+    into a float64 table of one row per nonblank line; blank lines cost
+    nothing. Finiteness is checked once, over the rows read, before the
+    error of a line that failed, so the first bad line is the one named.
+    The stacks are copied out of the table.
     """
     num_classes, num_views = _integer(num_classes, "num_classes"), _integer(num_views, "num_views")
     dims = tuple(_integers(view_dims, "view_dims").tolist())
     if len(dims) != num_views:
         raise ValueError("view_dims length must equal num_views")
     n_fields = 2 + sum(dims)
-    lines = read_text(path).splitlines()
-    if not lines:
+    text = read_text(path)
+    lines = itertools.chain.from_iterable(_pieces(text))
+    header = next(lines, None)
+    if header is None:
         raise ValueError(f"{path}: empty file")
     # the field count first: the names of a huge declared shape need not be built
-    if lines[0].count(",") != n_fields - 1 or lines[0] != _csv_header(dims):
+    if header.count(",") != n_fields - 1 or header != _csv_header(dims):
         raise ValueError(f"{path}: line 1: header does not match the declared shape")
-    rows = [line.split(",") for line in lines[1:] if line]
-    if not rows:
+    n = sum(len(piece) - piece.count("") for piece in _pieces(text)) - 1
+    if not n:
         raise ValueError(f"{path}: no sample rows")
-    try:
-        if set(map(len, rows)) != {n_fields}:
-            raise ValueError("wrong field count")
-        labels = np.array([int(fields[1]) for fields in rows])
-        table = np.array([float(x) for fields in rows for x in fields[2:]]).reshape(len(rows), -1)
-        valid = bool(np.all((labels >= 0) & (labels < num_classes)) and np.all(np.isfinite(table)))
-    except ValueError:
-        valid = False
-    if not valid:
-        _raise_first_bad_line(path, lines, n_fields, num_classes)
-    return MultiViewDataset.from_arrays(
-        np.split(table, np.cumsum(dims)[:-1], axis=1),
-        labels,
-        [fields[0] for fields in rows],
-        num_classes,
-    )
-
-
-def _raise_first_bad_line(path, lines, n_fields: int, num_classes: int):
-    """Raise the error of the first malformed sample row of a CSV file."""
-    for lineno, line in enumerate(lines[1:], start=2):
+    table, ids, labels, linenos, error = np.empty((n, n_fields - 2)), [], [], [], None
+    for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
         fields = line.split(",")
-        if len(fields) != n_fields:
-            raise ValueError(f"{path}: line {lineno}: expected {n_fields} fields, got {len(fields)}")
         try:
+            if len(fields) != n_fields:
+                raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
             label = int(fields[1])
-            values = [float(x) for x in fields[2:]]
+            table[len(ids)] = fields[2:]  # numpy reads each string as float() does, with its message
+            if not 0 <= label < num_classes:
+                raise ValueError(f"label {label} outside [0, {num_classes})")
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        if not 0 <= label < num_classes:
-            raise ValueError(f"{path}: line {lineno}: label {label} outside [0, {num_classes})")
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}: line {lineno}: features must be finite")
-    raise ValueError(f"{path}: malformed sample rows")
+            error = f"{path}: line {lineno}: {exc}"
+            break
+        ids.append(fields[0])
+        labels.append(label)
+        linenos.append(lineno)
+    # a non-finite feature above the first bad line comes first
+    finite = np.isfinite(table[: len(ids)])
+    if not finite.all():
+        raise ValueError(f"{path}: line {linenos[np.argmin(finite.all(axis=1))]}: features must be finite")
+    if error:
+        raise ValueError(error)
+    starts = np.cumsum((0, *dims))
+    stacks = [np.stack([table[:, starts[v] : starts[v + 1]] for v in group]) for group in view_groups(dims)]
+    return MultiViewDataset._of_stacks(stacks, dims, np.array(labels), ids, num_classes)
+
+
+def _pieces(text: str):
+    """text.splitlines() in consecutive lists, from pieces of 16,384 characters or more
+    that end just after a newline, so no line or CR LF pair is cut."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + 16_384) + 1 or len(text)
+        yield text[start:stop].splitlines()
+        start = stop
 
 
 def save_grid(grid, path) -> None:

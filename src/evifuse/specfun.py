@@ -154,9 +154,9 @@ def _lift(x0: np.ndarray, rows, scratch) -> list:
         neg_s -= _NINE
     if with_squares:
         tg *= np.multiply(neg_s, neg_s, out=inv)
-        # where 1/t overflows (x below about 6e-310) psi' is +inf already,
-        # and subtracting the infinite psi sum would make it inf - inf
-        finite = np.isfinite(dg, out=t.view(bool)[: t.size])
+        # where the psi' sum overflows (x below about 1.2e-309) psi' is +inf already, and
+        # subtracting twice the psi sum, infinite below 6e-310, would make it inf - inf
+        finite = np.isfinite(tg, out=t.view(bool)[: t.size])
         np.subtract(tg, np.add(dg, dg, out=inv), out=tg, where=finite)
         terms[2] = tg
     if 1 in rows:

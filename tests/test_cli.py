@@ -28,6 +28,9 @@ from evifuse.metrics import MAX_BINS
 from evifuse.model import ModelConfig, NonFiniteEvidence, TrainingDiverged, load_checkpoint
 from evifuse.opinions import FusionConflictError
 
+from oracles import load_csv_reference
+from test_data import mutate_csv, outcome
+
 runner = CliRunner()
 
 
@@ -816,6 +819,25 @@ class TestJsonMutations:
             "fuse": ["--opinions", str(ops), "--base-rate", UNIFORM2],
         }[command]
         self.assert_documented_exit(["--config", str(config), command, *argv], f"{path} = {value!r}", inserted)
+
+
+class TestCsvMutations:
+    """One or two fields of a dataset CSV dropped, doubled or replaced: `eval` refuses
+    the file with exit 2 and the reference reader's message as its one line, or
+    scores it when the reference reads it."""
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_eval(self, trained, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "valid.csv"
+        path.write_text(mutate_csv(data, trained["valid"].read_text()), encoding="utf-8")
+        want = outcome(lambda: load_csv_reference(path, 2, (2, 2)))
+        result = runner.invoke(main, ["--quiet", "eval", "--model", str(trained["model"]), "--data", str(path)])
+        case = f"{path.read_text()!r}: exit {result.exit_code}\n{result.stderr}"
+        if isinstance(want, str):
+            assert result.exit_code == 2 and result.stderr == f"error: {want}\n", case
+        else:
+            assert result.exit_code == 0 and result.stderr == "", case
 
 
 @pytest.fixture

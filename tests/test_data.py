@@ -1,12 +1,15 @@
+import itertools
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evifuse.data import (
+    _csv_header,
     MAX_PATCHES,
     MultiViewDataset,
     MultiViewSample,
@@ -199,6 +202,13 @@ class TestLayout:
                 assert np.shares_memory(ds.views[v], stack)
                 assert ds.views[v].base is stack and np.array_equal(bits(ds.views[v]), bits(stack[g]))
                 assert ds.views[v].flags.c_contiguous and not ds.views[v].flags.writeable
+
+    def test_taken_stacks_are_kept_uncopied_and_must_group_the_views(self):
+        stacks = [np.zeros((2, 3, 2)), np.ones((1, 3, 3))]
+        ds = MultiViewDataset._of_stacks(stacks, (2, 3, 2), [0, 1, 0], "abc", 2)
+        assert all(a is b for a, b in zip(ds.stacks, stacks)) and not stacks[0].flags.writeable
+        with pytest.raises(ValueError, match=r"do not group views of \(3, 2, 2\)"):
+            MultiViewDataset._of_stacks([np.zeros((2, 3, 2)), np.ones((1, 3, 3))], (3, 2, 2), [0, 1, 0], "abc", 2)
 
     def test_from_arrays_copies_its_inputs(self):
         views, labels, ids = two_stack_columns()
@@ -523,6 +533,46 @@ def csv_files(draw):
     return dims, k, "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
 
 
+# Feature tokens: malformed ones, then float()-legal oddities, then non-finite spellings.
+MUTANT_FEATURES = [
+    "oops", "", "0x1p3", "1.0.0", "1e", "- 1", "1__0", "1\x00",
+    "1_0", "١", "-0", " 1", "+.5", "1e-400", " 2",
+    "Infinity", "nan", "-nan", "1e999", "-inf",
+]
+MUTANT_LABELS = ["-1", "k", "1.5", "", "2", "99", "1_0", "١", " 1", "0x1"]
+
+
+def mutate_csv(data, text: str) -> str:
+    """`text` with one or two fields of its sample rows dropped, doubled or replaced.
+
+    The two mutations may hit one line or two, in either order of kinds.
+    """
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if i and line]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.sampled_from(rows))
+        fields = lines[i].split(",")
+        kind = data.draw(st.sampled_from(["drop", "extra", "feature", "feature", "label"]))
+        if kind == "drop":
+            del fields[data.draw(st.integers(0, len(fields) - 1))]
+        elif kind == "extra" or len(fields) < 3:
+            fields.insert(data.draw(st.integers(0, len(fields))), data.draw(st.sampled_from(MUTANT_FEATURES)))
+        elif kind == "feature":
+            fields[data.draw(st.integers(2, len(fields) - 1))] = data.draw(st.sampled_from(MUTANT_FEATURES))
+        else:
+            fields[1] = data.draw(st.sampled_from(MUTANT_LABELS))
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def outcome(load):
+    """What `load()` gives: its result, or the message of its ValueError."""
+    try:
+        return load()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):
         ds = gen_synthetic(SyntheticSpec.blobs(3, 2, 2, n_per_class=10, seed=11))
@@ -641,6 +691,84 @@ class TestCsv:
         back = load_csv(root / "got.csv", k, len(dims), dims)
         assert back.ids == ds.ids
         assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(back.views, ds.views))
+
+    @settings(max_examples=150)
+    @given(case=csv_files(), data=st.data())
+    def test_mutants_match_reference(self, tmp_path_factory, case, data):
+        dims, k, text = case
+        path = tmp_path_factory.mktemp("csv") / "ds.csv"
+        path.write_text(mutate_csv(data, text), encoding="utf-8")
+        want = outcome(lambda: load_csv_reference(path, k, dims))
+        got = outcome(lambda: load_csv(path, k, len(dims), dims))
+        if isinstance(want, str):
+            assert got == want and want.startswith(f"{path}: line ")
+        else:
+            ids, labels, views = want
+            assert got.ids == tuple(ids) and np.array_equal(got.labels(), labels)
+            assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got.views, views))
+
+    @pytest.mark.parametrize("first,second", itertools.permutations(
+        ["b,0", "b,0,oops", "b,k,1.0", "b,7,1.0", "b,0,nan", "b,7,nan", "b,0,inf,"], 2
+    ))
+    def test_the_first_of_two_bad_lines_is_named(self, tmp_path, first, second):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,label,v0_0\na,0,1.0\n{first}\n\n{second}\nc,1,2.0\n")
+        want = outcome(lambda: load_csv_reference(path, 2, (1,)))
+        assert want.startswith(f"{path}: line 3: ")
+        assert outcome(lambda: load_csv(path, 2, 1, (1,))) == want
+
+
+# MERIT's row: nine 256-d patches and the 1024-d ROI they tile
+PAPER_DIMS = (256,) * 9 + (1024,)
+
+
+def paper_shaped(n, num_classes=3, seed=41):
+    rng = np.random.default_rng(seed)
+    views = [rng.normal(size=(n, d)) for d in PAPER_DIMS]
+    return MultiViewDataset.from_arrays(views, np.arange(n) % num_classes, [f"s{i}" for i in range(n)], num_classes)
+
+
+def traced_peak(call):
+    """(call(), the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def feature_bytes(ds):
+    return sum(stack.nbytes for stack in ds.stacks)
+
+
+class TestMemory:
+    """Each source copies its features once, so peaks stay small multiples of them."""
+
+    def test_load_csv_of_paper_shaped_rows(self, tmp_path):
+        path = tmp_path / "paper.csv"
+        save_csv(paper_shaped(300), path)
+        ds, peak = traced_peak(lambda: load_csv(path, 3, len(PAPER_DIMS), PAPER_DIMS))
+        assert peak <= 7 * feature_bytes(ds), peak / feature_bytes(ds)
+
+    def test_blank_lines_cost_only_their_own_bytes(self, tmp_path):
+        row = ",".join(["a", "0", *["0.5"] * sum(PAPER_DIMS)])
+        peaks = []
+        for blanks in (50_000, 200_000):
+            path = tmp_path / f"blank{blanks}.csv"
+            path.write_text(_csv_header(PAPER_DIMS) + "\n" + row + "\n" * blanks)
+            peaks.append(traced_peak(lambda: load_csv(path, 2, len(PAPER_DIMS), PAPER_DIMS))[1])
+        # the raw and the decoded text hold each blank line's one byte; nothing else grows with them
+        assert peaks[1] - peaks[0] <= 2 * 150_000 + 65_536, peaks
+
+    def test_resample_class_ratio(self):
+        ds = paper_shaped(600)
+        got, peak = traced_peak(lambda: resample_class_ratio(ds, [0.2, 0.3, 0.5], 0))
+        assert peak <= 1.3 * feature_bytes(got), peak / feature_bytes(got)
+
+    def test_gen_synthetic(self):
+        spec = SyntheticSpec.blobs(2, 10, 256, n_per_class=300)
+        got, peak = traced_peak(lambda: gen_synthetic(spec))
+        assert peak <= 2.3 * feature_bytes(got), peak / feature_bytes(got)
 
 
 class TestParseJson:

@@ -243,6 +243,13 @@ class TestPairedLift:
             assert np.array_equal(trigamma(x), tg)
         assert np.all(np.isfinite(lg)) and np.all(np.isneginf(dg)) and np.all(np.isposinf(tg))
 
+    def test_trigamma_below_the_normal_range_is_inf_without_invalid_values(self):
+        # from about 6e-310 to 1.2e-309, 1/t is finite but the psi' sum overflows
+        x = np.geomspace(5e-324, 1e-300, 2000)
+        with np.errstate(over="ignore", invalid="raise"):
+            assert np.all(np.isposinf(trigamma(x)))
+            assert np.isposinf(trigamma(8e-310))
+
     def test_psi_at_its_root(self):
         assert abs(digamma(DIGAMMA_ROOT)) < 1e-15
 
