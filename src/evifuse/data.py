@@ -24,11 +24,9 @@ from ._casts import _FLOAT_OVERFLOW, _cast_fields, _integer, _integers, _numeric
 
 
 def view_groups(view_dims) -> list:
-    """The views of each feature dimension, lists of view indices in order of first appearance."""
-    groups = {}
-    for v, dim in enumerate(view_dims):
-        groups.setdefault(dim, []).append(v)
-    return list(groups.values())
+    """The runs of consecutive views of one feature dimension, as ranges of view indices in view order."""
+    runs = [len(list(run)) for _, run in itertools.groupby(view_dims)]
+    return [range(stop - n, stop) for n, stop in zip(runs, itertools.accumulate(runs))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +60,10 @@ class MultiViewDataset:
     """Columnar multi-view dataset, validated once when it is built.
 
     `stacks` holds one read-only, C-contiguous (G, N, d) float64 array per
-    feature dimension d, its G views grouped by `view_groups`; `views[v]` is
-    view v's (N, d_v) slot in its stack. Row i of every view belongs to
-    sample `ids[i]`; `labels()` is the read-only (N,) label vector.
+    run of G consecutive views of one feature dimension d (`view_groups`);
+    `views` is the stacks' (N, d) slots in order, so `views[v]` is view v.
+    Row i of every view belongs to sample `ids[i]`; `labels()` is the
+    read-only (N,) label vector.
     `MultiViewDataset(samples, num_classes, view_dims)` stacks per-sample
     objects; `from_arrays` takes the columns directly. Iterating, or reading
     `samples`, builds MultiViewSample rows on demand.
@@ -113,12 +112,14 @@ class MultiViewDataset:
         return ds
 
     def _assign(self, stacks, view_dims, labels, ids, num_classes):
-        """Take `stacks`, C-contiguous float64 (G, N, d) arrays of the views grouped by
+        """Take `stacks`, C-contiguous float64 (G, N, d) arrays of the runs of views
         `view_groups(view_dims)` that no caller keeps, as the dataset's own, without a copy."""
         k = _integer(num_classes, "num_classes")
         if k < 2:
             raise ValueError("need at least two classes")
         view_dims, groups = tuple(view_dims), view_groups(view_dims)
+        if not view_dims or min(view_dims) < 1:
+            raise ValueError(f"view_dims {view_dims} must list one or more views, each of dimension at least 1")
         n = stacks[0].shape[1]
         if [x.shape for x in stacks] != [(len(g), n, view_dims[g[0]]) for g in groups]:
             raise ValueError(f"stacks of shapes {[x.shape for x in stacks]} do not group views of {view_dims}")
@@ -138,8 +139,7 @@ class MultiViewDataset:
             raise ValueError(f"sample {ids[np.argmin(finite)]}: features must be finite")
         for arr in (*stacks, labels):
             arr.flags.writeable = False
-        slots = {v: x[g] for x, group in zip(stacks, groups) for g, v in enumerate(group)}
-        object.__setattr__(self, "views", tuple(slots[v] for v in range(len(view_dims))))
+        object.__setattr__(self, "views", tuple(itertools.chain.from_iterable(stacks)))
         object.__setattr__(self, "stacks", tuple(stacks))
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "num_classes", k)

@@ -107,16 +107,16 @@ def kl_dirichlet(p: DirichletParams, q: DirichletParams) -> float:
     if p.num_classes != q.num_classes:
         raise ValueError("KL divergence needs equal numbers of classes")
     a, b = p.alpha, q.alpha
-    gammas = _triples([a, a.sum(axis=-1), b, b.sum(axis=-1)], "gammas", (0, 1))
+    gammas = _triples([a, a.sum(axis=-1), b, b.sum(axis=-1)], "kl_dirichlet", (0, 1))
     return float(kl_from_gammas(a, b, *gammas))
 
 
 def kl_from_gammas(a, b, g_a, g_sa, g_b, g_sb) -> np.ndarray:
-    """KL[Dir(a) || Dir(b)] over the last axis, from `gammas` of a, sum(a), b, sum(b).
+    """KL[Dir(a) || Dir(b)] over the last axis, from the `_triples` of a, sum(a), b, sum(b).
 
     Reads only ln Gamma and psi, the first two entries of each tuple. Lets a
     caller that needs more special-function values than the KL fetch all of
-    them in one `gammas` call.
+    them in one `_triples` call.
     """
     value = (
         g_sa[0]

@@ -85,7 +85,7 @@ _ROWS = {"loss": (0, 1), "grad": (2,), "both": (0, 1, 2)}
 
 
 def _special(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray, mode: str = "both"):
-    """The loss arguments of alpha (..., K) and their `gammas`, from one `_triples` call.
+    """The loss arguments of alpha (..., K) and their special-function values, from one `_triples` call.
 
     The arguments are S, alpha_label, the masked alpha (the floored alpha
     with its label entry replaced by beta's), its sum, beta and sum(beta).
@@ -96,7 +96,7 @@ def _special(alpha: np.ndarray, hot: np.ndarray, beta: np.ndarray, mode: str = "
     masked = np.where(hot, beta, a)
     args = (a.sum(axis=-1), np.where(hot, a, 0.0).sum(axis=-1),
             masked, masked.sum(axis=-1), beta, beta.sum())
-    return args, _triples(args[:4] if mode == "grad" else args, "gammas", _ROWS[mode])
+    return args, _triples(args[:4] if mode == "grad" else args, "loss arguments", _ROWS[mode])
 
 
 def _values(args, g):

@@ -5,12 +5,14 @@ softplus output, so evidence is nonnegative for every input. Heads are
 trained jointly by Adam on the overall evidential objective; gradients flow
 through the closed-form evidence fusion back into every head.
 
-All parameters of a model live in one flat vector. Heads that share an input
-dimension form a stack, whose layers are (G, out, in) weight and (G, out)
-bias views into that vector, so training and evaluation make one batched
-matmul per layer per stack on (G, N, d) features, and Adam updates the whole
-vector at once. Everything is seeded and reductions are ordered, so a config
-plus data determines the trained model bit for bit.
+All parameters of a model live in one flat vector. A run of consecutive
+heads of one input dimension forms a stack, whose layers are (G, out, in)
+weight and (G, out) bias views into that vector, so training and evaluation
+make one batched matmul per layer per stack on (G, N, d) features, and Adam
+updates the whole vector at once. The stacks, read in order, are the views
+in order, so their outputs join into view order by concatenation.
+Everything is seeded and reductions are ordered, so a config plus data
+determines the trained model bit for bit.
 """
 
 from __future__ import annotations
@@ -87,8 +89,10 @@ class ModelConfig:
             raise ValueError("prior weight must be positive")
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0.0:
             raise ValueError(f"learning rate must be finite and nonnegative, not {self.learning_rate}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("bad epochs/batch_size")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, not {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, not {self.batch_size}")
         if self.anneal_epochs is None:
             object.__setattr__(self, "anneal_epochs", max(1, self.epochs))
         if self.anneal_epochs < 1:
@@ -201,9 +205,10 @@ class EvidentialModel:
 
     The model owns its parameters: the constructor checks the given heads
     against the config and copies their values into one flat vector, laid
-    out stack by stack (see the module docstring). `heads[v]` is view v's
-    slot in its stack, a 2-D EvidenceHead whose arrays are views into that
-    vector, so an in-place edit through it reaches every pass of the model.
+    out stack by stack (see the module docstring). `heads` is the stacks'
+    slots in order, so `heads[v]` is view v's, a 2-D EvidenceHead whose arrays
+    are views into that vector: an in-place edit through it reaches every
+    pass of the model.
     """
 
     def __init__(self, heads, base_rate: BaseRate, config: ModelConfig):
@@ -222,10 +227,9 @@ class EvidentialModel:
             for fan_in, fan_out in _layer_sizes(dim, config.hidden, config.num_classes)
         ))
         self._stacks = [EvidenceHead(w, b) for w, b in self._stack_arrays(self._params)]
-        self.heads = [None] * config.num_views
-        for stack, group in zip(self._stacks, self._groups):
-            for g, v in enumerate(group):
-                self.heads[v] = EvidenceHead([w[g] for w in stack.weights], [b[g] for b in stack.biases])
+        self.heads = [
+            EvidenceHead(w, b) for stack in self._stacks for w, b in zip(zip(*stack.weights), zip(*stack.biases))
+        ]
         for v, (own, given) in enumerate(zip(self.heads, heads)):
             if len(given.weights) != len(own.weights):
                 raise ValueError(f"head {v}: a head needs {len(own.weights)} layers")
@@ -304,17 +308,9 @@ def _dataset(model: EvidentialModel, data) -> MultiViewDataset:
     return data
 
 
-def _by_view(model: EvidentialModel, outputs) -> np.ndarray:
-    """Per-stack (G, N, K) outputs as one (V, N, K) array in view order."""
-    out = np.empty((model.config.num_views, *outputs[0].shape[1:]))
-    for group, e in zip(model._groups, outputs):
-        out[group] = e
-    return out
-
-
 def _view_evidences(model: EvidentialModel, stacked) -> np.ndarray:
     """(V, N, K) evidence from stacked features, one head pass per stack."""
-    return _by_view(model, [stack.forward_cached(x)[0] for stack, x in zip(model._stacks, stacked)])
+    return np.concatenate([stack.forward_cached(x)[0] for stack, x in zip(model._stacks, stacked)])
 
 
 def forward(model: EvidentialModel, sample: MultiViewSample):
@@ -461,14 +457,14 @@ def fit(model: EvidentialModel, train: MultiViewDataset, valid: MultiViewDataset
                 stack.forward_cached(np.take(x, batch, axis=1))
                 for stack, x in zip(model._stacks, train_x)
             ]
-            evidences = _by_view(model, [e for e, _ in results])
+            evidences = np.concatenate([e for e, _ in results])
             bad, ev_grads = _overall(evidences, train_hot[batch], base, loss_cfg, "grad")
             if bad.size:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, sample {train.ids[batch[bad[0]]]}"
                 )
             for stack, group, (_, cache), out in zip(model._stacks, model._groups, results, grad_stacks):
-                stack.backward(cache, ev_grads[group], out=out)
+                stack.backward(cache, ev_grads[group.start : group.stop], out=out)
             step += 1
             lr_t = cfg.learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
             grads /= batch.size

@@ -22,12 +22,11 @@ Temporaries of 14 to 17 times the input's size, allocated per call, would
 be handed back to the system after each call and page-faulted in again on
 the next.
 
-`gammas` serves callers that need several quantities of several arrays: one
-validated kernel pass over their concatenation, which can leave psi' out.
-`ln_gamma`, `digamma` and `trigamma` ask that pass for their one row; they
-accept scalars or arrays and return matching shapes. All four cast their
-arguments through `_casts._numeric`; the library's own callers call the
-unchecked `_triples`.
+`ln_gamma`, `digamma` and `trigamma` each ask one validated kernel pass for
+their one row; they accept scalars or arrays and return matching shapes, and
+cast their arguments through `_casts._numeric`. The library's own callers,
+which need several quantities of several arrays, call the unchecked
+`_triples`: one pass over the arrays' concatenation, for the rows they ask.
 """
 
 from __future__ import annotations
@@ -231,21 +230,6 @@ def _triples(arrays, name: str, rows=_ALL) -> list:
             triples.append(tuple(row[start:end].reshape(a.shape) for row in out))
         start = end
     return triples
-
-
-def gammas(*arrays, with_trigamma: bool = True) -> list:
-    """(ln Gamma, psi, psi') of each argument, from one kernel pass.
-
-    Returns one triple per argument, each entry shaped like the argument: a
-    float for a scalar or 0-d array, an array otherwise. With
-    `with_trigamma=False` each is a (ln Gamma, psi) pair instead, for a
-    caller that needs no derivative; the pair's bits equal the triple's
-    first two entries, and the pass skips the psi' series and lift terms.
-    Raises ValueError if an argument is not an array of numbers, or any
-    element is not finite or not strictly positive.
-    """
-    rows = _ALL if with_trigamma else (0, 1)
-    return _triples([_numeric(a, "gammas argument") for a in arrays], "gammas", rows)
 
 
 def ln_gamma(x):

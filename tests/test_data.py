@@ -155,39 +155,41 @@ class TestColumnar:
 
 
 def two_stack_columns():
-    """Columns of twelve samples whose views (2, 3, 2) form two stacks."""
+    """Columns of twelve samples whose views (2, 2, 3) form two stacks, the first of two views."""
     rng = np.random.default_rng(31)
-    return [rng.normal(size=(12, d)) for d in (2, 3, 2)], np.arange(12) % 2, [f"s{i}" for i in range(12)]
+    return [rng.normal(size=(12, d)) for d in (2, 2, 3)], np.arange(12) % 2, [f"s{i}" for i in range(12)]
 
 
 def csv_round_trip(tmp_path):
     save_csv(MultiViewDataset.from_arrays(*two_stack_columns(), 2), tmp_path / "d.csv")
-    return load_csv(tmp_path / "d.csv", 2, 3, (2, 3, 2))
+    return load_csv(tmp_path / "d.csv", 2, 3, (2, 2, 3))
 
 
 # every builder of a dataset, each with the groups of its views;
 # gen_synthetic draws one dimension for all views, so its layout is one stack
+TWO_STACKS = [range(0, 2), range(2, 3)]
 LAYOUT_BUILDERS = {
-    "from_arrays": (lambda tmp_path: MultiViewDataset.from_arrays(*two_stack_columns(), 2), [[0, 2], [1]]),
+    "from_arrays": (lambda tmp_path: MultiViewDataset.from_arrays(*two_stack_columns(), 2), TWO_STACKS),
     "samples": (
-        lambda tmp_path: MultiViewDataset(MultiViewDataset.from_arrays(*two_stack_columns(), 2), 2, (2, 3, 2)),
-        [[0, 2], [1]],
+        lambda tmp_path: MultiViewDataset(MultiViewDataset.from_arrays(*two_stack_columns(), 2), 2, (2, 2, 3)),
+        TWO_STACKS,
     ),
-    "load_csv": (csv_round_trip, [[0, 2], [1]]),
-    "gen_synthetic": (lambda tmp_path: gen_synthetic(SyntheticSpec.blobs(2, 3, 2, n_per_class=6)), [[0, 1, 2]]),
+    "load_csv": (csv_round_trip, TWO_STACKS),
+    "gen_synthetic": (lambda tmp_path: gen_synthetic(SyntheticSpec.blobs(2, 3, 2, n_per_class=6)), [range(0, 3)]),
     "resample_class_ratio": (
         lambda tmp_path: resample_class_ratio(MultiViewDataset.from_arrays(*two_stack_columns(), 2), [0.4, 0.6], 1),
-        [[0, 2], [1]],
+        TWO_STACKS,
     ),
 }
 
 
 class TestLayout:
-    def test_view_groups_keep_first_appearance_order(self):
-        assert view_groups((2, 3, 2)) == [[0, 2], [1]]
-        assert view_groups((5, 3, 5, 3, 7)) == [[0, 2], [1, 3], [4]]
-        assert view_groups((8, 8, 8)) == [[0, 1, 2]]
-        assert view_groups(iter((3, 2, 3, 2))) == [[0, 2], [1, 3]]
+    def test_view_groups_are_runs_of_consecutive_views(self):
+        assert view_groups((2, 3, 2)) == [range(0, 1), range(1, 2), range(2, 3)]
+        assert view_groups((5, 3, 5, 3, 7)) == [range(v, v + 1) for v in range(5)]
+        assert view_groups((8, 8, 8)) == [range(0, 3)]
+        assert view_groups((2, 2, 3, 3)) == [range(0, 2), range(2, 4)]
+        assert view_groups(iter((3, 3, 2, 3, 3))) == [range(0, 2), range(2, 3), range(3, 5)]
         assert view_groups(()) == []
 
     @pytest.mark.parametrize("builder", list(LAYOUT_BUILDERS))
@@ -199,13 +201,13 @@ class TestLayout:
             assert stack.dtype == np.float64 and stack.flags.c_contiguous and not stack.flags.writeable
             assert stack.shape == (len(group), len(ds), ds.view_dims[group[0]])
             for g, v in enumerate(group):
-                assert np.shares_memory(ds.views[v], stack)
+                assert ds.view_dims[v] == stack.shape[2] and np.shares_memory(ds.views[v], stack)
                 assert ds.views[v].base is stack and np.array_equal(bits(ds.views[v]), bits(stack[g]))
                 assert ds.views[v].flags.c_contiguous and not ds.views[v].flags.writeable
 
     def test_taken_stacks_are_kept_uncopied_and_must_group_the_views(self):
         stacks = [np.zeros((2, 3, 2)), np.ones((1, 3, 3))]
-        ds = MultiViewDataset._of_stacks(stacks, (2, 3, 2), [0, 1, 0], "abc", 2)
+        ds = MultiViewDataset._of_stacks(stacks, (2, 2, 3), [0, 1, 0], "abc", 2)
         assert all(a is b for a, b in zip(ds.stacks, stacks)) and not stacks[0].flags.writeable
         with pytest.raises(ValueError, match=r"do not group views of \(3, 2, 2\)"):
             MultiViewDataset._of_stacks([np.zeros((2, 3, 2)), np.ones((1, 3, 3))], (3, 2, 2), [0, 1, 0], "abc", 2)
@@ -220,7 +222,7 @@ class TestLayout:
         assert all(np.array_equal(bits(v), b) for v, b in zip(ds.views, before))
 
     def test_integers_beyond_int64_are_read_as_floats(self):
-        ds = MultiViewDataset.from_arrays([[[2**70, 1]], [[3]], [[-(2**64), 2]]], [1], ["a"], 2)
+        ds = MultiViewDataset.from_arrays([[[2**70, 1]], [[-(2**64), 2]], [[3]]], [1], ["a"], 2)
         assert [s.dtype for s in ds.stacks] == [np.float64, np.float64]
         assert np.array_equal(ds.stacks[0], [[[2.0**70, 1.0]], [[-(2.0**64), 2.0]]])
 
@@ -601,6 +603,16 @@ class TestCsv:
         # refused before the file is read
         with pytest.raises(ValueError, match="^view_dims length must equal num_views$"):
             load_csv(tmp_path / "absent.csv", 2, 2, (1,))
+
+    @pytest.mark.parametrize("header,row,view_dims", [
+        ("id,label", "a,0", ()),  # no view
+        ("id,label,v0_0,v0_1", "a,0,1.0,2.0", (2, 0)),  # a view of no feature
+    ])
+    def test_a_layout_without_views_or_with_an_empty_one_is_refused(self, tmp_path, header, row, view_dims):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"view_dims {view_dims} must list one or more views")):
+            load_csv(path, 2, len(view_dims), view_dims)
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "h.csv"

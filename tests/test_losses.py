@@ -324,7 +324,7 @@ class TestOverall:
         assert np.array_equal(losses[good], want)
         assert all(np.array_equal(g[good], w) for g, w in zip(grads, want_grads))
 
-        # evidence of a model whose views (2, 3, 2) form two stacks, one non-contiguous;
+        # evidence of a model whose views (2, 3, 2) form three stacks of one view each;
         # rows 1 and 3 diverge
         config = ModelConfig(num_classes=2, num_views=3, view_dims=(2, 3, 2), hidden=(4,))
         model = EvidentialModel.initialize(config, base)

@@ -103,6 +103,14 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=f"^{match}"):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("epochs", -1, "epochs must be nonnegative, not -1"),
+        ("batch_size", 0, "batch_size must be at least 1, not 0"),
+    ])
+    def test_a_setting_out_of_range_is_named_with_its_value(self, field, value, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            tiny_config(**{field: value})
+
     def test_integral_settings_of_any_numeric_type_read_as_ints(self):
         cfg = tiny_config(
             num_classes=2.0, num_views=np.int64(2), view_dims=[3.0, np.int32(2)], hidden=np.array([4]),
@@ -318,15 +326,15 @@ class TestModelAssembly:
         assert all(np.array_equal(p, q) for p, q in zip(m1.parameters(), before))
         assert not params_equal(m1, m2)
 
-    @pytest.mark.parametrize("view_dims", [(2, 2, 2, 2), (8, 8, 8), (3, 5, 3, 5, 7), (2, 3, 2)])
+    @pytest.mark.parametrize("view_dims", [(2, 2, 2, 2), (8, 8, 8), (3, 5, 3, 5, 7), (2, 3, 2), (2, 2, 3, 3)])
     def test_stacks_are_the_data_groups(self, view_dims):
         cfg = tiny_config(num_views=len(view_dims), view_dims=view_dims)
         model = EvidentialModel.initialize(cfg, BaseRate([0.5, 0.5], weight=2.0))
         assert model._groups == view_groups(view_dims)
 
     def test_in_place_head_edit_reaches_every_pass(self):
-        # view 2 shares a stack with view 0; silence it through its head alone
-        cfg = tiny_config(num_views=3, view_dims=(3, 2, 3))
+        # view 2 shares a stack with view 1; silence it through its head alone
+        cfg = tiny_config(num_views=3, view_dims=(2, 3, 3))
         base = BaseRate([0.5, 0.5], weight=2.0)
         model = EvidentialModel.initialize(cfg, base)
         ds = mixed_data(cfg.view_dims, 2, 12, seed=8)
@@ -338,7 +346,7 @@ class TestModelAssembly:
         for a, b in zip(after, evaluate(EvidentialModel(model.heads, base, cfg), ds)):
             assert np.array_equal(a, b)
         evidences = forward(model, next(iter(ds)))[0]
-        assert np.all(evidences[2].evidence < 1e-15) and np.all(evidences[0].evidence > 1e-3)
+        assert np.all(evidences[2].evidence < 1e-15) and np.all(evidences[1].evidence > 1e-3)
 
 
 GOLDEN_SAMPLE = MultiViewSample((np.array([0.5, -1.0, 2.0]), np.array([1.5, -0.5])), 0, "golden")
@@ -714,9 +722,10 @@ class TestFit:
 
     @pytest.mark.parametrize("num_classes,view_dims,hidden", [
         (2, (2, 2, 2, 2), (64,)),  # the criterion-07 shape: one stack of four
-        (3, (2, 3, 2), (5,)),  # two stacks, one of them non-contiguous
+        (3, (2, 3, 2), (5,)),  # interleaved dimensions: three stacks of one head each
         (2, (3, 2), ()),
         (4, (2, 2, 3), (8, 6)),
+        (3, (2, 2, 3, 3), (5,)),  # two stacks of two heads each
     ])
     def test_matches_the_per_head_reference(self, monkeypatch, num_classes, view_dims, hidden):
         # 7-row evaluation blocks, and 25 training rows in batches of 6, 6, 6, 6 and 1
@@ -741,7 +750,9 @@ class TestFit:
             assert all(np.array_equal(p, q) for p, q in zip(head.weights + head.biases, weights + biases))
         assert report.to_dict() == {**ref_curves, "skipped": [0] * cfg.epochs}
 
-    @pytest.mark.parametrize("view_dims,stacks", [((2, 2, 2, 2), 1), ((2, 3, 2), 2), ((3, 2), 2)])
+    @pytest.mark.parametrize(
+        "view_dims,stacks", [((2, 2, 2, 2), 1), ((2, 2, 3), 2), ((3, 2), 2), ((2, 3, 2), 3), ((2, 2, 3, 3), 2)]
+    )
     def test_one_head_pass_per_stack(self, monkeypatch, view_dims, stacks):
         counts = {"forward": 0, "forward_cached": 0, "backward": 0}
 
